@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -95,7 +96,49 @@ func TestStaticDifferential(t *testing.T) {
 				t.Fatalf("seed %d, variant %q: %v", seed, name, err)
 			}
 		}
+		if err := checkDeltaVariants(p, variants); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
+}
+
+// checkDeltaVariants runs the variants that keep the original's structure
+// through one DeltaState, chained original → variant → original: each
+// variant must fail with the cold pipeline's exact error, and each return
+// must reproduce the original's cold result byte for byte.
+func checkDeltaVariants(p *Point, variants map[string]*core.Node) error {
+	prog, err := core.Compile(p.Root, p.Graph, p.Spec)
+	if err != nil {
+		return err
+	}
+	cold, err := prog.Evaluate(context.Background(), p.Opts)
+	if err != nil {
+		return err
+	}
+	want := resultBytes(cold, p.Spec)
+	d := prog.NewDelta(p.Opts)
+	if _, err := prog.EvaluateDelta(context.Background(), d, p.Root, p.Opts); err != nil {
+		return fmt.Errorf("delta on the original: %v", err)
+	}
+	for _, name := range []string{"doubled extent", "zero extent", "foreign dim"} {
+		root, ok := variants[name]
+		if !ok {
+			continue
+		}
+		perr := pipelineErr(p, root)
+		_, derr := prog.EvaluateDelta(context.Background(), d, root, p.Opts)
+		if perr == nil || derr == nil || derr.Error() != perr.Error() {
+			return fmt.Errorf("delta on %q: %v, pipeline %v", name, derr, perr)
+		}
+		res, err := prog.EvaluateDelta(context.Background(), d, p.Root, p.Opts)
+		if err != nil {
+			return fmt.Errorf("delta back from %q: %v", name, err)
+		}
+		if got := resultBytes(res, p.Spec); !bytes.Equal(got, want) {
+			return fmt.Errorf("delta back from %q: %v", name, diffBytes(want, got))
+		}
+	}
+	return nil
 }
 
 func checkStaticVariant(p *Point, root *core.Node, expectValid bool) error {

@@ -380,17 +380,14 @@ type tensorGroup struct {
 	evicts bool
 }
 
-// buildStructure computes the remaining tiling-independent tables for a
-// freshly indexed tree — subtree sizes, subtree dim sets, and per-node
-// tensor access groups with their invocation closures — in one bottom-up
-// pass over the pre-order ids (descending id order visits children before
-// parents).
+// buildStructure computes the remaining tiling-independent tables for an
+// indexed tree — subtree dim sets and per-node tensor access groups with
+// their invocation closures — in one bottom-up pass over the pre-order ids
+// (descending id order visits children before parents).
 func buildStructure(t *tree) {
 	n := len(t.nodeSet)
 	st := t.st
-	st.size = make([]int, n)
 	st.dims = make([]map[string]bool, n)
-	st.dimMask = make([][]bool, n)
 	st.groups = make([][]tensorGroup, n)
 	idxOf := make([]map[string]int, n) // tensor -> group index, per node
 	for id := n - 1; id >= 0; id-- {
@@ -407,7 +404,6 @@ func buildStructure(t *tree) {
 			}
 			return &groups[gi]
 		}
-		size := 1
 		if nd.IsLeaf() {
 			op := nd.Op
 			for _, d := range op.Dims {
@@ -428,7 +424,6 @@ func buildStructure(t *tree) {
 				maxWords: accessMaxWords(op, w)})
 		} else {
 			for _, cid := range st.children[id] {
-				size += st.size[cid]
 				for d := range st.dims[cid] {
 					dims[d] = true
 				}
@@ -467,9 +462,7 @@ func buildStructure(t *tree) {
 				}
 			}
 		}
-		st.size[id] = size
 		st.dims[id] = dims
-		st.dimMask[id] = dimMaskOf(st, dims)
 		st.groups[id] = groups
 		idxOf[id] = idx
 	}
@@ -531,12 +524,6 @@ func (t *tree) invocationsMask(n int, only []bool) float64 {
 		child = a
 	}
 	return inv
-}
-
-// subtreeDims reports the set of iteration dimensions of all operators in
-// the subtree, precomputed at compile time.
-func (t *tree) subtreeDims(n int) map[string]bool {
-	return t.st.dims[n]
 }
 
 // accessDims is the set of iteration dims an access refers to.

@@ -191,9 +191,9 @@ type evaluator struct {
 	// Incremental masks, set only on the delta path (all nil on a full
 	// evaluation): affected[i] false lets accountDataMovement replay node
 	// i's cached volumes; fpNeed[i] false keeps node i's footprint row;
-	// vDirty/vDirtyUp restrict validation to nodes whose checks could
-	// have changed. Clean items cannot fail if the snapshot tiling
-	// passed, so the first reported error is identical to a full run's.
+	// vDirty/vDirtyUp restrict the tiling rules to items whose inputs
+	// changed. Clean items cannot fail if the snapshot tiling passed, so
+	// the first reported error is identical to a full run's.
 	affected []bool
 	fpNeed   []bool
 	vDirty   []bool
@@ -224,13 +224,11 @@ func EvaluateContext(ctx context.Context, root *Node, g *workload.Graph, spec *a
 // the Compile → Evaluate pipeline — on the evaluator's bound tree. The
 // returned Result aliases the scratch arena.
 func (e *evaluator) run() (*Result, error) {
-	t, spec, opts, s := e.t, e.p.spec, e.opts, e.s
+	t, spec, s := e.t, e.p.spec, e.s
 	s.reset()
-	if e.vDirty == nil {
-		if err := validateTiling(t, e.p.g); err != nil {
-			return nil, err
-		}
-	} else if err := validateTilingDelta(t, e.p.g, e.vDirty, e.vDirtyUp); err != nil {
+	x := e.rules()
+	defer x.unbind()
+	if err := x.check(phaseTiling, nil); err != nil {
 		return nil, err
 	}
 	if err := e.accountDataMovement(); err != nil {
@@ -255,16 +253,9 @@ func (e *evaluator) run() (*Result, error) {
 		}
 		res.Utilization = float64(u) / float64(inst)
 	}
-	if !opts.SkipPECheck {
-		if res.PEsUsed > res.TotalPEs {
-			return nil, infeasiblef("core: mapping uses %d PEs, chip has %d", res.PEsUsed, res.TotalPEs)
-		}
-		for l := 0; l < spec.DRAMLevel(); l++ {
-			if inst := spec.Instances(l); res.UnitUsage[l] > inst {
-				return nil, infeasiblef("core: mapping occupies %d level-%d (%s) instances, chip has %d",
-					res.UnitUsage[l], l, spec.Levels[l].Name, inst)
-			}
-		}
+	x.pes, x.units = res.PEsUsed, res.UnitUsage
+	if err := x.check(phaseResources, nil); err != nil {
+		return nil, err
 	}
 
 	if e.fpNeed == nil {
@@ -272,12 +263,9 @@ func (e *evaluator) run() (*Result, error) {
 	} else {
 		res.FootprintWords = t.footprintDeltaInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density, e.fpNeed)
 	}
-	if !opts.SkipCapacityCheck {
-		for l := 0; l < spec.DRAMLevel(); l++ {
-			if need, have := res.FootprintWords[l], spec.CapacityWords(l); need > have {
-				return nil, &CapacityError{Level: l, LevelName: spec.Levels[l].Name, NeedWords: need, HaveWords: have}
-			}
-		}
+	x.footprint = res.FootprintWords
+	if err := x.check(phaseCapacity, nil); err != nil {
+		return nil, err
 	}
 
 	if err := e.ctx.Err(); err != nil {
@@ -352,112 +340,13 @@ func vectorOps(g *workload.Graph) float64 {
 	return n
 }
 
-// validateStructure checks the tiling-independent half of mapping
-// legality at compile time: every operator has a leaf tile, and every
-// node's level exists on the architecture.
-func validateStructure(t *tree, g *workload.Graph, spec *arch.Spec) error {
-	for _, op := range g.Ops {
-		if _, ok := t.st.leafOf[op]; !ok {
-			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
-		}
-	}
-	for _, n := range t.nodeSet {
-		if n.Level < 0 || n.Level >= spec.NumLevels() {
-			return invalidf("core: node %q level %d outside architecture with %d levels", n.Name, n.Level, spec.NumLevels())
-		}
-	}
-	return nil
-}
-
-// validateTiling checks the loop nests of one tiling against the compiled
-// structure: the tree must be a complete, exact tiling of the graph. It
-// runs on every Evaluate, since re-binds change only the loops.
-func validateTiling(t *tree, g *workload.Graph) error {
-	for _, op := range g.Ops {
-		leafID, ok := t.st.leafOf[op]
-		if !ok {
-			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
-		}
-		for _, d := range op.Dims {
-			if cov := t.fullCoverage(leafID, d.Name); cov != d.Size {
-				return invalidf("core: operator %q dim %q tiled to %d, want %d", op.Name, d.Name, cov, d.Size)
-			}
-		}
-	}
-	for i, n := range t.nodeSet {
-		if err := validateNodeLoops(t, i, n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fullCoverage is the leaf-to-root extent product of one dimension: the
-// exact-tiling check's quantity. Interned dims take the id-compare path;
-// dims outside the universe (possible only for ops the structure never
-// interned, which validation rejects elsewhere) fall back to strings.
-func (t *tree) fullCoverage(leafID int, dim string) int {
-	cov := 1
-	if id, ok := t.st.dimID[dim]; ok {
-		d := int32(id)
-		for m := leafID; m >= 0; m = t.st.parent[m] {
-			cov *= t.dimExtentAt(m, d)
-		}
-		return cov
-	}
-	for m := leafID; m >= 0; m = t.st.parent[m] {
-		cov *= t.nodeSet[m].DimExtent(dim)
-	}
-	return cov
-}
-
-// validateNodeLoops checks one node's loop list: positive extents, and
-// every loop over a dimension some operator in the subtree iterates. The
-// delta path re-runs it for dirty nodes only.
-func validateNodeLoops(t *tree, i int, n *Node) error {
-	ld := t.ldim[i]
-	mask := t.st.dimMask[i]
-	for li, l := range n.Loops {
-		if l.Extent < 1 {
-			return invalidf("core: node %q loop %s has extent < 1", n.Name, l)
-		}
-		if ld[li] < 0 || !mask[ld[li]] {
-			return invalidf("core: node %q loop over dim %q that no operator in its subtree iterates", n.Name, l.Dim)
-		}
-	}
-	return nil
-}
-
-// validateTilingDelta is validateTiling restricted to items whose inputs
-// changed since the snapshot tiling: operators whose leaf-to-root path
-// contains a dirty node (the coverage product reads exactly that path) and
-// nodes with dirty loop lists. Items are visited in the full pass's order
-// and clean items cannot fail when the snapshot passed, so the first error
-// returned is the one validateTiling would return.
-func validateTilingDelta(t *tree, g *workload.Graph, dirty, dirtyUp []bool) error {
-	for _, op := range g.Ops {
-		leafID, ok := t.st.leafOf[op]
-		if !ok {
-			return invalidf("core: operator %q has no leaf tile in the tree", op.Name)
-		}
-		if !dirty[leafID] && !dirtyUp[leafID] {
-			continue
-		}
-		for _, d := range op.Dims {
-			if cov := t.fullCoverage(leafID, d.Name); cov != d.Size {
-				return invalidf("core: operator %q dim %q tiled to %d, want %d", op.Name, d.Name, cov, d.Size)
-			}
-		}
-	}
-	for i, n := range t.nodeSet {
-		if !dirty[i] {
-			continue
-		}
-		if err := validateNodeLoops(t, i, n); err != nil {
-			return err
-		}
-	}
-	return nil
+// rules binds the legality rules' input to the evaluator's tree in the
+// scratch arena, where the predicates can read it without an allocation.
+// The caller unbinds it when done.
+func (e *evaluator) rules() *ruleInput {
+	x := &e.s.rules
+	*x = ruleInput{t: e.t, g: e.p.g, spec: e.p.spec, opts: e.opts, dirty: e.vDirty, dirtyUp: e.vDirtyUp}
+	return x
 }
 
 // accountDataMovement runs the inter-tile analysis of Sec 5.1.2: for every

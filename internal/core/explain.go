@@ -49,7 +49,9 @@ func (p *Program) Explain(opts Options) ([]NodeReport, error) {
 	defer p.putScratch(s)
 	e := &evaluator{ctx: context.Background(), p: p, t: t, opts: opts, s: s}
 	s.reset()
-	if err := validateTiling(t, p.g); err != nil {
+	x := e.rules()
+	defer x.unbind()
+	if err := x.check(phaseTiling, nil); err != nil {
 		return nil, err
 	}
 	if err := e.accountDataMovement(); err != nil {

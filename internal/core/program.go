@@ -77,14 +77,16 @@ type Program struct {
 // performs only the tiling-dependent work.
 func Compile(root *Node, g *workload.Graph, spec *arch.Spec) (*Program, error) {
 	compileCount.Add(1)
-	if err := spec.Validate(); err != nil {
+	x := &ruleInput{g: g, spec: spec}
+	if err := x.check(phaseArch, nil); err != nil {
 		return nil, err
 	}
 	t, err := buildTree(root)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateStructure(t, g, spec); err != nil {
+	x.t = t
+	if err := x.check(phasePlacement, nil); err != nil {
 		return nil, err
 	}
 	confine := t.confinements(g)

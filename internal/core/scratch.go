@@ -48,6 +48,9 @@ type Scratch struct {
 	// view is a reusable rebind view for the batch path: one tree view is
 	// re-filled per candidate instead of allocated.
 	view tree
+
+	// rules is the legality rules' input, bound per evaluation.
+	rules ruleInput
 }
 
 // NewScratch allocates a scratch arena sized for the Program. One arena

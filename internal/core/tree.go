@@ -295,91 +295,152 @@ type structure struct {
 	// subtree.
 	dims []map[string]bool
 	// dimID interns every dimension name any operator declares to a dense
-	// id in [0, numDims), in first-leaf-declaration order. The hot
-	// analysis loops run on these ids (loop compares, mask tests) instead
-	// of string hashing.
+	// id in [0, numDims), in first-leaf-declaration (pre-order) order, so
+	// the assignment is deterministic. The hot analysis loops run on these
+	// ids (loop compares, mask tests) instead of string hashing.
 	dimID   map[string]int
 	numDims int
 	// dimMask is dims as a bitset over dim ids, per node.
 	dimMask [][]bool
+	// leafDims[i] is the interned id of each of leaf i's operator dims, in
+	// declaration order; nil for interior nodes.
+	leafDims [][]int32
 	// groups lists, per node, the tensors its subtree accesses with all
 	// per-tensor access closures precomputed, in first-use order.
 	groups [][]tensorGroup
 }
 
+// buildTree indexes root, rejects it with the first structure-phase
+// violation of the legality rules, and builds every structure table.
 func buildTree(root *Node) (*tree, error) {
-	t := &tree{
-		root: root,
-		id:   map[*Node]int{},
-	}
-	st := &structure{leafOf: map[*workload.Operator]int{}}
-	leafNode := map[*workload.Operator]*Node{}
-	var err error
-	var visit func(n *Node, parent int)
-	visit = func(n *Node, parent int) {
-		id := len(t.nodeSet)
-		t.id[n] = id
-		t.nodeSet = append(t.nodeSet, n)
-		st.parent = append(st.parent, parent)
-		st.children = append(st.children, nil)
-		if n.IsLeaf() {
-			if len(n.Children) > 0 {
-				err = invalidf("core: leaf %q has children", n.Name)
-				return
-			}
-			if prev := leafNode[n.Op]; prev != nil {
-				err = invalidf("core: operator %q appears in two leaves (%q, %q)", n.Op.Name, prev.Name, n.Name)
-				return
-			}
-			leafNode[n.Op] = n
-			st.leafOf[n.Op] = id
-			return
-		}
-		if len(n.Children) == 0 {
-			err = invalidf("core: interior node %q has no children and no operator", n.Name)
-			return
-		}
-		for _, c := range n.Children {
-			if c.Level > n.Level {
-				err = invalidf("core: child %q at level %d above parent %q at level %d", c.Name, c.Level, n.Name, n.Level)
-				return
-			}
-			st.children[id] = append(st.children[id], len(t.nodeSet))
-			visit(c, id)
-			if err != nil {
-				return
-			}
-		}
-	}
-	visit(root, -1)
-	if err != nil {
+	t := indexTree(root)
+	if err := (&ruleInput{t: t}).check(phaseStructure, nil); err != nil {
 		return nil, err
 	}
-	t.st = st
-	internDims(t)
+	t.id = make(map[*Node]int, len(t.nodeSet))
+	for i, n := range t.nodeSet {
+		t.id[n] = i
+	}
+	t.indexDims()
 	buildStructure(t)
-	t.setLdim()
 	return t, nil
 }
 
-// internDims assigns every dimension name declared by the tree's operators
-// a dense id, in first-leaf-declaration (pre-order) order, so the
-// assignment is deterministic. Loop dims outside this universe intern to
-// -1; validation rejects them before any analysis loop compares ids.
-func internDims(t *tree) {
+// indexTree numbers root's tiles in pre-order and fills the parent,
+// children, subtree-size and operator-leaf tables. It accepts malformed
+// trees, which the structure rules then report: a leaf's children are not
+// tiles and are not indexed, and leafOf keeps the first childless leaf of
+// each operator (-1 when the operator occurs only on or under a leaf with
+// children). Slices are sized by a counting pass, so indexing costs a few
+// allocations rather than a few per node.
+func indexTree(root *Node) *tree {
+	nn := countTiles(root)
+	t := &tree{root: root, nodeSet: make([]*Node, 0, nn)}
+	t.st = &structure{
+		parent:   make([]int, 0, nn),
+		children: make([][]int, 0, nn),
+		size:     make([]int, 0, nn),
+		leafOf:   map[*workload.Operator]int{},
+	}
+	kids := make([]int, 0, nn)
+	t.index(root, -1, &kids)
+	return t
+}
+
+func countTiles(n *Node) int {
+	c := 1
+	if !n.IsLeaf() {
+		for _, ch := range n.Children {
+			c += countTiles(ch)
+		}
+	}
+	return c
+}
+
+// index appends n's subtree to the index. A node's child ids occupy one
+// reserved run of kids, which never outgrows its counted capacity, so the
+// children rows can alias it.
+func (t *tree) index(n *Node, parent int, kids *[]int) {
 	st := t.st
-	st.dimID = map[string]int{}
+	id := len(t.nodeSet)
+	t.nodeSet = append(t.nodeSet, n)
+	st.parent = append(st.parent, parent)
+	st.size = append(st.size, 1)
+	if n.IsLeaf() {
+		st.children = append(st.children, nil)
+		if len(n.Children) > 0 {
+			n.Walk(func(m *Node) {
+				if m.IsLeaf() {
+					if _, ok := st.leafOf[m.Op]; !ok {
+						st.leafOf[m.Op] = -1
+					}
+				}
+			})
+		} else if first, ok := st.leafOf[n.Op]; !ok || first < 0 {
+			st.leafOf[n.Op] = id
+		}
+		return
+	}
+	lo := len(*kids)
+	*kids = (*kids)[:lo+len(n.Children)]
+	row := (*kids)[lo:len(*kids):len(*kids)]
+	st.children = append(st.children, row)
+	for i, c := range n.Children {
+		row[i] = len(t.nodeSet)
+		t.index(c, id, kids)
+	}
+	st.size[id] = len(t.nodeSet) - id
+}
+
+// indexDims interns the operators' dimension names, computes each node's
+// subtree dim mask and fills the per-loop dim tables: everything the tiling
+// rules read.
+func (t *tree) indexDims() {
+	st := t.st
+	total := 0
 	for _, n := range t.nodeSet {
+		if n.IsLeaf() {
+			total += len(n.Op.Dims)
+		}
+	}
+	ids := make([]int32, 0, total)
+	st.dimID = map[string]int{}
+	st.leafDims = make([][]int32, len(t.nodeSet))
+	for i, n := range t.nodeSet {
 		if !n.IsLeaf() {
 			continue
 		}
+		lo := len(ids)
 		for _, d := range n.Op.Dims {
-			if _, ok := st.dimID[d.Name]; !ok {
-				st.dimID[d.Name] = st.numDims
+			id, ok := st.dimID[d.Name]
+			if !ok {
+				id = st.numDims
+				st.dimID[d.Name] = id
 				st.numDims++
 			}
+			ids = append(ids, int32(id))
 		}
+		st.leafDims[i] = ids[lo:len(ids):len(ids)]
 	}
+	nn, nd := len(t.nodeSet), st.numDims
+	buf := make([]bool, nn*nd)
+	st.dimMask = make([][]bool, nn)
+	for id := nn - 1; id >= 0; id-- {
+		m := buf[id*nd : (id+1)*nd : (id+1)*nd]
+		if t.nodeSet[id].IsLeaf() {
+			for _, d := range st.leafDims[id] {
+				m[d] = true
+			}
+		} else {
+			for _, c := range st.children[id] {
+				for d, in := range st.dimMask[c] {
+					m[d] = m[d] || in
+				}
+			}
+		}
+		st.dimMask[id] = m
+	}
+	t.setLdim()
 }
 
 // setLdim recomputes the per-loop interned dim ids for the tree's current

@@ -162,6 +162,9 @@ type FlightCache struct {
 	calls  map[string]*flightCall
 	hits   atomic.Uint64
 	misses atomic.Uint64
+	// waiting, when set, runs each time a caller starts waiting on another
+	// caller's in-flight computation; tests use it as a barrier.
+	waiting func()
 }
 
 type flightCall struct {
@@ -195,6 +198,9 @@ func (f *FlightCache) Do(ctx context.Context, key string, fn func() (any, error)
 		f.mu.Lock()
 		if call, ok := f.calls[key]; ok {
 			f.mu.Unlock()
+			if f.waiting != nil {
+				f.waiting()
+			}
 			select {
 			case <-call.done:
 			case <-ctx.Done():
@@ -211,6 +217,13 @@ func (f *FlightCache) Do(ctx context.Context, key string, fn func() (any, error)
 			}
 			f.hits.Add(1)
 			return call.v, true, nil
+		}
+		// A leader may have stored the value and left between the lookup
+		// above and the lock; it must not be computed twice.
+		if v, ok := f.c.Get(key); ok {
+			f.mu.Unlock()
+			f.hits.Add(1)
+			return v, true, nil
 		}
 		call := &flightCall{done: make(chan struct{})}
 		f.calls[key] = call

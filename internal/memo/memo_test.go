@@ -151,6 +151,10 @@ func TestFlightCacheFollowerSurvivesLeaderCancel(t *testing.T) {
 
 	<-leaderIn
 	const followers = 4
+	// Room for every follower to wait twice: on the canceled leader, then
+	// on the retry leader.
+	waiting := make(chan struct{}, 2*followers)
+	f.waiting = func() { waiting <- struct{}{} }
 	results := make([]any, followers)
 	errs := make([]error, followers)
 	var fwg sync.WaitGroup
@@ -164,8 +168,10 @@ func TestFlightCacheFollowerSurvivesLeaderCancel(t *testing.T) {
 			})
 		}(i)
 	}
-	// Give the followers a moment to enqueue behind the leader, then kill it.
-	time.Sleep(10 * time.Millisecond)
+	// Kill the leader once every follower waits on it.
+	for i := 0; i < followers; i++ {
+		<-waiting
+	}
 	cancelLeader()
 	fwg.Wait()
 	wg.Wait()
@@ -181,6 +187,76 @@ func TestFlightCacheFollowerSurvivesLeaderCancel(t *testing.T) {
 	// One canceled leader + exactly one retry leader.
 	if got := executions.Load(); got != 2 {
 		t.Errorf("fn executed %d times, want 2", got)
+	}
+}
+
+// gatedCache holds the first lookup that misses once armed is set until
+// release closes, so a test can finish a leader inside that window.
+type gatedCache struct {
+	Cache
+	armed   atomic.Bool
+	missed  chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedCache) Get(key string) (any, bool) {
+	v, ok := g.Cache.Get(key)
+	if !ok && g.armed.CompareAndSwap(true, false) {
+		close(g.missed)
+		<-g.release
+	}
+	return v, ok
+}
+
+// TestFlightCacheLeaderDoneBetweenMissAndLock: a caller whose cache lookup
+// misses while a leader is in flight, and who reaches the flight table only
+// after that leader stored its value and left, is served the stored value
+// instead of computing it again.
+func TestFlightCacheLeaderDoneBetweenMissAndLock(t *testing.T) {
+	gc := &gatedCache{Cache: NewShardedLRU(16), missed: make(chan struct{}), release: make(chan struct{})}
+	f := NewFlightCache(gc, 0)
+	var executions atomic.Int64
+	leaderIn, leaderGo := make(chan struct{}), make(chan struct{})
+	fn := func() (any, error) {
+		if executions.Add(1) == 1 {
+			close(leaderIn)
+			<-leaderGo
+		}
+		return "v", nil
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, _, err := f.Do(context.Background(), "k", fn); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-leaderIn
+	gc.armed.Store(true)
+
+	type result struct {
+		v      any
+		shared bool
+		err    error
+	}
+	follower := make(chan result, 1)
+	go func() {
+		v, shared, err := f.Do(context.Background(), "k", fn)
+		follower <- result{v, shared, err}
+	}()
+	<-gc.missed // the follower missed the cache; the leader now finishes
+	close(leaderGo)
+	wg.Wait()
+	close(gc.release)
+
+	r := <-follower
+	if r.err != nil || r.v != "v" || !r.shared {
+		t.Fatalf("follower = %v, shared %v, err %v; want the leader's value", r.v, r.shared, r.err)
+	}
+	if got := executions.Load(); got != 1 {
+		t.Errorf("fn executed %d times, want 1", got)
 	}
 }
 
