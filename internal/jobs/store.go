@@ -14,8 +14,13 @@ import (
 const (
 	logName      = "jobs.log"
 	snapshotName = "snapshot.json"
-	// snapshotEvery bounds log growth: after this many appended mutations
-	// the store rewrites the snapshot and truncates the log.
+	// snapshotEvery bounds log growth: the store rewrites the snapshot and
+	// truncates the log once the log holds at least this many records and
+	// at least as many bytes as the last snapshot. The byte condition makes
+	// a snapshot cost no more than the appends it absorbs, so persistence
+	// stays linear in the mutations however many jobs the store holds;
+	// replay reads at most max(snapshotEvery records, one snapshot's bytes)
+	// of log.
 	snapshotEvery = 256
 	// maxRecordBytes caps one log line; checkpoints dominate record size
 	// and stay far below this.
@@ -24,8 +29,8 @@ const (
 
 // Store is the durable job store: an in-memory map backed by a JSONL
 // append log (one full job JSON per mutation, last write wins on replay)
-// plus a periodic snapshot. With dir == "" it is memory-only, which tests
-// and ephemeral servers use.
+// plus a snapshot rewritten as the log outgrows it (see snapshotEvery).
+// With dir == "" it is memory-only, which tests and ephemeral servers use.
 //
 // Crash safety comes from the append log being redundant with the
 // snapshot: replay applies the snapshot first, then the log on top, and a
@@ -46,8 +51,11 @@ type Store struct {
 	// never collide with one granted after.
 	leaseSeq uint64
 	log      *os.File
-	// appends counts log lines since the last snapshot.
-	appends int
+	// appends and logBytes count the log lines and bytes since the last
+	// snapshot; snapBytes is that snapshot's size.
+	appends   int
+	logBytes  int
+	snapBytes int
 }
 
 // snapshotFile is the on-disk snapshot payload.
@@ -302,7 +310,8 @@ func (s *Store) appendLocked(j *Job) error {
 		return fmt.Errorf("jobs: append log: %w", err)
 	}
 	s.appends++
-	if s.appends >= snapshotEvery {
+	s.logBytes += len(b) + 1
+	if s.appends >= snapshotEvery && s.logBytes >= s.snapBytes {
 		return s.rotateLocked()
 	}
 	return nil
@@ -317,7 +326,7 @@ func (s *Store) compact() error {
 	if err := os.Truncate(filepath.Join(s.dir, logName), 0); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("jobs: truncate log: %w", err)
 	}
-	s.appends = 0
+	s.appends, s.logBytes = 0, 0
 	return nil
 }
 
@@ -333,7 +342,7 @@ func (s *Store) rotateLocked() error {
 	if _, err := s.log.Seek(0, 0); err != nil {
 		return fmt.Errorf("jobs: rewind log: %w", err)
 	}
-	s.appends = 0
+	s.appends, s.logBytes = 0, 0
 	return nil
 }
 
@@ -355,6 +364,7 @@ func (s *Store) writeSnapshot() error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
 		return fmt.Errorf("jobs: install snapshot: %w", err)
 	}
+	s.snapBytes = len(b)
 	return nil
 }
 

@@ -1,9 +1,12 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,6 +187,75 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 	defer s2.Close()
 	if _, ok := s2.Get(j.ID); !ok {
 		t.Error("job lost across compaction + reopen")
+	}
+}
+
+// TestStoreSnapshotsAmortised drives thousands of job lifecycles through
+// one store: the bytes it spends rewriting snapshots must stay within a
+// small constant multiple of the bytes it appends to the log (rewriting
+// every held job every snapshotEvery appends would grow with the number
+// of jobs held), and a reopen must recover every job.
+func TestStoreSnapshotsAmortised(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lifecycles = 2000
+	checkpoint := json.RawMessage(`{"next_gen":2,"population":"` + strings.Repeat("x", 600) + `"}`)
+	result := json.RawMessage(`{"cycles":12345,"tree":"` + strings.Repeat("y", 300) + `"}`)
+	var logBytes, snapBytes, rotations int
+	// step runs one store call and attributes its bytes: the log bytes it
+	// appended, or, when it rotated, the snapshot it wrote (the rotating
+	// record itself goes uncounted, which only makes the bound stricter).
+	step := func(call func() (*Job, error)) *Job {
+		t.Helper()
+		before := s.logBytes
+		j, err := call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.appends == 0 {
+			rotations++
+			snapBytes += s.snapBytes
+		} else {
+			logBytes += s.logBytes - before
+		}
+		return j
+	}
+	for i := 0; i < lifecycles; i++ {
+		j := step(func() (*Job, error) { return s.Create("search", json.RawMessage(`{"seed":`+strconv.Itoa(i)+`}`)) })
+		c := step(func() (*Job, error) { return s.ClaimID(j.ID, "w", time.Hour) })
+		for gen := 1; gen <= 2; gen++ {
+			progress := json.RawMessage(`{"generation":` + strconv.Itoa(gen) + `}`)
+			step(func() (*Job, error) { return s.CommitUpdate(j.ID, c.Lease.Token, progress, checkpoint) })
+		}
+		step(func() (*Job, error) { return s.Complete(j.ID, c.Lease.Token, Done, result, "") })
+	}
+	if rotations == 0 {
+		t.Fatal("no snapshot rotation in the whole run")
+	}
+	if snapBytes > 2*logBytes {
+		t.Errorf("%d rotations wrote %d snapshot bytes for %d log bytes; want at most 2x", rotations, snapBytes, logBytes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got := s2.List()
+	if len(got) != lifecycles {
+		t.Fatalf("reopen recovered %d jobs, want %d", len(got), lifecycles)
+	}
+	for _, j := range got {
+		if j.State != Done || !bytes.Equal(j.Result, result) {
+			t.Fatalf("job %s recovered as %s with result %q", j.ID, j.State, j.Result)
+		}
 	}
 }
 

@@ -107,7 +107,8 @@ func (e *Encoding) Repair(numLevels int) {
 
 // GeneratedDataflow wraps an encoding as a dataflows.Dataflow so the MCTS
 // tiling search applies unchanged: the tiling plane of the 3D space is the
-// per-level, per-dimension factor table of Fig 7c.
+// per-level, per-dimension factor table of Fig 7c. Construct it with
+// NewGeneratedDataflow.
 type GeneratedDataflow struct {
 	Label string
 	G     *workload.Graph
@@ -119,6 +120,10 @@ type GeneratedDataflow struct {
 	SubDim     string
 	// LeafSpatial picks leaf spatial dims per op.
 	LeafSpatial func(op *workload.Operator) []string
+
+	// plan is Build's factor-independent work, derived from the fields
+	// above once; they must not change after construction.
+	plan *buildPlan
 }
 
 // NewGeneratedDataflow builds the wrapper with sensible spatial choices for
@@ -161,6 +166,7 @@ func NewGeneratedDataflow(label string, g *workload.Graph, spec *arch.Spec, enc 
 			return dims
 		}
 	}
+	gd.plan = gd.newPlan()
 	return gd
 }
 
@@ -215,254 +221,407 @@ func (d *GeneratedDataflow) DefaultFactors() map[string]int {
 	return f
 }
 
-// chain is one operator's column of nodes during generation.
-type chain struct {
-	op    *workload.Operator
-	top   int // highest level of the op's own nodes
-	nodes map[int]*core.Node
-	leaf  *core.Node
+// buildPlan is the factor-independent part of Build, computed once per
+// encoding by NewGeneratedDataflow: the repaired encoding's tree skeleton
+// (node names, levels, bindings, child order), the factor keys each
+// interior node reads, and for each leaf the ancestor factors on its dims,
+// its PE budget and its loop order. Build then only allocates the nodes and
+// loops and does the extent arithmetic.
+type buildPlan struct {
+	// lenErr and err are structural failures: Build reports lenErr before
+	// the spatial-split checks and err after them.
+	lenErr, err error
+	// spatialSize and subSize are the graph extents of SpatialDim and
+	// SubDim, which sp_c and sp_s must divide.
+	spatialSize, subSize int
+	nodes                []planNode // nodes[0] is the root
+	children             []int      // child node indices, sliced by planNode
+	cands                []loopCand // temporal loop candidates, sliced by planNode
+	leaves               []planLeaf // one per op, in op order
+	maxLoops             int        // upper bound on the loops of one tree
+	maxSlots             int        // most distinct dims of any op
 }
 
-// Build implements Dataflow: it converts the encoding into an analysis tree
-// (Fig 7b) with the factor table as loops (Fig 7c).
-func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
+// planNode is one tree node. Interior nodes own cands[candLo:candHi];
+// leaves (op != nil) take their loops from their planLeaf.
+type planNode struct {
+	name             string
+	level            int
+	binding          core.Binding
+	op               *workload.Operator
+	childLo, childHi int
+	candLo, candHi   int
+	// subSplit marks the innermost node of a top-level chain whose op
+	// iterates SubDim: it carries the sub-core spatial split.
+	subSplit bool
+}
+
+// loopCand is one "L<level>_<dim>" factor that an interior node turns into
+// a temporal loop when it divides the op's extent.
+type loopCand struct {
+	key, dim string
+	size     int
+}
+
+// planLeaf is one op's leaf.
+type planLeaf struct {
+	node int
+	op   *workload.Operator
+	// slot[k] numbers op.Dims[k] by name; path factors, remaining extents
+	// and spatial splits are kept per slot.
+	slot   []int
+	nslots int
+	// terms are the ancestors' loops on the op's dims: temporal loop
+	// candidates, and the sp_c/sp_s splits (see Build's ext).
+	terms []factorTerm
+	// spatial holds LeafSpatial's dims as slots (-1: not an op dim).
+	spatial []int
+	// order lists op.Dims indices with reductions innermost.
+	order  []int
+	budget int // PE lanes available to a MAC leaf
+}
+
+type factorTerm struct{ cand, slot int }
+
+// newPlan assembles the tree skeleton from the encoding (repaired for the
+// spec): each op's chain of interior nodes, fused chains attached to their
+// hosts, top-level chains under the root, then one leaf under each chain.
+func (d *GeneratedDataflow) newPlan() *buildPlan {
+	p := &buildPlan{spatialSize: d.G.DimSize(d.SpatialDim), subSize: d.G.DimSize(d.SubDim)}
 	enc := d.Enc.Clone()
 	enc.Repair(d.Spec.NumLevels())
 	n := len(d.G.Ops)
 	if n != len(enc.Target) {
-		return nil, fmt.Errorf("mapper: encoding for %d ops, graph has %d", len(enc.Target), n)
+		p.lenErr = fmt.Errorf("mapper: encoding for %d ops, graph has %d", len(enc.Target), n)
+		return p
 	}
 	maxMem := d.Spec.NumLevels() - 2
 
-	factor := func(level int, dim string) int {
-		v := f[fmt.Sprintf("L%d_%s", level, dim)]
-		if v <= 0 {
-			v = 1
-		}
-		return v
+	kids := [][]int{nil}
+	p.nodes = []planNode{{name: d.Label, level: d.Spec.DRAMLevel()}}
+	newNode := func(pn planNode) int {
+		p.nodes = append(p.nodes, pn)
+		kids = append(kids, nil)
+		return len(p.nodes) - 1
 	}
 
 	// Each op's chain spans levels [1, top] plus its leaf. Top-level ops
 	// span the full on-chip hierarchy; fused ops span below their fusion
 	// level.
-	chains := make([]*chain, n)
+	tops := make([]int, n)
+	chainNodes := make([][]int, n) // chainNodes[i][l-1]: op i's level-l node
+	leafOf := make([]int, n)
+	at := func(i, l int) int {
+		if l < 1 || l > tops[i] {
+			return -1
+		}
+		return chainNodes[i][l-1]
+	}
+	newLeaf := func(i int) int {
+		leafOf[i] = newNode(planNode{name: d.G.Ops[i].Name, op: d.G.Ops[i]})
+		return leafOf[i]
+	}
 	for i := n - 1; i >= 0; i-- {
 		op := d.G.Ops[i]
-		top := maxMem
+		tops[i] = maxMem
 		if enc.Target[i] >= 0 {
-			top = enc.Mem[i] - 1
+			tops[i] = enc.Mem[i] - 1
 		}
-		c := &chain{op: op, top: top, nodes: map[int]*core.Node{}}
-		for l := top; l >= 1; l-- {
-			var loops []core.Loop
+		leafOf[i] = -1
+		chainNodes[i] = make([]int, max(tops[i], 0))
+		for l := tops[i]; l >= 1; l-- {
+			lo := len(p.cands)
 			for _, dim := range op.DimNames() {
-				if v := factor(l, dim); v > 1 && op.DimSize(dim)%v == 0 {
-					loops = append(loops, core.T(dim, v))
-				}
+				p.cands = append(p.cands, loopCand{key: fmt.Sprintf("L%d_%s", l, dim), dim: dim, size: op.DimSize(dim)})
 			}
-			c.nodes[l] = core.Tile(fmt.Sprintf("%s@L%d", op.Name, l), l, core.Seq, loops)
-		}
-		chains[i] = c
-	}
-
-	// Root with the spatial splits.
-	var rootLoops []core.Loop
-	if v, ok := f["sp_c"]; ok && v > 1 {
-		if d.G.DimSize(d.SpatialDim)%v != 0 {
-			return nil, fmt.Errorf("mapper: sp_c=%d does not divide %s", v, d.SpatialDim)
-		}
-		rootLoops = append(rootLoops, core.S(d.SpatialDim, v))
-	}
-	spS := 1
-	if v, ok := f["sp_s"]; ok && v > 1 {
-		if d.G.DimSize(d.SubDim)%v != 0 {
-			return nil, fmt.Errorf("mapper: sp_s=%d does not divide %s", v, d.SubDim)
-		}
-		spS = v
-	}
-	root := core.Tile(d.Label, d.Spec.DRAMLevel(), core.Seq, rootLoops)
-
-	// Assemble: compute each leaf's remaining extents from the factors on
-	// its ancestor path, then attach chains.
-	attach := func(parent, child *core.Node, binding core.Binding, front bool) {
-		if front {
-			parent.Children = append([]*core.Node{child}, parent.Children...)
-		} else {
-			parent.Children = append(parent.Children, child)
-		}
-		if binding != core.Seq {
-			parent.Binding = binding
+			chainNodes[i][l-1] = newNode(planNode{
+				name: fmt.Sprintf("%s@L%d", op.Name, l), level: l, candLo: lo, candHi: len(p.cands),
+			})
 		}
 	}
-
-	// Wire chain interiors and leaves.
-	for i, c := range chains {
-		// Sub-core spatial split goes on the innermost interior node
+	for i, op := range d.G.Ops {
+		// The sub-core spatial split goes on the innermost interior node
 		// of top-level chains.
-		if enc.Target[i] < 0 && spS > 1 {
-			if node := c.nodes[1]; node != nil && c.op.HasDim(d.SubDim) {
-				node.Loops = append([]core.Loop{core.S(d.SubDim, spS)}, node.Loops...)
-			}
+		if b := at(i, 1); enc.Target[i] < 0 && b >= 0 && op.HasDim(d.SubDim) {
+			p.nodes[b].subSplit = true
 		}
-		for l := c.top; l > 1; l-- {
-			c.nodes[l].Children = []*core.Node{c.nodes[l-1]}
+		for l := tops[i]; l > 1; l-- {
+			kids[at(i, l)] = []int{at(i, l-1)}
 		}
 	}
 	// Attach fused chains to their hosts (reverse order keeps producer
 	// tiles before their consumers under the same host node).
 	for i := n - 1; i >= 0; i-- {
-		c := chains[i]
 		if enc.Target[i] < 0 {
 			continue
 		}
-		host := chains[enc.Target[i]]
-		hostNode := host.nodes[enc.Mem[i]]
-		if hostNode == nil {
-			return nil, fmt.Errorf("mapper: op %d fused at level %d but host has no node there", i, enc.Mem[i])
+		host := at(enc.Target[i], enc.Mem[i])
+		if host < 0 {
+			p.err = fmt.Errorf("mapper: op %d fused at level %d but host has no node there", i, enc.Mem[i])
+			return p
 		}
-		var sub *core.Node
-		if c.top >= 1 {
-			sub = c.nodes[c.top]
+		sub := at(i, tops[i])
+		if sub < 0 {
+			sub = newLeaf(i)
 		}
-		if sub == nil {
-			sub = d.placeholderLeaf(c)
+		kids[host] = append([]int{sub}, kids[host]...)
+		if enc.Binding[i] != core.Seq {
+			p.nodes[host].binding = enc.Binding[i]
 		}
-		attach(hostNode, sub, enc.Binding[i], true)
 	}
 	// Attach top-level chains under the root in topological order.
 	for i := 0; i < n; i++ {
-		if enc.Target[i] < 0 {
-			attach(root, chains[i].nodes[chains[i].top], core.Seq, false)
+		if top := at(i, tops[i]); enc.Target[i] < 0 && top >= 0 {
+			kids[0] = append(kids[0], top)
 		}
 	}
-
-	// Now that the tree shape is final, compute leaf extents from the
-	// actual ancestor paths.
-	if err := d.fillLeaves(root, chains); err != nil {
-		return nil, err
+	// Every chain interior ends in a leaf.
+	for i, op := range d.G.Ops {
+		if leafOf[i] >= 0 {
+			continue
+		}
+		bottom := at(i, 1)
+		if bottom < 0 {
+			p.err = fmt.Errorf("mapper: op %s chain has no interior node", op.Name)
+			return p
+		}
+		kids[bottom] = append(kids[bottom], newLeaf(i))
 	}
-	return root, nil
-}
 
-// placeholderLeaf builds a leaf with loops to be filled in later.
-func (d *GeneratedDataflow) placeholderLeaf(c *chain) *core.Node {
-	c.leaf = core.Leaf(c.op.Name, c.op)
-	return c.leaf
-}
-
-// fillLeaves walks the final tree, computes every operator's remaining
-// per-dimension extents given its ancestors' loops, and writes the leaf
-// loop nests.
-func (d *GeneratedDataflow) fillLeaves(root *core.Node, chains []*chain) error {
-	// Ensure every chain interior ends in a leaf.
-	for _, c := range chains {
-		if c.leaf == nil {
-			c.leaf = core.Leaf(c.op.Name, c.op)
-			bottom := c.nodes[1]
-			if bottom == nil {
-				// Fused at level 1 with no interior: the leaf was
-				// already attached by placeholderLeaf... or the chain
-				// is top==0, impossible for top-level ops.
-				return fmt.Errorf("mapper: op %s chain has no interior node", c.op.Name)
+	parent := make([]int, len(p.nodes))
+	parent[0] = -1
+	for v, ks := range kids {
+		p.nodes[v].childLo = len(p.children)
+		p.children = append(p.children, ks...)
+		p.nodes[v].childHi = len(p.children)
+		for _, c := range ks {
+			parent[c] = v
+		}
+	}
+	var macLeaves func(v int) int
+	macLeaves = func(v int) int {
+		if op := p.nodes[v].op; op != nil {
+			if op.Kind.Vector() {
+				return 0
 			}
-			bottom.Children = append(bottom.Children, c.leaf)
+			return 1
+		}
+		m := 0
+		for _, c := range kids[v] {
+			m += macLeaves(c)
+		}
+		return m
+	}
+
+	// Build's ext holds the sp_c and sp_s extents after the candidates'.
+	spCTerm, spSTerm := len(p.cands), len(p.cands)+1
+	p.maxLoops = 1 + len(p.cands)
+	for _, pn := range p.nodes {
+		if pn.subSplit {
+			p.maxLoops++
 		}
 	}
-	// Parent map.
-	parent := map[*core.Node]*core.Node{}
-	root.Walk(func(n *core.Node) {
-		for _, ch := range n.Children {
-			parent[ch] = n
+	for i, op := range d.G.Ops {
+		pl := planLeaf{node: leafOf[i], op: op, budget: d.Spec.MeshX * d.Spec.MeshY}
+		slots := map[string]int{}
+		for _, dim := range op.Dims {
+			s, ok := slots[dim.Name]
+			if !ok {
+				s = len(slots)
+				slots[dim.Name] = s
+			}
+			pl.slot = append(pl.slot, s)
 		}
-	})
-	for _, c := range chains {
-		covered := map[string]int{}
-		for _, dim := range c.op.DimNames() {
-			covered[dim] = 1
-		}
-		for a := parent[c.leaf]; a != nil; a = parent[a] {
-			for _, l := range a.Loops {
-				if _, ok := covered[l.Dim]; ok {
-					covered[l.Dim] *= l.Extent
+		pl.nslots = len(slots)
+		for a := parent[pl.node]; a >= 0; a = parent[a] {
+			pn := &p.nodes[a]
+			for c := pn.candLo; c < pn.candHi; c++ {
+				if s, ok := slots[p.cands[c].dim]; ok {
+					pl.terms = append(pl.terms, factorTerm{c, s})
 				}
 			}
-		}
-		rem := map[string]int{}
-		for _, dim := range c.op.Dims {
-			if dim.Size%covered[dim.Name] != 0 {
-				return fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
-					c.op.Name, dim.Name, covered[dim.Name], dim.Size)
+			if s, ok := slots[d.SpatialDim]; ok && a == 0 {
+				pl.terms = append(pl.terms, factorTerm{spCTerm, s})
 			}
-			rem[dim.Name] = dim.Size / covered[dim.Name]
+			if s, ok := slots[d.SubDim]; ok && pn.subSplit {
+				pl.terms = append(pl.terms, factorTerm{spSTerm, s})
+			}
 		}
 		// MAC leaves running concurrently under a Para/Pipe ancestor
 		// must share the PE array.
-		budget := d.Spec.MeshX * d.Spec.MeshY
-		if !c.op.Kind.Vector() {
-			for a := parent[c.leaf]; a != nil; a = parent[a] {
-				if a.Binding.Spatial() && len(a.Children) > 1 {
-					macs := 0
-					for _, leaf := range a.Leaves() {
-						if !leaf.Op.Kind.Vector() {
-							macs++
-						}
-					}
-					if macs > 1 {
-						budget = max(1, budget/macs)
+		if !op.Kind.Vector() {
+			for a := parent[pl.node]; a >= 0; a = parent[a] {
+				if pn := p.nodes[a]; pn.binding.Spatial() && pn.childHi-pn.childLo > 1 {
+					if macs := macLeaves(a); macs > 1 {
+						pl.budget = max(1, pl.budget/macs)
 					}
 					break
 				}
 			}
 		}
-		c.leaf.Loops = leafLoopsFor(c.op, d.Spec, rem, d.LeafSpatial(c.op), budget)
+		for _, dim := range d.LeafSpatial(op) {
+			s, ok := slots[dim]
+			if !ok {
+				s = -1
+			}
+			pl.spatial = append(pl.spatial, s)
+		}
+		pl.order = make([]int, len(op.Dims))
+		for k := range pl.order {
+			pl.order[k] = k
+		}
+		sort.SliceStable(pl.order, func(a, b int) bool {
+			ra, rb := op.IsReduction(op.Dims[pl.order[a]].Name), op.IsReduction(op.Dims[pl.order[b]].Name)
+			return !ra && rb
+		})
+		p.maxSlots = max(p.maxSlots, pl.nslots)
+		p.maxLoops += 2 * len(op.Dims)
+		p.leaves = append(p.leaves, pl)
 	}
-	return nil
+	return p
 }
 
-// leafLoopsFor mirrors the dataflows package's leaf construction: temporal
+// Build implements Dataflow: it converts the encoding into an analysis tree
+// (Fig 7b) with the factor table as loops (Fig 7c), following the plan
+// NewGeneratedDataflow computed.
+func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
+	p := d.plan
+	if p.lenErr != nil {
+		return nil, p.lenErr
+	}
+	spC, spS := 1, 1
+	if v, ok := f["sp_c"]; ok && v > 1 {
+		if p.spatialSize%v != 0 {
+			return nil, fmt.Errorf("mapper: sp_c=%d does not divide %s", v, d.SpatialDim)
+		}
+		spC = v
+	}
+	if v, ok := f["sp_s"]; ok && v > 1 {
+		if p.subSize%v != 0 {
+			return nil, fmt.Errorf("mapper: sp_s=%d does not divide %s", v, d.SubDim)
+		}
+		spS = v
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+
+	nodes := make([]core.Node, len(p.nodes))
+	kids := make([]*core.Node, len(p.children))
+	for i, c := range p.children {
+		kids[i] = &nodes[c]
+	}
+	loops := make([]core.Loop, 0, p.maxLoops)
+	// ext[c] is the extent loop candidate c got (1 when it was dropped),
+	// followed by the sp_c and sp_s extents; covered, rem and spat are
+	// per-slot scratch for one leaf at a time.
+	nc := len(p.cands)
+	ints := make([]int, nc+2+3*p.maxSlots)
+	ext, ints := ints[:nc+2], ints[nc+2:]
+	ext[nc], ext[nc+1] = spC, spS
+	covered, rem, spat := ints[:p.maxSlots], ints[p.maxSlots:2*p.maxSlots], ints[2*p.maxSlots:]
+	for i := range p.nodes {
+		pn, n := &p.nodes[i], &nodes[i]
+		n.Name, n.Level, n.Binding, n.Op = pn.name, pn.level, pn.binding, pn.op
+		if pn.childHi > pn.childLo {
+			n.Children = kids[pn.childLo:pn.childHi:pn.childHi]
+		}
+		if pn.op != nil {
+			continue
+		}
+		start := len(loops)
+		if i == 0 && spC > 1 {
+			loops = append(loops, core.S(d.SpatialDim, spC))
+		}
+		if pn.subSplit && spS > 1 {
+			loops = append(loops, core.S(d.SubDim, spS))
+		}
+		for c := pn.candLo; c < pn.candHi; c++ {
+			cand := &p.cands[c]
+			ext[c] = 1
+			if v := f[cand.key]; v > 1 && cand.size%v == 0 {
+				ext[c] = v
+				loops = append(loops, core.T(cand.dim, v))
+			}
+		}
+		n.Loops = ownLoops(loops, start)
+	}
+
+	// Leaf extents: what the ancestors' loops leave of each dimension.
+	for li := range p.leaves {
+		pl := &p.leaves[li]
+		for s := 0; s < pl.nslots; s++ {
+			covered[s], spat[s] = 1, 0
+		}
+		for _, t := range pl.terms {
+			covered[t.slot] *= ext[t.cand]
+		}
+		for k, dim := range pl.op.Dims {
+			s := pl.slot[k]
+			if dim.Size%covered[s] != 0 {
+				return nil, fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
+					pl.op.Name, dim.Name, covered[s], dim.Size)
+			}
+			rem[s] = dim.Size / covered[s]
+		}
+		start := len(loops)
+		loops = pl.appendLoops(loops, d.Spec, rem, spat)
+		nodes[pl.node].Loops = ownLoops(loops, start)
+	}
+	return &nodes[0], nil
+}
+
+// ownLoops returns loops[start:] as one node's loop nest: nil when empty,
+// and capacity-capped so appending to it cannot overwrite another node's.
+func ownLoops(loops []core.Loop, start int) []core.Loop {
+	if len(loops) == start {
+		return nil
+	}
+	return loops[start:len(loops):len(loops)]
+}
+
+// appendLoops mirrors the dataflows package's leaf construction: temporal
 // loops (reductions innermost) then spatial loops sized to the available
-// lanes.
-func leafLoopsFor(op *workload.Operator, spec *arch.Spec, rem map[string]int, spatialDims []string, budget int) []core.Loop {
-	var loops []core.Loop
-	spat := map[string]int{}
-	if op.Kind.Vector() {
-		if len(spatialDims) > 0 {
-			d := spatialDims[0]
-			spat[d] = dataflows.DivisorAtMost(rem[d], spec.VectorLanesPerSubcore)
+// lanes. rem holds the remaining extent per slot; spat (zeroed) receives
+// the spatial split per slot.
+func (pl *planLeaf) appendLoops(loops []core.Loop, spec *arch.Spec, rem, spat []int) []core.Loop {
+	remOf := func(s int) int {
+		if s < 0 {
+			return 0
+		}
+		return rem[s]
+	}
+	split := func(s, v int) int {
+		if s >= 0 {
+			spat[s] = v
+		}
+		return v
+	}
+	if pl.op.Kind.Vector() {
+		if len(pl.spatial) > 0 {
+			s := pl.spatial[0]
+			split(s, dataflows.DivisorAtMost(remOf(s), spec.VectorLanesPerSubcore))
 		}
 	} else {
 		used := 1
-		if len(spatialDims) > 0 {
-			d := spatialDims[0]
-			spat[d] = dataflows.DivisorAtMost(rem[d], min(spec.MeshX, budget))
-			used = spat[d]
+		if len(pl.spatial) > 0 {
+			s := pl.spatial[0]
+			used = split(s, dataflows.DivisorAtMost(remOf(s), min(spec.MeshX, pl.budget)))
 		}
-		if len(spatialDims) > 1 {
-			d := spatialDims[1]
-			spat[d] = dataflows.DivisorAtMost(rem[d], min(spec.MeshY, max(1, budget/used)))
-		}
-	}
-	dims := append([]workload.Dim(nil), op.Dims...)
-	sort.SliceStable(dims, func(i, j int) bool {
-		ri, rj := op.IsReduction(dims[i].Name), op.IsReduction(dims[j].Name)
-		return !ri && rj
-	})
-	for _, dim := range dims {
-		e := rem[dim.Name]
-		if e <= 0 {
-			e = 1
-		}
-		s := spat[dim.Name]
-		if s < 1 {
-			s = 1
-		}
-		if t := e / s; t > 1 {
-			loops = append(loops, core.T(dim.Name, t))
+		if len(pl.spatial) > 1 {
+			s := pl.spatial[1]
+			split(s, dataflows.DivisorAtMost(remOf(s), min(spec.MeshY, max(1, pl.budget/used))))
 		}
 	}
-	for _, dim := range dims {
-		if s := spat[dim.Name]; s > 1 {
-			loops = append(loops, core.S(dim.Name, s))
+	for _, k := range pl.order {
+		s := pl.slot[k]
+		if t := max(rem[s], 1) / max(spat[s], 1); t > 1 {
+			loops = append(loops, core.T(pl.op.Dims[k].Name, t))
+		}
+	}
+	for _, k := range pl.order {
+		if sp := spat[pl.slot[k]]; sp > 1 {
+			loops = append(loops, core.S(pl.op.Dims[k].Name, sp))
 		}
 	}
 	return loops

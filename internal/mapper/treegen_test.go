@@ -144,3 +144,53 @@ func TestTreeSearchDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic: %v/%s vs %v/%s", c1, e1, c2, e2)
 	}
 }
+
+// buildFixture is one GA candidate as the search builds it: Bert-S on
+// Cloud with every op fused into its consumer under Pipe, and a factor map
+// that tiles several levels and both spatial splits.
+func buildFixture() (*GeneratedDataflow, map[string]int) {
+	shape, _ := workload.AttentionShapeByName("Bert-S")
+	g := workload.Attention(shape)
+	spec := arch.Cloud()
+	enc := LayerwiseEncoding(len(g.Ops))
+	for i := 0; i < len(g.Ops)-1; i++ {
+		enc.Target[i], enc.Mem[i], enc.Binding[i] = i+1, 2, core.Pipe
+	}
+	gd := NewGeneratedDataflow("candidate", g, spec, enc)
+	f := gd.DefaultFactors()
+	f["L2_m"], f["L1_m"], f["L2_l"], f["L1_k"] = 4, 2, 8, 2
+	return gd, f
+}
+
+// buildSink keeps BenchmarkGeneratedBuild's result live.
+var buildSink *core.Node
+
+// BenchmarkGeneratedBuild measures one GA candidate's tree construction.
+func BenchmarkGeneratedBuild(b *testing.B) {
+	gd, f := buildFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root, err := gd.Build(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buildSink = root
+	}
+}
+
+// TestGeneratedBuildAllocs is Build's timing-free cost gate: a candidate
+// tree is allocated in four slabs (nodes, child pointers, loops, integer
+// scratch) whatever its size, so every factor-independent step stays in
+// the plan NewGeneratedDataflow computed.
+func TestGeneratedBuildAllocs(t *testing.T) {
+	gd, f := buildFixture()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := gd.Build(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("Build allocates %v objects per candidate, want <= 4", allocs)
+	}
+}

@@ -71,19 +71,11 @@ func runFleetThroughput(tb testing.TB, workerNodes, n int) (time.Duration, fleet
 	}
 	deadline := time.Now().Add(10 * time.Minute)
 	for _, id := range ids {
-		for {
-			var j JobJSON
-			getJSON(tb, hs.URL+"/v1/jobs/"+id, &j)
-			if j.State == "done" {
-				break
-			}
-			if j.State == "failed" || j.State == "cancelled" {
-				tb.Fatalf("job %s ended %s: %s", id, j.State, j.Error)
-			}
-			if time.Now().After(deadline) {
-				tb.Fatalf("job %s still %s", id, j.State)
-			}
-			time.Sleep(2 * time.Millisecond)
+		j := followJob(tb, hs.URL, id, deadline, func(j *JobJSON) bool {
+			return j.State == "done" || j.State == "failed" || j.State == "cancelled"
+		})
+		if j.State != "done" {
+			tb.Fatalf("job %s ended %s: %s", id, j.State, j.Error)
 		}
 	}
 	elapsed := time.Since(start)

@@ -39,24 +39,64 @@ func getJSON(t testing.TB, url string, into any) *http.Response {
 	return resp
 }
 
-// waitJob polls the job endpoint until pred is satisfied.
+// waitJob follows the job's event stream until a snapshot satisfies pred,
+// for at most a minute.
 func waitJob(t *testing.T, base, id string, pred func(*JobJSON) bool) *JobJSON {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var j JobJSON
-		resp := getJSON(t, base+"/v1/jobs/"+id, &j)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("job get status %d", resp.StatusCode)
-		}
-		if pred(&j) {
-			return &j
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never satisfied predicate; last: %+v", id, j)
-		}
-		time.Sleep(5 * time.Millisecond)
+	return followJob(t, base, id, time.Now().Add(60*time.Second), pred)
+}
+
+// followJob waits, until deadline, for the job to reach a state that
+// satisfies pred. It is driven by the job's /events SSE stream rather than
+// a polling loop: the stream replays the job's history and then its live
+// updates, and each snapshot satisfying pred is confirmed against the
+// job's current state, which is what followJob returns — so a stale
+// snapshot from the replayed history never ends the wait. The test fails
+// at the deadline, or if the stream ends (the job went terminal) first.
+func followJob(tb testing.TB, base, id string, deadline time.Time, pred func(*JobJSON) bool) *JobJSON {
+	tb.Helper()
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/jobs/"+id+"/events", nil)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		tb.Fatalf("follow job %s: %v", id, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		tb.Fatalf("job events status %d", resp.StatusCode)
+	}
+	var last JobJSON
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		last = JobJSON{}
+		if err := json.Unmarshal([]byte(data), &last); err != nil {
+			tb.Fatalf("bad event payload for job %s: %v", id, err)
+		}
+		if !pred(&last) {
+			continue
+		}
+		var cur JobJSON
+		if resp := getJSON(tb, base+"/v1/jobs/"+id, &cur); resp.StatusCode != http.StatusOK {
+			tb.Fatalf("job get status %d", resp.StatusCode)
+		}
+		if pred(&cur) {
+			return &cur
+		}
+	}
+	if ctx.Err() != nil {
+		tb.Fatalf("job %s never satisfied predicate; last: %+v", id, last)
+	}
+	tb.Fatalf("job %s event stream ended (%v) without satisfying predicate; last: %+v", id, sc.Err(), last)
+	return nil
 }
 
 func submitJob(t *testing.T, base string, req *SearchRequest) *JobJSON {
