@@ -17,32 +17,43 @@ type iterm struct {
 // internAccess interns an access's index expression against the
 // structure's dim universe.
 func internAccess(st *structure, acc workload.Access) [][]iterm {
-	out := make([][]iterm, len(acc.Index))
-	for i, ix := range acc.Index {
-		terms := make([]iterm, len(ix.Terms))
-		for j, term := range ix.Terms {
-			d := int32(-1)
-			if id, ok := st.dimID[term.Dim]; ok {
-				d = int32(id)
-			}
-			terms[j] = iterm{dim: d, coef: int64(term.Coef)}
-		}
-		out[i] = terms
-	}
-	return out
+	rows, terms := make([][]iterm, len(acc.Index)), make([]iterm, accessTerms(acc))
+	iix, _, _ := internAccessInto(st, acc, rows, terms)
+	return iix
 }
 
-// dimMaskOf converts a dim-name set to a mask over interned ids. Names
-// outside the universe are dropped: they can never match a valid loop dim,
-// so the mask tests are equivalent to the map lookups they replace.
-func dimMaskOf(st *structure, dims map[string]bool) []bool {
-	m := make([]bool, st.numDims)
-	for d := range dims {
-		if id, ok := st.dimID[d]; ok {
-			m[id] = true
+// internAccessInto is internAccess carving the index rows and their terms
+// out of caller-owned slabs. It returns the interned index and the slab
+// tails it left unused.
+func internAccessInto(st *structure, acc workload.Access, rows [][]iterm, terms []iterm) ([][]iterm, [][]iterm, []iterm) {
+	iix := rows[:len(acc.Index):len(acc.Index)]
+	for i, ix := range acc.Index {
+		row := terms[:len(ix.Terms):len(ix.Terms)]
+		for j, term := range ix.Terms {
+			row[j] = iterm{dim: st.dimOf(term.Dim), coef: int64(term.Coef)}
 		}
+		iix[i] = row
+		terms = terms[len(ix.Terms):]
 	}
-	return m
+	return iix, rows[len(acc.Index):], terms
+}
+
+// accessTerms counts the affine terms of an access's index expressions.
+func accessTerms(acc workload.Access) int {
+	n := 0
+	for _, ix := range acc.Index {
+		n += len(ix.Terms)
+	}
+	return n
+}
+
+// accessAt returns an operator's k-th access, reads first then the write:
+// the order a leaf's tensor groups take their first uses in.
+func accessAt(op *workload.Operator, k int) (acc workload.Access, read bool) {
+	if k < len(op.Reads) {
+		return op.Reads[k], true
+	}
+	return op.Write, false
 }
 
 // sliceExtentsInto computes the per-tensor-dimension slice extents of an
@@ -310,16 +321,15 @@ func (e *evaluator) perExecDMI(n, leaf int, iix [][]iterm, retain bool) float64 
 	return total
 }
 
-// accessRef is one (leaf, access) occurrence of a tensor in a subtree, with
-// the access's iteration-dim set precomputed. The leaf is identified by its
-// pre-order id so the reference stays valid across tiling re-binds. iix and
-// mask are the interned forms of acc.Index and dims, shared read-only by
-// every node's group that folds this reference in.
+// accessRef is one (leaf, access) occurrence of a tensor in a subtree. The
+// leaf is identified by its pre-order id so the reference stays valid
+// across tiling re-binds. iix is the interned form of acc.Index and mask
+// the access's iteration dims over interned dim ids; both are computed once
+// per leaf and shared read-only by every node's group that folds this
+// reference in.
 type accessRef struct {
 	leafID int
-	op     *workload.Operator
 	acc    workload.Access
-	dims   map[string]bool
 	iix    [][]iterm
 	mask   []bool
 	// maxWords bounds coveredVolumePerInstance over all valid tilings:
@@ -355,20 +365,18 @@ func accessMaxWords(op *workload.Operator, acc workload.Access) int64 {
 
 // tensorGroup aggregates every access to one tensor by operators in a
 // node's subtree, split by direction, with the per-direction invocation dim
-// sets and the Seq-eviction verdict precomputed at compile time.
+// masks and the Seq-eviction verdict precomputed at compile time.
 type tensorGroup struct {
 	tensor string
+	// tix is the tensor's per-Compile index (structure.tensors).
+	tix    int
 	reads  []accessRef
 	writes []accessRef
-	// readDims is the union of the read accesses' iteration dims: ancestor
-	// loops over other dims leave the staged slices unchanged, so only
-	// these dims multiply fill invocations.
-	readDims map[string]bool
-	// writeDims additionally includes the writers' reduction dims, which
+	// readMask is the union of the read accesses' iteration dims, over
+	// interned dim ids: ancestor loops over other dims leave the staged
+	// slices unchanged, so only these dims multiply fill invocations.
+	// writeMask additionally includes the writers' reduction dims, which
 	// force partial-sum round trips.
-	writeDims map[string]bool
-	// readMask/writeMask are readDims/writeDims as masks over interned dim
-	// ids, the form the hot invocation counting consumes.
 	readMask, writeMask []bool
 	// tensorID indexes the Program's attributed-tensor list (the scratch
 	// arena's flat per-tensor rows), or -1 when this group's traffic is
@@ -380,136 +388,217 @@ type tensorGroup struct {
 	evicts bool
 }
 
-// buildStructure computes the remaining tiling-independent tables for an
-// indexed tree — subtree dim sets and per-node tensor access groups with
-// their invocation closures — in one bottom-up pass over the pre-order ids
-// (descending id order visits children before parents).
+// buildStructure computes the per-node tensor access groups of an indexed
+// tree, with their invocation masks and Seq-eviction verdicts, in one
+// bottom-up pass over the pre-order ids (descending id order visits
+// children before parents). It runs on interned ids throughout: tensors get
+// per-Compile indexes in first-access order, each leaf access is interned
+// once, and a node's groups fold its children's groups by tensor index. A
+// counting pass sizes one slab each for the groups, the access references,
+// the masks and the interned index terms, so the cost is a fixed handful
+// of allocations whatever the tree size.
 func buildStructure(t *tree) {
-	n := len(t.nodeSet)
 	st := t.st
-	st.dims = make([]map[string]bool, n)
-	st.groups = make([][]tensorGroup, n)
-	idxOf := make([]map[string]int, n) // tensor -> group index, per node
-	for id := n - 1; id >= 0; id-- {
-		nd := t.nodeSet[id]
-		dims := map[string]bool{}
-		var groups []tensorGroup
-		idx := map[string]int{}
-		grp := func(tensor string) *tensorGroup {
-			gi, ok := idx[tensor]
-			if !ok {
-				gi = len(groups)
-				idx[tensor] = gi
-				groups = append(groups, tensorGroup{tensor: tensor, tensorID: -1})
-			}
-			return &groups[gi]
+	nn, nd := len(t.nodeSet), st.numDims
+	nrefs, nidx, nterms := 0, 0, 0
+	for _, n := range t.nodeSet {
+		if !n.IsLeaf() {
+			continue
 		}
-		if nd.IsLeaf() {
-			op := nd.Op
-			for _, d := range op.Dims {
-				dims[d.Name] = true
+		for k := 0; k <= len(n.Op.Reads); k++ {
+			acc, _ := accessAt(n.Op, k)
+			nidx += len(acc.Index)
+			nterms += accessTerms(acc)
+		}
+		nrefs += len(n.Op.Reads) + 1
+	}
+	// ints holds each leaf access's tensor index (pre-order, reads then
+	// write), the per-tensor group slot of the node being built, the
+	// per-slot read/write counts, and the per-node reference and group
+	// counts.
+	ints := make([]int32, 4*nrefs+2*nn)
+	atix, slot, cnt := ints[:nrefs], ints[nrefs:2*nrefs], ints[2*nrefs:4*nrefs]
+	nr, ng := ints[4*nrefs:4*nrefs+nn], ints[4*nrefs+nn:]
+	st.tensors = make([]string, 0, nrefs)
+	a := 0
+	for _, n := range t.nodeSet {
+		if !n.IsLeaf() {
+			continue
+		}
+		for k := 0; k <= len(n.Op.Reads); k++ {
+			acc, _ := accessAt(n.Op, k)
+			x := st.tensorOf(acc.Tensor)
+			if x < 0 {
+				x = len(st.tensors)
+				st.tensors = append(st.tensors, acc.Tensor)
 			}
-			for _, r := range op.Reads {
-				g := grp(r.Tensor)
-				rd := accessDims(r)
-				g.reads = append(g.reads, accessRef{leafID: id, op: op, acc: r,
-					dims: rd, iix: internAccess(st, r), mask: dimMaskOf(st, rd),
-					maxWords: accessMaxWords(op, r)})
+			atix[a] = int32(x)
+			a++
+		}
+	}
+	nt := len(st.tensors)
+	for x := range slot {
+		slot[x] = -1
+	}
+
+	// has[id*nt+x] records whether node id's subtree accesses tensor x:
+	// the group count, and the Seq-eviction membership test.
+	has := make([]bool, nn*nt)
+	totalGroups, totalRefs := 0, 0
+	a = nrefs
+	for id := nn - 1; id >= 0; id-- {
+		row := has[id*nt : (id+1)*nt]
+		if n := t.nodeSet[id]; n.IsLeaf() {
+			a -= len(n.Op.Reads) + 1
+			for k := 0; k <= len(n.Op.Reads); k++ {
+				row[atix[a+k]] = true
 			}
-			w := op.Write
-			g := grp(w.Tensor)
-			wd := accessDims(w)
-			g.writes = append(g.writes, accessRef{leafID: id, op: op, acc: w,
-				dims: wd, iix: internAccess(st, w), mask: dimMaskOf(st, wd),
-				maxWords: accessMaxWords(op, w)})
+			nr[id] = int32(len(n.Op.Reads) + 1)
 		} else {
-			for _, cid := range st.children[id] {
-				for d := range st.dims[cid] {
-					dims[d] = true
+			for _, c := range st.children[id] {
+				for x, in := range has[c*nt : (c+1)*nt] {
+					row[x] = row[x] || in
 				}
-				for _, cg := range st.groups[cid] {
-					g := grp(cg.tensor)
-					g.reads = append(g.reads, cg.reads...)
-					g.writes = append(g.writes, cg.writes...)
+				nr[id] += nr[c]
+			}
+		}
+		for _, in := range row {
+			if in {
+				ng[id]++
+			}
+		}
+		totalGroups += int(ng[id])
+		totalRefs += int(nr[id])
+	}
+
+	gslab := make([]tensorGroup, totalGroups)
+	rslab := make([]accessRef, totalRefs)
+	mslab := make([]bool, (2*totalGroups+nrefs)*nd)
+	rows, terms := make([][]iterm, nidx), make([]iterm, nterms)
+	st.groups = make([][]tensorGroup, nn)
+	a = nrefs
+	for id := nn - 1; id >= 0; id-- {
+		n := t.nodeSet[id]
+		groups := gslab[:0:ng[id]]
+		gslab = gslab[ng[id]:]
+		group := func(x int, reads, writes int) {
+			gi := slot[x]
+			if gi < 0 {
+				gi = int32(len(groups))
+				slot[x] = gi
+				groups = append(groups, tensorGroup{tensor: st.tensors[x], tix: x, tensorID: -1})
+				cnt[2*gi], cnt[2*gi+1] = 0, 0
+			}
+			cnt[2*gi] += int32(reads)
+			cnt[2*gi+1] += int32(writes)
+		}
+		// Pass 1: the groups in first-use order and their sizes.
+		if n.IsLeaf() {
+			a -= len(n.Op.Reads) + 1
+			for k := 0; k <= len(n.Op.Reads); k++ {
+				if _, read := accessAt(n.Op, k); read {
+					group(int(atix[a+k]), 1, 0)
+				} else {
+					group(int(atix[a+k]), 0, 1)
+				}
+			}
+		} else {
+			for _, c := range st.children[id] {
+				for _, cg := range st.groups[c] {
+					group(cg.tix, len(cg.reads), len(cg.writes))
 				}
 			}
 		}
 		for gi := range groups {
 			g := &groups[gi]
-			g.readDims = map[string]bool{}
-			for _, r := range g.reads {
-				for d := range r.dims {
-					g.readDims[d] = true
-				}
-			}
-			g.writeDims = map[string]bool{}
-			for _, w := range g.writes {
-				for d := range w.dims {
-					g.writeDims[d] = true
-				}
-				for _, rd := range w.op.ReductionDims() {
-					g.writeDims[rd] = true
-				}
-			}
-			g.readMask = dimMaskOf(st, g.readDims)
-			g.writeMask = dimMaskOf(st, g.writeDims)
-			if nd.Binding == Seq && len(nd.Children) >= 2 {
-				for _, cid := range st.children[id] {
-					if _, uses := idxOf[cid][g.tensor]; !uses {
-						g.evicts = true
-						break
+			r, w := int(cnt[2*gi]), int(cnt[2*gi+1])
+			g.reads, g.writes = rslab[:0:r], rslab[r:r:r+w]
+			rslab = rslab[r+w:]
+			g.readMask, g.writeMask = mslab[:nd:nd], mslab[nd:2*nd:2*nd]
+			mslab = mslab[2*nd:]
+		}
+		// Pass 2: fill them.
+		if n.IsLeaf() {
+			op := n.Op
+			for k := 0; k <= len(op.Reads); k++ {
+				acc, read := accessAt(op, k)
+				ref := accessRef{leafID: id, acc: acc, mask: mslab[:nd:nd], maxWords: accessMaxWords(op, acc)}
+				mslab = mslab[nd:]
+				ref.iix, rows, terms = internAccessInto(st, acc, rows, terms)
+				for _, ts := range ref.iix {
+					for _, term := range ts {
+						if term.dim >= 0 {
+							ref.mask[term.dim] = true
+						}
 					}
+				}
+				g := &groups[slot[atix[a+k]]]
+				if read {
+					g.reads = append(g.reads, ref)
+					orMask(g.readMask, ref.mask)
+				} else {
+					// The reduction dims are the operator's dims the
+					// write does not index, so the write's dims plus the
+					// reduction dims are the write's dims plus all the
+					// operator's dims: the leaf's subtree mask.
+					g.writes = append(g.writes, ref)
+					orMask(g.writeMask, ref.mask)
+					orMask(g.writeMask, st.subtreeDims(id))
+				}
+			}
+		} else {
+			for _, c := range st.children[id] {
+				for ci := range st.groups[c] {
+					cg := &st.groups[c][ci]
+					g := &groups[slot[cg.tix]]
+					g.reads = append(g.reads, cg.reads...)
+					g.writes = append(g.writes, cg.writes...)
+					orMask(g.readMask, cg.readMask)
+					orMask(g.writeMask, cg.writeMask)
 				}
 			}
 		}
-		st.dims[id] = dims
+		seq := !n.IsLeaf() && n.Binding == Seq && len(n.Children) >= 2
+		for gi := range groups {
+			g := &groups[gi]
+			slot[g.tix] = -1
+			if !seq {
+				continue
+			}
+			for _, c := range st.children[id] {
+				if !has[c*nt+g.tix] {
+					g.evicts = true
+					break
+				}
+			}
+		}
 		st.groups[id] = groups
-		idxOf[id] = idx
 	}
 }
 
-// relevantInvocations counts how many times node n executes in total: the
+// orMask sets every dim of src in dst.
+func orMask(dst, src []bool) {
+	for d, in := range src {
+		if in {
+			dst[d] = true
+		}
+	}
+}
+
+// invocationsMask counts how many times node n executes in total: the
 // product over strict ancestors of the extents of their loops whose
 // dimension is relevant to the subtree hanging toward n. Ancestor loops
 // over dimensions no operator under the path-child iterates do not
-// re-execute the subtree (the result is reused in place).
-func (t *tree) relevantInvocations(n int) float64 {
-	return t.invocationsWhere(n, nil)
-}
-
-// invocationsWhere is relevantInvocations restricted: when onlyDims is
-// non-nil, only ancestor loops over those dimensions count. It is used to
-// compute how many distinct output versions a node drains (write-relevant
-// dims only) versus how many times it drains (all relevant dims).
-func (t *tree) invocationsWhere(n int, onlyDims map[string]bool) float64 {
-	inv := 1.0
-	child := n
-	for a := t.st.parent[n]; a >= 0; a = t.st.parent[a] {
-		rel := t.st.dims[child]
-		for _, l := range t.nodeSet[a].Loops {
-			if !rel[l.Dim] {
-				continue
-			}
-			if onlyDims != nil && !onlyDims[l.Dim] {
-				continue
-			}
-			inv *= float64(l.Extent)
-		}
-		child = a
-	}
-	return inv
-}
-
-// invocationsMask is invocationsWhere on interned dim masks: the hot form
-// the evaluator uses. It walks the same ancestors in the same order and
-// multiplies the same extents under the same membership conditions, so the
-// float accumulation is bit-identical to the map form. only == nil means
-// unrestricted (relevantInvocations).
+// re-execute the subtree (the result is reused in place). When only is
+// non-nil, only ancestor loops over its dims count: the evaluator uses
+// that to count how many distinct output versions a node drains
+// (write-relevant dims only) versus how many times it drains (all relevant
+// dims).
 func (t *tree) invocationsMask(n int, only []bool) float64 {
 	inv := 1.0
 	child := n
 	for a := t.st.parent[n]; a >= 0; a = t.st.parent[a] {
-		rel := t.st.dimMask[child]
+		rel := t.st.subtreeDims(child)
 		ld := t.ldim[a]
 		loops := t.nodeSet[a].Loops
 		for li, d := range ld {
@@ -524,13 +613,4 @@ func (t *tree) invocationsMask(n int, only []bool) float64 {
 		child = a
 	}
 	return inv
-}
-
-// accessDims is the set of iteration dims an access refers to.
-func accessDims(acc workload.Access) map[string]bool {
-	m := map[string]bool{}
-	for _, d := range acc.Dims() {
-		m[d] = true
-	}
-	return m
 }

@@ -57,6 +57,21 @@ func invalidf(format string, args ...any) error {
 	return &markedError{msg: fmt.Sprintf(format, args...), mark: ErrInvalidMapping}
 }
 
+// coverageError is the coverage rule's violation, an ErrInvalidMapping
+// that formats its message on demand: a search pre-screen rejects far more
+// points on coverage than it ever prints, and formatting each one would
+// cost more than checking it.
+type coverageError struct {
+	op, dim   string
+	cov, want int
+}
+
+func (e *coverageError) Error() string {
+	return fmt.Sprintf("core: operator %q dim %q tiled to %d, want %d", e.op, e.dim, e.cov, e.want)
+}
+
+func (e *coverageError) Is(target error) bool { return target == ErrInvalidMapping }
+
 // LevelDM is the data movement recorded at one memory level, in words,
 // using the paper's Fig 10d taxonomy: fill is data loaded into this level
 // from the level above, read is data sent from this level down to the level
@@ -561,7 +576,7 @@ func (e *evaluator) attributeTensor(grp *tensorGroup, childLevel, parentLevel in
 // execution of parent n: the product of n's temporal-loop extents over
 // dimensions relevant to c's subtree.
 func (e *evaluator) temporalRepeats(n, c int) float64 {
-	rel := e.t.st.dimMask[c]
+	rel := e.t.st.subtreeDims(c)
 	ld := e.t.ldim[n]
 	r := 1.0
 	for li, l := range e.t.nodeSet[n].Loops {

@@ -7,17 +7,15 @@ import (
 )
 
 // DumpStructure renders the tiling-independent tables a Compile produced:
-// per node in pre-order, its tensor groups in order with every access
-// reference, the invocation masks as sorted dim names and the Seq-eviction
-// verdict; plus the confinement relation, the parent load levels and the
+// per node in pre-order, its subtree dims and its tensor groups in order
+// with every access reference (leaf, access, dims, maxWords), the
+// invocation masks as sorted dim names and the Seq-eviction verdict; plus
+// the confinement relation, the parent load levels and the
 // attributed-tensor list. The structure golden pins this text so a rewrite
 // of the structure builder cannot change a table unnoticed.
 func DumpStructure(p *Program) string {
 	t, st := p.t, p.t.st
-	names := make([]string, st.numDims)
-	for name, id := range st.dimID {
-		names[id] = name
-	}
+	names := st.dimNames
 	dims := func(mask []bool) string {
 		var out []string
 		for d, in := range mask {
@@ -38,7 +36,7 @@ func DumpStructure(p *Program) string {
 	fmt.Fprintf(&b, "attributed: %s\n", strings.Join(p.attributed, " "))
 	for id, n := range t.nodeSet {
 		fmt.Fprintf(&b, "node %d %s L%d parent=%d pLevel=%d dims=%s\n",
-			id, n.Name, n.Level, st.parent[id], p.pLevel[id], dims(st.dimMask[id]))
+			id, n.Name, n.Level, st.parent[id], p.pLevel[id], dims(st.subtreeDims(id)))
 		for gi := range st.groups[id] {
 			g := &st.groups[id][gi]
 			fmt.Fprintf(&b, "  group %s tensorID=%d conf=%s evicts=%t read=%s write=%s\n",

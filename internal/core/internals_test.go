@@ -10,6 +10,18 @@ import (
 
 func archEdgeForTest() *arch.Spec { return arch.Edge() }
 
+// nodeID returns n's pre-order id in tr.
+func nodeID(tb testing.TB, tr *tree, n *Node) int {
+	tb.Helper()
+	for id, m := range tr.nodeSet {
+		if m == n {
+			return id
+		}
+	}
+	tb.Fatalf("node %q is not in the tree", n.Name)
+	return -1
+}
+
 // chain3 builds a three-op chain X→Mid1→Mid2→Out over shared dims for
 // tree-internal tests.
 func chain3() *workload.Graph {
@@ -40,10 +52,10 @@ func TestConfinementLCA(t *testing.T) {
 		t.Fatal(err)
 	}
 	conf := tr.confinements(g)
-	if conf["Mid1"] != tr.id[inner] {
+	if conf["Mid1"] != nodeID(t, tr, inner) {
 		t.Errorf("Mid1 confined at %v, want inner", tr.nodeSet[conf["Mid1"]].Name)
 	}
-	if conf["Mid2"] != tr.id[outer] {
+	if conf["Mid2"] != nodeID(t, tr, outer) {
 		t.Errorf("Mid2 confined at %v, want outer", tr.nodeSet[conf["Mid2"]].Name)
 	}
 	if _, ok := conf["X"]; ok {
@@ -65,13 +77,14 @@ func TestChildToward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.childToward(tr.id[root], tr.id[leaf]); got != tr.id[mid] {
+	rootID, midID, leafID := nodeID(t, tr, root), nodeID(t, tr, mid), nodeID(t, tr, leaf)
+	if got := tr.childToward(rootID, leafID); got != midID {
 		t.Errorf("childToward(root) = %s", tr.nodeSet[got].Name)
 	}
-	if got := tr.childToward(tr.id[mid], tr.id[leaf]); got != tr.id[leaf] {
+	if got := tr.childToward(midID, leafID); got != leafID {
 		t.Errorf("childToward(mid) = %s", tr.nodeSet[got].Name)
 	}
-	if got := tr.childToward(tr.id[leaf], tr.id[leaf]); got != tr.id[leaf] {
+	if got := tr.childToward(leafID, leafID); got != leafID {
 		t.Errorf("childToward(leaf) = %s", tr.nodeSet[got].Name)
 	}
 }
@@ -89,14 +102,17 @@ func TestInvocationsRelevance(t *testing.T) {
 	}
 	// Each leaf re-executes for every relevant ancestor loop iteration:
 	// stage (2·4) × root (2) = 16.
-	if inv := tr.relevantInvocations(tr.id[lf]); inv != 16 {
+	id := nodeID(t, tr, lf)
+	if inv := tr.invocationsMask(id, nil); inv != 16 {
 		t.Errorf("invocations = %v, want 16", inv)
 	}
 	// Restricted to dim i only: 2 × 2 = 4.
-	if inv := tr.invocationsWhere(tr.id[lf], map[string]bool{"i": true}); inv != 4 {
+	only := make([]bool, tr.st.numDims)
+	only[tr.st.dimOf("i")] = true
+	if inv := tr.invocationsMask(id, only); inv != 4 {
 		t.Errorf("i-invocations = %v, want 4", inv)
 	}
-	if inv := tr.invocationsWhere(tr.id[lf], map[string]bool{}); inv != 1 {
+	if inv := tr.invocationsMask(id, make([]bool, tr.st.numDims)); inv != 1 {
 		t.Errorf("empty-set invocations = %v, want 1", inv)
 	}
 }

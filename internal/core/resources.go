@@ -321,12 +321,12 @@ func (t *tree) confinements(g *workload.Graph) map[string]int {
 	for _, tensor := range g.IntermediateTensors() {
 		var users []int
 		if p := g.Producer(tensor); p != nil {
-			if id, ok := t.st.leafOf[p]; ok {
+			if id, ok := t.st.leafOf(p); ok {
 				users = append(users, id)
 			}
 		}
 		for _, r := range g.Readers(tensor) {
-			if id, ok := t.st.leafOf[r]; ok {
+			if id, ok := t.st.leafOf(r); ok {
 				users = append(users, id)
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"repro/internal/arch"
 	"repro/internal/workload"
 )
@@ -156,9 +158,34 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 // never changes search outcomes: the point proceeds to full evaluation
 // exactly as before.
 func QuickReject(root *Node, g *workload.Graph, spec *arch.Spec, opts Options) error {
-	x := &ruleInput{t: indexTree(root), g: g, spec: spec, opts: opts}
-	return x.check(allPhases&^phaseCapacity, nil)
+	a := quickArenas.Get().(*quickArena)
+	a.t.indexRoot(root)
+	a.x = ruleInput{t: &a.t, g: g, spec: spec, opts: opts}
+	err := a.x.check(allPhases&^phaseCapacity, nil)
+	// Keep no candidate tree or graph alive in the pool.
+	a.x.unbind()
+	a.t.root = nil
+	clear(a.t.nodeSet)
+	clear(a.st.leafOps)
+	clear(a.st.dimNames)
+	quickArenas.Put(a)
+	return err
 }
+
+// quickArena is one of QuickReject's pooled indexes: a tree and its
+// structure whose tables keep their capacity from candidate to candidate,
+// so a steady-state pre-screen allocates only what a rejection returns.
+type quickArena struct {
+	t  tree
+	st structure
+	x  ruleInput
+}
+
+var quickArenas = sync.Pool{New: func() any {
+	a := new(quickArena)
+	a.t.st = &a.st
+	return a
+}}
 
 // phase groups the rules by the pipeline step that checks them.
 type phase uint8
@@ -301,7 +328,7 @@ var rules = [numRules]rule{
 			if !n.IsLeaf() || len(n.Children) > 0 {
 				return v
 			}
-			if first := x.t.st.leafOf[n.Op]; first != a.node {
+			if first, _ := x.t.st.leafOf(n.Op); first != a.node {
 				v = flag(invalidf("core: operator %q appears in two leaves (%q, %q)", n.Op.Name, x.t.nodeSet[first].Name, n.Name))
 				v.Node, v.Op = n.Name, n.Op.Name
 			}
@@ -318,7 +345,7 @@ var rules = [numRules]rule{
 	rOpNoLeaf: {RuleOpNoLeaf, phasePlacement, eachOp, MonoIndependent, afterArch,
 		func(x *ruleInput, a at) (v *Violation) {
 			op := x.g.Ops[a.op]
-			if _, ok := x.t.st.leafOf[op]; !ok {
+			if _, ok := x.t.st.leafOf(op); !ok {
 				v = flag(invalidf("core: operator %q has no leaf tile in the tree", op.Name))
 				v.Op = op.Name
 			}
@@ -343,7 +370,7 @@ var rules = [numRules]rule{
 				cov *= x.t.dimExtentAt(m, id)
 			}
 			if cov != d.Size {
-				v = flag(invalidf("core: operator %q dim %q tiled to %d, want %d", op.Name, d.Name, cov, d.Size))
+				v = flag(&coverageError{op: op.Name, dim: d.Name, cov: cov, want: d.Size})
 				v.Op, v.Dim, v.Node = op.Name, d.Name, x.t.nodeSet[a.node].Name
 			}
 			return v
@@ -360,7 +387,7 @@ var rules = [numRules]rule{
 	// A loop over a foreign dim is foreign at any extent.
 	rLoopDim: {RuleLoopDim, phaseTiling, eachLoop, MonoIndependent, afterShape,
 		func(x *ruleInput, a at) (v *Violation) {
-			if d := x.t.ldim[a.node][a.loop]; d < 0 || !x.t.st.dimMask[a.node][d] {
+			if d := x.t.ldim[a.node][a.loop]; d < 0 || !x.t.st.subtreeDims(a.node)[d] {
 				n := x.t.nodeSet[a.node]
 				l := n.Loops[a.loop]
 				v = flag(invalidf("core: node %q loop over dim %q that no operator in its subtree iterates", n.Name, l.Dim))
@@ -442,7 +469,7 @@ func (x *ruleInput) scan(lo, hi int, out *[]Violation) error {
 	case eachOpDim:
 		for k, op := range x.g.Ops {
 			// The coverage product reads exactly the leaf-to-root path.
-			leaf, ok := t.st.leafOf[op]
+			leaf, ok := t.st.leafOf(op)
 			if !ok || x.dirty != nil && !x.dirty[leaf] && !x.dirtyUp[leaf] {
 				continue
 			}
@@ -498,7 +525,7 @@ func (x *ruleInput) ready(ph phase) {
 	switch ph {
 	case phaseTiling:
 		if t.ldim == nil {
-			t.indexDims()
+			t.indexDims(false)
 		}
 	case phaseResources:
 		if x.units == nil {

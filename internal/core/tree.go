@@ -256,11 +256,7 @@ func (n *Node) render(b *strings.Builder, depth int) {
 type tree struct {
 	root    *Node
 	nodeSet []*Node // pre-order; nodeSet[i] is the node with id i
-	// id maps template nodes to their pre-order ids. It exists only on
-	// trees built by buildTree (templates); rebind views leave it nil —
-	// the evaluator works purely on ids and never needs the map.
-	id map[*Node]int
-	st *structure
+	st      *structure
 	// ldim[i][k] is the interned dim id of nodeSet[i].Loops[k] (-1 when
 	// the dim is outside the structure's dim universe). It is the one
 	// tiling-dependent table the tree carries: the hot analysis loops
@@ -269,11 +265,12 @@ type tree struct {
 	// re-bind allocates nothing.
 	ldim    [][]int32
 	ldimBuf []int32
-	// ext[i][d]/sext[i][d] are the products of node i's loop extents over
-	// interned dim d — all loops and spatial loops respectively — the
-	// constant-time form of DimExtent/SpatialExtent the coverage walks
-	// read. Recomputed by setLdim on every rebind; rows share extBuf.
-	ext, sext [][]int64
+	// ext[i*numDims+d]/sext[i*numDims+d] are the products of node i's loop
+	// extents over interned dim d — all loops and spatial loops
+	// respectively — the constant-time form of DimExtent/SpatialExtent the
+	// coverage walks read. Recomputed by setLdim on every rebind; both
+	// halves share extBuf.
+	ext, sext []int64
 	extBuf    []int64
 }
 
@@ -289,25 +286,110 @@ type structure struct {
 	// size is the subtree node count, making subtree membership an
 	// O(1) pre-order interval test.
 	size []int
-	// leafOf maps each template operator to its leaf's pre-order id.
-	leafOf map[*workload.Operator]int
-	// dims is the set of iteration dimensions of all operators in the
-	// subtree.
-	dims []map[string]bool
-	// dimID interns every dimension name any operator declares to a dense
-	// id in [0, numDims), in first-leaf-declaration (pre-order) order, so
-	// the assignment is deterministic. The hot analysis loops run on these
-	// ids (loop compares, mask tests) instead of string hashing.
-	dimID   map[string]int
-	numDims int
-	// dimMask is dims as a bitset over dim ids, per node.
-	dimMask [][]bool
+	// leafOps[k] is a template operator and leafIDs[k] its leaf's
+	// pre-order id, in first-occurrence order; leafOf searches them.
+	leafOps []*workload.Operator
+	leafIDs []int
+	// dimNames[id] is the dimension name interned to id. Every name any
+	// operator declares gets a dense id in [0, numDims), in
+	// first-leaf-declaration (pre-order) order, so the assignment is
+	// deterministic. The hot analysis loops run on these ids (loop
+	// compares, mask tests) instead of string hashing.
+	dimNames []string
+	numDims  int
+	// dimStart[b] is 1 + the lowest id whose name starts with byte b, or
+	// 0 when none does (ids from 255 on are not recorded): where dimOf's
+	// scan starts.
+	dimStart [256]uint8
+	// dimMask holds, per node, the set of iteration dims of all operators
+	// in the subtree as a bitset over dim ids: row id is subtreeDims(id).
+	dimMask []bool
 	// leafDims[i] is the interned id of each of leaf i's operator dims, in
 	// declaration order; nil for interior nodes.
 	leafDims [][]int32
+	// tensors[x] is the tensor name interned to the per-Compile tensor
+	// index x, in first-access (pre-order leaf, reads then write) order.
+	tensors []string
 	// groups lists, per node, the tensors its subtree accesses with all
 	// per-tensor access closures precomputed, in first-use order.
 	groups [][]tensorGroup
+
+	// intBuf, idBuf and rowBuf are the slabs behind the integer tables,
+	// the leaf and loop dim ids, and the rows of both dim id tables. A
+	// re-index reuses their capacity.
+	intBuf []int
+	idBuf  []int32
+	rowBuf [][]int32
+}
+
+// leafOf returns the pre-order id of op's leaf: the first childless leaf
+// computing op, or -1 when op occurs only on or under a leaf with
+// children. ok is false when no leaf computes op.
+func (st *structure) leafOf(op *workload.Operator) (id int, ok bool) {
+	if k := st.leafSlot(op); k >= 0 {
+		return st.leafIDs[k], true
+	}
+	return 0, false
+}
+
+// leafSlot returns op's index into leafOps, or -1.
+func (st *structure) leafSlot(op *workload.Operator) int {
+	for k, o := range st.leafOps {
+		if o == op {
+			return k
+		}
+	}
+	return -1
+}
+
+// subtreeDims returns node id's row of dimMask.
+func (st *structure) subtreeDims(id int) []bool {
+	return st.dimMask[id*st.numDims : (id+1)*st.numDims : (id+1)*st.numDims]
+}
+
+// dimOf returns the interned id of a dimension name, or -1 when no
+// operator of the tree declares it. Universes are a handful of short names
+// that mostly differ in their first byte, so the scan starts at the first
+// name sharing it: usually a single compare, and cheaper than hashing.
+func (st *structure) dimOf(name string) int32 {
+	from := 0
+	if name != "" {
+		switch k := st.dimStart[name[0]]; {
+		case k > 0:
+			from = int(k - 1)
+		case len(st.dimNames) < 255:
+			return -1
+		default:
+			from = 255
+		}
+	}
+	for id := from; id < len(st.dimNames); id++ {
+		if st.dimNames[id] == name {
+			return int32(id)
+		}
+	}
+	return -1
+}
+
+// addDim interns a new dimension name and returns its id.
+func (st *structure) addDim(name string) int32 {
+	id := len(st.dimNames)
+	st.dimNames = append(st.dimNames, name)
+	if name != "" && st.dimStart[name[0]] == 0 && id < 255 {
+		st.dimStart[name[0]] = uint8(id + 1)
+	}
+	return int32(id)
+}
+
+// tensorOf returns the per-Compile index of a tensor name, or -1 when no
+// leaf of the tree accesses it.
+func (st *structure) tensorOf(name string) int {
+	for x, tn := range st.tensors {
+		if tn == name {
+			return x
+		}
+	}
+	return -1
 }
 
 // buildTree indexes root, rejects it with the first structure-phase
@@ -317,44 +399,70 @@ func buildTree(root *Node) (*tree, error) {
 	if err := (&ruleInput{t: t}).check(phaseStructure, nil); err != nil {
 		return nil, err
 	}
-	t.id = make(map[*Node]int, len(t.nodeSet))
-	for i, n := range t.nodeSet {
-		t.id[n] = i
-	}
-	t.indexDims()
+	t.indexDims(true)
 	buildStructure(t)
 	return t, nil
 }
 
-// indexTree numbers root's tiles in pre-order and fills the parent,
-// children, subtree-size and operator-leaf tables. It accepts malformed
-// trees, which the structure rules then report: a leaf's children are not
-// tiles and are not indexed, and leafOf keeps the first childless leaf of
-// each operator (-1 when the operator occurs only on or under a leaf with
-// children). Slices are sized by a counting pass, so indexing costs a few
-// allocations rather than a few per node.
+// indexTree numbers root's tiles in pre-order into a fresh tree, its
+// structure allocated alongside.
 func indexTree(root *Node) *tree {
-	nn := countTiles(root)
-	t := &tree{root: root, nodeSet: make([]*Node, 0, nn)}
-	t.st = &structure{
-		parent:   make([]int, 0, nn),
-		children: make([][]int, 0, nn),
-		size:     make([]int, 0, nn),
-		leafOf:   map[*workload.Operator]int{},
-	}
-	kids := make([]int, 0, nn)
-	t.index(root, -1, &kids)
-	return t
+	ts := &struct {
+		tree
+		st structure
+	}{}
+	ts.tree.st = &ts.st
+	ts.tree.indexRoot(root)
+	return &ts.tree
 }
 
-func countTiles(n *Node) int {
-	c := 1
-	if !n.IsLeaf() {
-		for _, ch := range n.Children {
-			c += countTiles(ch)
-		}
+// indexRoot numbers root's tiles in pre-order and fills the parent,
+// children, subtree-size and operator-leaf tables, reusing the capacity of
+// t's tables (QuickReject's pooled arenas index every candidate this way).
+// It accepts malformed trees, which the structure rules then report: a
+// leaf's children are not tiles and are not indexed, and leafOf keeps the
+// first childless leaf of each operator (-1 when the operator occurs only
+// on or under a leaf with children). Slices are sized by a counting pass
+// and the integer tables share one slab, so indexing costs a few
+// allocations whatever the tree size. The dim tables are left for
+// indexDims.
+func (t *tree) indexRoot(root *Node) {
+	nn, nl := countTiles(root)
+	st := t.st
+	t.root = root
+	t.nodeSet = resize(t.nodeSet, nn)[:0]
+	t.ldim = nil
+	ints := resize(st.intBuf, 3*nn+nl)
+	st.intBuf = ints
+	st.parent, st.size = ints[0:0:nn], ints[nn:nn:2*nn]
+	st.leafIDs = ints[3*nn : 3*nn : 3*nn+nl]
+	st.children = resize(st.children, nn)[:0]
+	st.leafOps = resize(st.leafOps, nl)[:0]
+	kids := ints[2*nn : 2*nn : 3*nn]
+	t.index(root, -1, &kids)
+}
+
+// resize returns s resliced to length n when its capacity allows, else a
+// new slice of length n. Reused elements keep their old values.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return c
+	return s[:n]
+}
+
+// countTiles counts the tiles index will number and, of them, the leaves.
+func countTiles(n *Node) (tiles, leaves int) {
+	if n.IsLeaf() {
+		return 1, 1
+	}
+	tiles = 1
+	for _, ch := range n.Children {
+		c, l := countTiles(ch)
+		tiles += c
+		leaves += l
+	}
+	return tiles, leaves
 }
 
 // index appends n's subtree to the index. A node's child ids occupy one
@@ -370,14 +478,16 @@ func (t *tree) index(n *Node, parent int, kids *[]int) {
 		st.children = append(st.children, nil)
 		if len(n.Children) > 0 {
 			n.Walk(func(m *Node) {
-				if m.IsLeaf() {
-					if _, ok := st.leafOf[m.Op]; !ok {
-						st.leafOf[m.Op] = -1
-					}
+				if m.IsLeaf() && st.leafSlot(m.Op) < 0 {
+					st.leafOps = append(st.leafOps, m.Op)
+					st.leafIDs = append(st.leafIDs, -1)
 				}
 			})
-		} else if first, ok := st.leafOf[n.Op]; !ok || first < 0 {
-			st.leafOf[n.Op] = id
+		} else if k := st.leafSlot(n.Op); k < 0 {
+			st.leafOps = append(st.leafOps, n.Op)
+			st.leafIDs = append(st.leafIDs, id)
+		} else if st.leafIDs[k] < 0 {
+			st.leafIDs[k] = id
 		}
 		return
 	}
@@ -394,59 +504,64 @@ func (t *tree) index(n *Node, parent int, kids *[]int) {
 
 // indexDims interns the operators' dimension names, computes each node's
 // subtree dim mask and fills the per-loop dim tables: everything the tiling
-// rules read.
-func (t *tree) indexDims() {
+// rules read. spatial asks for the spatial extent table too, which only
+// the evaluator reads.
+func (t *tree) indexDims(spatial bool) {
 	st := t.st
-	total := 0
+	nn, total, loops := len(t.nodeSet), 0, 0
 	for _, n := range t.nodeSet {
 		if n.IsLeaf() {
 			total += len(n.Op.Dims)
 		}
+		loops += len(n.Loops)
 	}
-	ids := make([]int32, 0, total)
-	st.dimID = map[string]int{}
-	st.leafDims = make([][]int32, len(t.nodeSet))
+	// One slab holds the leaf dim ids and the per-loop ids setLdim fills;
+	// another the rows of both tables.
+	st.idBuf = resize(st.idBuf, total+loops)
+	t.ldimBuf = st.idBuf[total:]
+	ids := st.idBuf[:0:total]
+	st.rowBuf = resize(st.rowBuf, 2*nn)
+	st.leafDims, t.ldim = st.rowBuf[:nn:nn], st.rowBuf[nn:nn]
+	st.dimNames = resize(st.dimNames, min(total, 16))[:0]
+	st.dimStart = [256]uint8{}
 	for i, n := range t.nodeSet {
+		st.leafDims[i] = nil
 		if !n.IsLeaf() {
 			continue
 		}
 		lo := len(ids)
 		for _, d := range n.Op.Dims {
-			id, ok := st.dimID[d.Name]
-			if !ok {
-				id = st.numDims
-				st.dimID[d.Name] = id
-				st.numDims++
+			id := st.dimOf(d.Name)
+			if id < 0 {
+				id = st.addDim(d.Name)
 			}
-			ids = append(ids, int32(id))
+			ids = append(ids, id)
 		}
 		st.leafDims[i] = ids[lo:len(ids):len(ids)]
 	}
-	nn, nd := len(t.nodeSet), st.numDims
-	buf := make([]bool, nn*nd)
-	st.dimMask = make([][]bool, nn)
+	st.numDims = len(st.dimNames)
+	st.dimMask = resize(st.dimMask, nn*st.numDims)
+	clear(st.dimMask)
 	for id := nn - 1; id >= 0; id-- {
-		m := buf[id*nd : (id+1)*nd : (id+1)*nd]
+		m := st.subtreeDims(id)
 		if t.nodeSet[id].IsLeaf() {
 			for _, d := range st.leafDims[id] {
 				m[d] = true
 			}
 		} else {
 			for _, c := range st.children[id] {
-				for d, in := range st.dimMask[c] {
-					m[d] = m[d] || in
-				}
+				orMask(m, st.subtreeDims(c))
 			}
 		}
-		st.dimMask[id] = m
 	}
-	t.setLdim()
+	t.setLdim(spatial)
 }
 
-// setLdim recomputes the per-loop interned dim ids for the tree's current
-// nodeSet. Rows alias one flat backing buffer that is reused across
+// setLdim recomputes the per-loop interned dim ids and the per-node extent
+// products (the spatial ones only when spatial is set) for the tree's
+// current nodeSet. Rows alias flat backing buffers that are reused across
 // re-binds, so steady-state calls allocate nothing.
-func (t *tree) setLdim() {
+func (t *tree) setLdim(spatial bool) {
 	total := 0
 	for _, n := range t.nodeSet {
 		total += len(n.Loops)
@@ -460,38 +575,39 @@ func (t *tree) setLdim() {
 	}
 	t.ldim = t.ldim[:0]
 	nn, nd := len(t.nodeSet), t.st.numDims
-	if cap(t.extBuf) < 2*nn*nd {
-		t.extBuf = make([]int64, 2*nn*nd)
+	size := nn * nd
+	if spatial {
+		size *= 2
 	}
-	ebuf := t.extBuf[:2*nn*nd]
+	if cap(t.extBuf) < size {
+		t.extBuf = make([]int64, size)
+	}
+	ebuf := t.extBuf[:size]
 	for i := range ebuf {
 		ebuf[i] = 1
 	}
-	if cap(t.ext) < nn {
-		t.ext = make([][]int64, 0, nn)
-		t.sext = make([][]int64, 0, nn)
-	}
-	t.ext, t.sext = t.ext[:0], t.sext[:0]
+	t.ext, t.sext = ebuf[:nn*nd], ebuf[nn*nd:]
 	off := 0
 	for i, n := range t.nodeSet {
 		row := buf[off : off+len(n.Loops) : off+len(n.Loops)]
 		off += len(n.Loops)
-		erow := ebuf[i*nd : (i+1)*nd : (i+1)*nd]
-		srow := ebuf[(nn+i)*nd : (nn+i+1)*nd : (nn+i+1)*nd]
-		for li, l := range n.Loops {
-			if id, ok := t.st.dimID[l.Dim]; ok {
-				row[li] = int32(id)
-				erow[id] *= int64(l.Extent)
-				if l.Kind == Spatial {
-					srow[id] *= int64(l.Extent)
-				}
-			} else {
-				row[li] = -1
+		erow, srow := t.ext[i*nd:(i+1)*nd], t.sext
+		if spatial {
+			srow = t.sext[i*nd : (i+1)*nd]
+		}
+		for li := range n.Loops {
+			l := &n.Loops[li]
+			id := t.st.dimOf(l.Dim)
+			row[li] = id
+			if id < 0 {
+				continue
+			}
+			erow[id] *= int64(l.Extent)
+			if spatial && l.Kind == Spatial {
+				srow[id] *= int64(l.Extent)
 			}
 		}
 		t.ldim = append(t.ldim, row)
-		t.ext = append(t.ext, erow)
-		t.sext = append(t.sext, srow)
 	}
 }
 
@@ -515,7 +631,6 @@ func (t *tree) rebind(newRoot *Node) (*tree, error) {
 // paths allocation-free: one view is re-filled per candidate.
 func (t *tree) rebindInto(nt *tree, newRoot *Node) error {
 	nt.root = newRoot
-	nt.id = nil
 	nt.st = t.st
 	if cap(nt.nodeSet) < len(t.nodeSet) {
 		nt.nodeSet = make([]*Node, 0, len(t.nodeSet))
@@ -524,7 +639,7 @@ func (t *tree) rebindInto(nt *tree, newRoot *Node) error {
 	if err := t.rebindWalk(nt, newRoot); err != nil {
 		return &structureError{err: err}
 	}
-	nt.setLdim()
+	nt.setLdim(true)
 	return nil
 }
 
@@ -658,7 +773,7 @@ func (t *tree) dimExtentAt(m int, dim int32) int {
 		// Dims outside the universe match no loop.
 		return 1
 	}
-	return int(t.ext[m][dim])
+	return int(t.ext[m*t.st.numDims+int(dim)])
 }
 
 // spatialExtentAt is SpatialExtent on interned dim ids.
@@ -666,7 +781,7 @@ func (t *tree) spatialExtentAt(m int, dim int32) int {
 	if dim < 0 {
 		return 1
 	}
-	return int(t.sext[m][dim])
+	return int(t.sext[m*t.st.numDims+int(dim)])
 }
 
 // covBelowID is covBelow on interned dim ids.
