@@ -186,6 +186,12 @@ func (r *recordingDataflow) Build(f map[string]int) (*core.Node, error) {
 	return r.Dataflow.Build(f)
 }
 
+// StructureStable forwards the wrapped template's declaration, so a
+// recorded search takes the same evaluation path as an unwrapped one.
+func (r *recordingDataflow) StructureStable() bool {
+	return dataflows.IsStructureStable(r.Dataflow)
+}
+
 func mapsEqual(a, b map[string]int) bool {
 	if len(a) != len(b) {
 		return false
