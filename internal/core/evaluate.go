@@ -273,11 +273,7 @@ func (e *evaluator) run() (*Result, error) {
 		return nil, err
 	}
 
-	if e.fpNeed == nil {
-		res.FootprintWords = t.footprintInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density)
-	} else {
-		res.FootprintWords = t.footprintDeltaInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density, e.fpNeed)
-	}
+	res.FootprintWords = t.footprintInto(s.fpRows, spec.NumLevels(), e.p.confRel, e.p.density, e.fpNeed)
 	x.footprint = res.FootprintWords
 	if err := x.check(phaseCapacity, nil); err != nil {
 		return nil, err
@@ -390,7 +386,7 @@ func (e *evaluator) accountDataMovement() error {
 // upper boundary. The delta path calls it for affected nodes only and
 // replays cached per-group volumes for the rest.
 func (e *evaluator) accountNodeDM(i int) error {
-	t, s := e.t, e.s
+	t := e.t
 	pLevel := e.p.pLevel[i]
 	if pLevel < 0 {
 		return nil // same buffer or root at DRAM: no boundary to cross
@@ -410,24 +406,10 @@ func (e *evaluator) accountNodeDM(i int) error {
 			d.tf[i][gi], d.tu[i][gi] = tf, tu
 		}
 	}
-	s.nodeFill[i] += fills
-	s.nodeUpdate[i] += updates
 	if d := e.delta; d != nil {
 		d.fills[i], d.updates[i] = fills, updates
 	}
-	// Attribute to levels: enters n.Level, and — unless the
-	// architecture grants the pair direct access (Sec 5.1.2) —
-	// passes through every level between it and the parent level.
-	s.dm[n.Level].Fill += fills
-	s.dm[pLevel].Read += fills
-	s.dm[pLevel].Update += updates
-	if !e.p.spec.HasDirectAccess(n.Level, pLevel) {
-		for l := n.Level + 1; l < pLevel; l++ {
-			s.dm[l].Fill += fills
-			s.dm[l].Read += fills
-			s.dm[l].Update += updates
-		}
-	}
+	e.attributeNode(i, fills, updates)
 	return nil
 }
 
@@ -438,7 +420,7 @@ func (e *evaluator) accountNodeDM(i int) error {
 // same (node, group) order as accountNodeDM, keeping every floating-point
 // accumulation bit-identical to the cold route.
 func (e *evaluator) replayNodeDM(i int) {
-	t, s, d := e.t, e.s, e.delta
+	t, d := e.t, e.delta
 	pLevel := e.p.pLevel[i]
 	if pLevel < 0 {
 		return
@@ -450,14 +432,23 @@ func (e *evaluator) replayNodeDM(i int) {
 		}
 		e.attributeTensor(&t.st.groups[i][gi], n.Level, pLevel, d.tf[i][gi], d.tu[i][gi])
 	}
-	fills, updates := d.fills[i], d.updates[i]
+	e.attributeNode(i, d.fills[i], d.updates[i])
+}
+
+// attributeNode adds node i's boundary totals to its own counters and to
+// the memory levels: the data enters the node's level, and — unless the
+// architecture grants the pair direct access (Sec 5.1.2) — passes through
+// every level between it and the parent level. accountNodeDM and
+// replayNodeDM both end here, so the two routes accumulate in one order.
+func (e *evaluator) attributeNode(i int, fills, updates float64) {
+	s, level, pLevel := e.s, e.t.nodeSet[i].Level, e.p.pLevel[i]
 	s.nodeFill[i] += fills
 	s.nodeUpdate[i] += updates
-	s.dm[n.Level].Fill += fills
+	s.dm[level].Fill += fills
 	s.dm[pLevel].Read += fills
 	s.dm[pLevel].Update += updates
-	if !e.p.spec.HasDirectAccess(n.Level, pLevel) {
-		for l := n.Level + 1; l < pLevel; l++ {
+	if !e.p.spec.HasDirectAccess(level, pLevel) {
+		for l := level + 1; l < pLevel; l++ {
 			s.dm[l].Fill += fills
 			s.dm[l].Read += fills
 			s.dm[l].Update += updates

@@ -538,7 +538,7 @@ func (x *ruleInput) ready(ph phase) {
 			buildStructure(t) // the tiling phase ran first and indexed the dims
 			L := x.spec.NumLevels()
 			rel := confRelTable(t, t.confinements(x.g))
-			x.footprint = t.footprintInto(make([]int64, len(t.nodeSet)*L), L, rel, densityOf(x.g))
+			x.footprint = t.footprintInto(make([]int64, len(t.nodeSet)*L), L, rel, densityOf(x.g), nil)
 		}
 	}
 }

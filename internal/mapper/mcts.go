@@ -50,12 +50,13 @@ type TileSearch struct {
 	Domains map[string][]int
 
 	// prog is the compiled program of the template's structure, reused
-	// across rollouts when the dataflow declares StructureStable: each
-	// candidate then pays only a tiling re-bind plus the evaluate half of
-	// the pipeline instead of a full compile. delta carries the incremental
-	// re-evaluation state across rollouts — successive MCTS candidates
-	// differ by a handful of factors, so most of the tree's analysis is
-	// replayed from the cache instead of recomputed.
+	// across rounds when the dataflow declares StructureStable: every
+	// candidate, the default-factors seed included, then pays only a
+	// tiling re-bind plus the evaluate half of the pipeline instead of a
+	// full compile. delta is the one incremental re-evaluation state all
+	// those rounds run through — successive MCTS candidates differ by a
+	// handful of factors, so most of the tree's analysis is replayed from
+	// the cache instead of recomputed.
 	prog  *core.Program
 	delta *core.DeltaState
 
@@ -144,21 +145,10 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 		worst = ev.Cycles
 	}
 
-	// Opening window: the first len(choices[0]) rounds each expand a fresh
-	// root child picked by the RNG alone — no selection in this window
-	// reads a reward — so their candidates can be constructed up front and
-	// evaluated in one EvaluateBatch call without changing the search
-	// trajectory. A GA generation tunes every individual through here, so
-	// each individual's opening rollouts are amortized over one arena pass.
-	startRound := 0
-	if len(specs) > 0 && dataflows.IsStructureStable(s.Dataflow) {
-		startRound = s.openingBatch(ctx, root, specs, choices, rng, rounds, &best, &worst, &trace)
-	}
-
 	if s.factors == nil {
 		s.factors = make(map[string]int, len(specs))
 	}
-	for r := startRound; r < rounds; r++ {
+	for r := 0; r < rounds; r++ {
 		if ctx.Err() != nil {
 			break
 		}
@@ -223,113 +213,6 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 		}
 	}
 	return best, trace
-}
-
-// openingBatch runs the first min(len(choices[0]), rounds) MCTS rounds as
-// one batched generation: it replays the sequential rounds' RNG draws to
-// construct each round's candidate (every round in this window expands an
-// unexpanded root child and completes the assignment randomly), evaluates
-// all of them through Program.EvaluateBatch, and then backpropagates the
-// rewards in round order. Candidate selection, RNG consumption, reward
-// normalization, statistics, best-so-far, and trace are identical to the
-// sequential rounds — the batch only amortizes the evaluation setup.
-// Returns the number of rounds consumed.
-func (s *TileSearch) openingBatch(ctx context.Context, root *mctsNode, specs []dataflows.FactorSpec, choices [][]int, rng *rand.Rand, rounds int, best **Evaluation, worst *float64, trace *[]float64) int {
-	k := len(choices[0])
-	if k > rounds {
-		k = rounds
-	}
-	type cand struct {
-		child   *mctsNode
-		factors map[string]int
-	}
-	cands := make([]cand, 0, k)
-	trees := make([]*core.Node, 0, k)
-	root.ensureChildren(len(choices[0]))
-	for r := 0; r < k; r++ {
-		// Replicate selectChild on a root with unexpanded children.
-		unexpanded := s.selBuf[:0]
-		for i := range choices[0] {
-			if root.children[i] == nil {
-				unexpanded = append(unexpanded, i)
-			}
-		}
-		s.selBuf = unexpanded
-		ci := unexpanded[rng.Intn(len(unexpanded))]
-		child := newMctsNode()
-		root.children[ci] = child
-		factors := map[string]int{specs[0].Key: choices[0][ci]}
-		for d := 1; d < len(specs); d++ {
-			factors[specs[d].Key] = choices[d][rng.Intn(len(choices[d]))]
-		}
-		tree, err := s.Dataflow.Build(factors)
-		if err != nil {
-			tree = nil
-		}
-		cands = append(cands, cand{child: child, factors: factors})
-		trees = append(trees, tree)
-	}
-	// Make sure a compiled program exists (the default-factors seed
-	// usually established it; a failed seed Build leaves it nil).
-	if s.prog == nil {
-		for _, tree := range trees {
-			if tree == nil {
-				continue
-			}
-			if p, err := core.Compile(tree, s.Dataflow.Graph(), s.Spec); err == nil {
-				s.prog = p
-				s.delta = p.NewDelta(s.Opts)
-				break
-			}
-		}
-	}
-	var results []*core.Result
-	var errs []error
-	if s.prog != nil {
-		results, errs = s.prog.EvaluateBatch(ctx, trees, s.Opts)
-	}
-	for r := 0; r < k; r++ {
-		if ctx.Err() != nil {
-			return r
-		}
-		var ev *Evaluation
-		switch {
-		case trees[r] == nil || s.prog == nil:
-			// Build or compile failed: the sequential round would have
-			// discarded the candidate the same way.
-		case errs[r] == nil:
-			ev = &Evaluation{Factors: cands[r].factors, Cycles: results[r].Cycles, Result: results[r]}
-		case errors.Is(errs[r], core.ErrStructureMismatch):
-			// Same fallback as evaluateTree: a mis-declared stable
-			// structure recompiles. A genuinely invalid tiling (any other
-			// ErrInvalidMapping) is discarded exactly as the sequential
-			// round would discard it.
-			if res, err := s.evaluateTree(ctx, trees[r]); err == nil {
-				ev = &Evaluation{Factors: cands[r].factors, Cycles: res.Cycles, Result: res}
-			}
-		}
-		reward := 0.0
-		if ev != nil {
-			if ev.Cycles > *worst {
-				*worst = ev.Cycles
-			}
-			reward = 1.0 / (1.0 + ev.Cycles/math.Max(1, *worst))
-			if *best == nil || ev.Cycles < (*best).Cycles {
-				ev.Result = ev.Result.Clone() // detach from the batch/delta arena
-				*best = ev
-			}
-		}
-		root.visits++
-		root.total += reward
-		cands[r].child.visits++
-		cands[r].child.total += reward
-		if *best != nil {
-			*trace = append(*trace, (*best).Cycles)
-		} else {
-			*trace = append(*trace, math.Inf(1))
-		}
-	}
-	return k
 }
 
 // selectChild applies UCB1 over the expanded children, preferring an
@@ -446,8 +329,9 @@ func intersectChoices(choices, dom []int) []int {
 }
 
 // Tune is the convenience entry point the experiments use: it MCTS-tunes a
-// dataflow's factors and returns the best evaluation, falling back to the
-// default factors if the search finds nothing valid.
+// dataflow's factors and returns the best evaluation. The search evaluates
+// the default factors first, so the result is never worse than the untuned
+// mapping; nil means not even the defaults evaluate.
 func Tune(df dataflows.Dataflow, spec *arch.Spec, opts core.Options, rounds int, seed int64) *Evaluation {
 	return TuneContext(context.Background(), df, spec, opts, rounds, seed)
 }
@@ -457,17 +341,5 @@ func Tune(df dataflows.Dataflow, spec *arch.Spec, opts core.Options, rounds int,
 func TuneContext(ctx context.Context, df dataflows.Dataflow, spec *arch.Spec, opts core.Options, rounds int, seed int64) *Evaluation {
 	s := &TileSearch{Dataflow: df, Spec: spec, Opts: opts, Rounds: rounds, Seed: seed}
 	best, _ := s.RunContext(ctx)
-	if best != nil {
-		return best
-	}
-	// Fall back to defaults (may still be invalid; then nil).
-	root, err := df.Build(df.DefaultFactors())
-	if err != nil {
-		return nil
-	}
-	res, err := core.EvaluateContext(ctx, root, df.Graph(), spec, opts)
-	if err != nil {
-		return nil
-	}
-	return &Evaluation{Factors: df.DefaultFactors(), Cycles: res.Cycles, Result: res}
+	return best
 }
