@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -81,6 +82,29 @@ func BenchmarkEvaluateRebind(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := p.Evaluate(ctx, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEvaluateDelta is the MCTS's per-round evaluation: one DeltaState
+// walks a seeded chain of tilings in which each step changes one factor of
+// the previous, so most of the tree replays from the cache. Infeasible
+// steps (PE budget, capacity) stay in the chain, as they do in a search.
+func BenchmarkEvaluateDelta(b *testing.B) {
+	_, tilings := perturbedFactorWalk(b, 1601, 256)
+	root, g, spec := benchDesignPoint(b)
+	prog, err := core.Compile(root, g, spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := prog.NewDelta(core.Options{})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err := prog.EvaluateDelta(ctx, d, tilings[i%len(tilings)], core.Options{})
+		if err != nil && !errors.Is(err, core.ErrInfeasible) {
 			b.Fatal(err)
 		}
 	}

@@ -92,7 +92,7 @@ func TestMapperThroughputGate(t *testing.T) {
 		out = "BENCH_PR7.json"
 	}
 	report := map[string]any{
-		"description": "Batched + incremental evaluation engine throughput (PR 7). Mapper: TileFlow attention template on ViT/16-B, MCTS Rounds=100 (101 evaluations per run); every rollout evaluates through Program.EvaluateDelta against a persistent DeltaState, GA generations batch through Program.EvaluateBatch, and the steady-state arena evaluator allocates nothing. Baseline = PR2's compiled WithTiling path (BENCH_PR2.json).",
+		"description": "Batched + incremental evaluation engine throughput (PR 7). Mapper: TileFlow attention template on ViT/16-B, MCTS Rounds=100 (101 evaluations per run); every MCTS round, the default-factors seed included, evaluates through Program.EvaluateDelta against one persistent DeltaState, and the steady-state arena evaluator allocates nothing. Baseline = PR2's compiled WithTiling path (BENCH_PR2.json).",
 		"cpu":         gateCPUModel(),
 		"go_bench_cmd": "TILEFLOW_BENCH=1 go test . -run TestMapperThroughputGate -count=1 -v; " +
 			"go test . -run '^$' -bench 'BenchmarkMapperThroughput' -benchtime 1500x",
