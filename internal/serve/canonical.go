@@ -43,11 +43,11 @@ func tunedKey(spec *arch.Spec, g *workload.Graph, dfName string, tune int, seed 
 }
 
 // searchKey is the canonical key for a 3D design-space search request.
-func searchKey(spec *arch.Spec, g *workload.Graph, pop, gens, tileRounds, topK int, seed int64, opts core.Options) string {
+func searchKey(spec *arch.Spec, g *workload.Graph, req *SearchRequest) string {
 	var b strings.Builder
 	b.WriteString("tileflow/v1/search\n")
-	writeCommon(&b, spec, g, opts)
-	fmt.Fprintf(&b, "search: pop=%d gens=%d tile=%d topk=%d seed=%d\n", pop, gens, tileRounds, topK, seed)
+	writeCommon(&b, spec, g, req.options())
+	fmt.Fprintf(&b, "search: pop=%d gens=%d tile=%d topk=%d seed=%d\n", req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed)
 	return digest(b.String())
 }
 

@@ -267,48 +267,77 @@ type designPoint struct {
 	seed int64
 }
 
-// resolveArchGraph resolves just an architecture and the full workload
-// graph, for search requests that explore mappings rather than name one.
-func resolveArchGraph(archName, archSpec, wl string) (*arch.Spec, *workload.Graph, error) {
-	var spec *arch.Spec
-	var err error
+// The request resolver. Every endpoint that names a design point picks its
+// architecture with pickSpec, its workload graph with graph, and its
+// evaluation options with options; each then keeps only its own final
+// step: evaluate builds, parses or tunes the tree, vet runs the static
+// analyzer, analyze narrows the factor space, search explores mappings.
+
+// pickSpec resolves a request's architecture: an inline arch_spec, else a
+// built-in name.
+func pickSpec(name, inline string) (*arch.Spec, error) {
 	switch {
-	case archSpec != "":
-		spec, err = arch.ParseSpec(archSpec)
-	case archName != "":
-		spec, err = PickArch(archName)
-	default:
-		err = fmt.Errorf("one of arch or arch_spec is required")
+	case inline != "":
+		return arch.ParseSpec(inline)
+	case name != "":
+		return PickArch(name)
 	}
-	if err != nil {
-		return nil, nil, err
+	return nil, fmt.Errorf("one of arch or arch_spec is required")
+}
+
+// graph resolves the workload graph an EvaluateRequest names for its input
+// form (notation or dataflow). A dataflow form also returns its template,
+// whose own graph view is the one evaluated: a template may model a
+// sub-graph of the named workload.
+func (req *EvaluateRequest) graph(form string, spec *arch.Spec) (*workload.Graph, dataflows.Dataflow, error) {
+	switch {
+	case req.Workload == "" && req.WorkloadSpec == "":
+		return nil, nil, fmt.Errorf("one of workload or workload_spec is required")
+	case form == inputDataflow:
+		if req.WorkloadSpec != "" {
+			return nil, nil, fmt.Errorf("workload_spec requires a notation mapping (dataflow templates are catalog-shaped)")
+		}
+		df, err := PickDataflow(req.Dataflow, req.Workload, spec)
+		if err != nil {
+			return nil, nil, err
+		}
+		return df.Graph(), df, nil
+	case req.WorkloadSpec == "":
+		g, err := PickGraph(req.Workload)
+		return g, nil, err
+	case req.Workload != "":
+		return nil, nil, fmt.Errorf("workload and workload_spec are mutually exclusive")
 	}
-	if wl == "" {
-		return nil, nil, fmt.Errorf("workload is required")
+	g, err := workload.ParseGraph(req.WorkloadSpec)
+	return g, nil, err
+}
+
+// build builds a template with the request's factors (its defaults when
+// none are given).
+func (req *EvaluateRequest) build(df dataflows.Dataflow) (*core.Node, error) {
+	if len(req.Factors) > 0 {
+		return df.Build(req.Factors)
 	}
-	g, err := PickGraph(wl)
-	if err != nil {
-		return nil, nil, err
+	return df.Build(df.DefaultFactors())
+}
+
+// options is the request's evaluation options.
+func (req *EvaluateRequest) options() core.Options {
+	return core.Options{
+		SkipCapacityCheck: req.SkipCapacityCheck,
+		SkipPECheck:       req.SkipPECheck,
+		DisableRetention:  req.DisableRetention,
 	}
-	return spec, g, nil
 }
 
 // resolve validates an EvaluateRequest against the built-in catalogs and
 // parses inline specs and notation.
 func resolve(req *EvaluateRequest) (*designPoint, error) {
-	dp := &designPoint{
-		opts: core.Options{
-			SkipCapacityCheck: req.SkipCapacityCheck,
-			SkipPECheck:       req.SkipPECheck,
-			DisableRetention:  req.DisableRetention,
-		},
-		tune: req.Tune,
-		seed: req.Seed,
-	}
 	form, err := SelectInput(req)
 	if err != nil {
 		return nil, err
 	}
+	dp := &designPoint{opts: req.options(), tune: req.Tune, seed: req.Seed}
 	if form == inputConfig {
 		cfg, err := yamlfe.LoadStrict(req.ConfigYAML)
 		if err != nil {
@@ -318,59 +347,47 @@ func resolve(req *EvaluateRequest) (*designPoint, error) {
 		dp.dfName = "config"
 		return dp, nil
 	}
+	if dp.spec, err = pickSpec(req.Arch, req.ArchSpec); err != nil {
+		return nil, err
+	}
+	if dp.g, dp.df, err = req.graph(form, dp.spec); err != nil {
+		return nil, err
+	}
+	dp.dfName = req.Dataflow
 	switch {
-	case req.ArchSpec != "":
-		dp.spec, err = arch.ParseSpec(req.ArchSpec)
-	case req.Arch != "":
-		dp.spec, err = PickArch(req.Arch)
-	default:
-		err = fmt.Errorf("one of arch or arch_spec is required")
+	case form == inputNotation:
+		dp.dfName = "notation"
+		dp.root, err = notation.Parse(req.Notation, dp.g)
+	case req.Tune <= 0:
+		dp.root, err = req.build(dp.df)
+	case len(req.Factors) > 0:
+		err = fmt.Errorf("factors and tune are mutually exclusive")
 	}
 	if err != nil {
 		return nil, err
 	}
-	if req.Workload == "" && req.WorkloadSpec == "" {
-		return nil, fmt.Errorf("one of workload or workload_spec is required")
-	}
-	if req.WorkloadSpec != "" && req.Notation == "" {
-		return nil, fmt.Errorf("workload_spec requires a notation mapping (dataflow templates are catalog-shaped)")
-	}
-	switch form {
-	case inputNotation:
-		dp.dfName = "notation"
-		if req.WorkloadSpec != "" {
-			if req.Workload != "" {
-				return nil, fmt.Errorf("workload and workload_spec are mutually exclusive")
-			}
-			dp.g, err = workload.ParseGraph(req.WorkloadSpec)
-		} else {
-			dp.g, err = PickGraph(req.Workload)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if dp.root, err = notation.Parse(req.Notation, dp.g); err != nil {
-			return nil, err
-		}
-	case inputDataflow:
-		dp.dfName = req.Dataflow
-		if dp.df, err = PickDataflow(req.Dataflow, req.Workload, dp.spec); err != nil {
-			return nil, err
-		}
-		// Templates schedule their own graph view (a template may model a
-		// sub-graph of the named workload), exactly as the CLI does.
-		dp.g = dp.df.Graph()
-		if req.Tune <= 0 {
-			factors := dp.df.DefaultFactors()
-			if len(req.Factors) > 0 {
-				factors = req.Factors
-			}
-			if dp.root, err = dp.df.Build(factors); err != nil {
-				return nil, err
-			}
-		} else if len(req.Factors) > 0 {
-			return nil, fmt.Errorf("factors and tune are mutually exclusive")
-		}
-	}
 	return dp, nil
+}
+
+// options is the search's evaluation options.
+func (req *SearchRequest) options() core.Options {
+	return core.Options{
+		SkipCapacityCheck: req.SkipCapacityCheck,
+		SkipPECheck:       req.SkipPECheck,
+		DisableRetention:  req.DisableRetention,
+	}
+}
+
+// resolve resolves a search request's architecture and full workload
+// graph: a search explores mappings rather than naming one.
+func (req *SearchRequest) resolve() (*arch.Spec, *workload.Graph, error) {
+	spec, err := pickSpec(req.Arch, req.ArchSpec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if req.Workload == "" {
+		return nil, nil, fmt.Errorf("workload is required")
+	}
+	g, err := PickGraph(req.Workload)
+	return spec, g, err
 }

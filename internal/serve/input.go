@@ -44,7 +44,7 @@ const (
 
 // SelectInput decides which input form an EvaluateRequest uses and
 // enforces their mutual exclusion in one place, for resolve (evaluate),
-// vetOne (vet), and the CLI alike. config_yaml is self-contained — it
+// Vet, AnalyzeSpace, and the CLI alike. config_yaml is self-contained — it
 // carries the architecture, problem, and mapping — so it excludes every
 // other design-point field; notation keeps its historical rule of
 // excluding templates and tuning.

@@ -38,8 +38,12 @@ func schedJobSet() []SearchRequest {
 // exercises the picker/claim/quota paths for data races.
 func TestScheduledVsFIFOByteIdentical(t *testing.T) {
 	reqs := schedJobSet()
-	run := func(cfg Config) map[int]json.RawMessage {
-		_, hs := newTestServer(t, cfg)
+	run := func(cfg Config, fifo bool) map[int]json.RawMessage {
+		s, hs := newTestServer(t, cfg)
+		if fifo {
+			// Plain FIFO dequeue: no picker; admission quotas still apply.
+			s.store.SetPicker(nil)
+		}
 		ids := make([]string, len(reqs))
 		for i := range reqs {
 			ids[i] = submitJob(t, hs.URL, &reqs[i]).ID
@@ -52,8 +56,8 @@ func TestScheduledVsFIFOByteIdentical(t *testing.T) {
 		return out
 	}
 
-	sched := run(Config{JobWorkers: 2, TenantMaxRunning: 1, SchedSeed: 7})
-	fifo := run(Config{JobWorkers: 2, DisableScheduler: true})
+	sched := run(Config{JobWorkers: 2, TenantMaxRunning: 1, SchedSeed: 7}, false)
+	fifo := run(Config{JobWorkers: 2}, true)
 	for i := range reqs {
 		if !bytes.Equal(sched[i], fifo[i]) {
 			t.Errorf("job %d result differs between scheduled and FIFO dequeue:\nfifo  %s\nsched %s",
