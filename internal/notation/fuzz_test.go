@@ -17,6 +17,8 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"leaf x = op B { Sp(i:4), i:8, l:64 }\ntile r @L1 = { } (x)\n",
 		"leaf a = op A { i:32, l:64, k:32 }\nleaf b = op B { i:32, l:64 }\ntile f @L1 = { } (a, b)\ntile r @L2 = { } (f)\nbind Para(a, b)\n",
 		"# comment\nleaf t = op C { i:32, j:64, l:64 }\ntile r @L2 = { } (t)",
+		// A Layerwise print: generated tile names carry "@L" themselves.
+		"leaf A = op A { i:32, l:64, k:32 }\ntile A@L1 @L1 = {  } (A)\nleaf B = op B { i:32, l:64 }\ntile B@L1 @L1 = {  } (B)\nleaf C = op C { i:32, j:64, l:64 }\ntile C@L1 @L1 = {  } (C)\ntile Layerwise @L2 = {  } (A@L1, B@L1, C@L1)\n",
 		"tile r @L2 = { } ()",     // invalid: no children
 		"leaf t = op Zzz { i:2 }", // invalid: unknown op
 	}

@@ -162,7 +162,9 @@ func (p *parser) tileLine(ls lineScan, lo, hi int, stmt diag.Span) {
 		return
 	}
 	eq += lo
-	at := strings.Index(raw[lo:eq], "@L")
+	// The level marker is the last "@L" before '=': generated tile names
+	// may contain "@L" themselves (Layerwise's "QK@L1", GA's "op@L2").
+	at := strings.LastIndex(raw[lo:eq], "@L")
 	if at < 0 {
 		ha, hb := trimRange(raw, lo, eq)
 		p.r.Reportf(CodeTile, ls.span(ha, hb), raw[ha:hb], "tile %s: missing '@L<level>'", raw[ha:hb])

@@ -387,6 +387,42 @@ func TestSearchEndpointCaches(t *testing.T) {
 	}
 }
 
+// TestSearchNotationEvaluates: the notation a /v1/search answer carries
+// posts back to /v1/evaluate and evaluates to the search's own cycles, for
+// GA winners on both workload families and both accelerators.
+func TestSearchNotationEvaluates(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	for _, archName := range []string{"edge", "cloud"} {
+		for _, wl := range []string{"attention:Bert-S", "conv:CC1"} {
+			sreq := SearchRequest{
+				Arch: archName, Workload: wl,
+				Population: 4, Generations: 2, TileRounds: 4, Seed: 3,
+			}
+			resp, body := postJSON(t, hs.URL+"/v1/search", &sreq)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s: search status %d: %s", archName, wl, resp.StatusCode, body)
+			}
+			var found SearchResponse
+			if err := json.Unmarshal(body, &found); err != nil {
+				t.Fatal(err)
+			}
+			ereq := EvaluateRequest{Arch: archName, Workload: wl, Notation: found.Notation}
+			resp, body = postJSON(t, hs.URL+"/v1/evaluate", &ereq)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s %s: evaluating the search's notation: status %d: %s", archName, wl, resp.StatusCode, body)
+				continue
+			}
+			var got EvaluateResponse
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Result.Cycles != found.Cycles {
+				t.Errorf("%s %s: notation evaluates to %v cycles, search reported %v", archName, wl, got.Result.Cycles, found.Cycles)
+			}
+		}
+	}
+}
+
 // TestSearchSharedCacheIsolation: two different search requests through
 // one server share the service cache; the second must not be poisoned by
 // the first's GA fitness entries. Bert-S and Bert-B have equal op counts,
