@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -49,13 +49,13 @@ var (
 	ErrUnknownJob = errors.New("jobs: unknown job")
 )
 
-// Picker is the scheduler's dequeue hook: given ID-ordered snapshots of
-// every claimable queued job and every running job, it returns the ID of
-// the job the claim should hand out, or "" to decline the claim entirely
-// (every queued job's tenant is at its running quota, say). It runs under
-// the store lock, so it must be fast, must not call back into the store,
-// and must be deterministic — two stores replaying the same sequence of
-// claims must pick the same jobs.
+// Picker is the scheduler's dequeue hook: given snapshots, in creation
+// order, of every claimable queued job (no cancel requested) and every
+// running job, it returns the ID of the job the claim should hand out, or
+// "" to decline the claim entirely (every queued job's tenant is at its
+// running quota, say). It runs under the store lock, so it must be fast,
+// must not call back into the store, and must be deterministic — two
+// stores replaying the same sequence of claims must pick the same jobs.
 type Picker func(queued, running []*Job) string
 
 // ClaimNext atomically claims the next queued job for owner: the job
@@ -71,9 +71,9 @@ func (s *Store) ClaimNext(owner string, ttl time.Duration) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLeasesLocked()
-	queued := make([]*Job, 0, len(s.jobs))
-	running := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
+	queued := make([]*Job, 0, len(s.active))
+	running := make([]*Job, 0, len(s.active))
+	for _, j := range s.active {
 		switch {
 		case j.State == Queued && !j.CancelRequested:
 			queued = append(queued, j)
@@ -84,20 +84,18 @@ func (s *Store) ClaimNext(owner string, ttl time.Duration) (*Job, error) {
 	if len(queued) == 0 {
 		return nil, ErrNoQueuedJob
 	}
-	sort.Slice(queued, func(a, b int) bool { return queued[a].ID < queued[b].ID })
+	slices.SortFunc(queued, byCreation)
 	if s.picker == nil {
-		return s.claimLocked(queued[0], owner, ttl) // oldest first: IDs are zero-padded creation order
+		return s.claimLocked(queued[0], owner, ttl) // oldest first
 	}
-	sort.Slice(running, func(a, b int) bool { return running[a].ID < running[b].ID })
-	qs := make([]*Job, len(queued))
+	slices.SortFunc(running, byCreation)
 	for i, j := range queued {
-		qs[i] = j.Clone()
+		queued[i] = j.Clone()
 	}
-	rs := make([]*Job, len(running))
 	for i, j := range running {
-		rs[i] = j.Clone()
+		running[i] = j.Clone()
 	}
-	id := s.picker(qs, rs)
+	id := s.picker(queued, running)
 	if id == "" {
 		return nil, ErrNoQueuedJob
 	}
@@ -130,7 +128,7 @@ func (s *Store) claimLocked(j *Job, owner string, ttl time.Duration) (*Job, erro
 	if ttl > 0 {
 		lease.Expires = s.now().UTC().Add(ttl)
 	}
-	j.State = Running
+	s.setStateLocked(j, Running)
 	j.Lease = lease
 	j.Attempts++
 	j.StartedAt = s.now().UTC()
@@ -215,7 +213,7 @@ func (s *Store) Complete(id string, token uint64, state State, result json.RawMe
 	if err != nil {
 		return nil, err
 	}
-	j.State = state
+	s.setStateLocked(j, state)
 	j.Result = append(json.RawMessage(nil), result...)
 	j.Error = errMsg
 	j.FinishedAt = s.now().UTC()
@@ -250,7 +248,7 @@ func (s *Store) Release(id string, token uint64, decAttempt bool) (*Job, error) 
 // requeueLocked puts a running job back in the queue, keeping checkpoint
 // and attempt count.
 func (s *Store) requeueLocked(j *Job) {
-	j.State = Queued
+	s.setStateLocked(j, Queued)
 	j.StartedAt = time.Time{}
 	j.Lease = nil
 }
@@ -291,17 +289,16 @@ func (s *Store) SweepExpiredLeases() (requeued, cancelled, poisoned []*Job) {
 
 func (s *Store) sweepLeasesLocked() (requeued, cancelled, poisoned []*Job) {
 	now := s.now()
-	ids := make([]string, 0, len(s.jobs))
-	for id, j := range s.jobs {
+	var expired []*Job
+	for _, j := range s.active {
 		if j.State == Running && j.Lease.Expired(now) {
-			ids = append(ids, id)
+			expired = append(expired, j)
 		}
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		j := s.jobs[id]
+	slices.SortFunc(expired, byCreation)
+	for _, j := range expired {
 		if j.CancelRequested {
-			j.State = Cancelled
+			s.setStateLocked(j, Cancelled)
 			j.Error = ErrCancelled.Error()
 			j.FinishedAt = s.now().UTC()
 			j.Lease = nil
@@ -350,7 +347,7 @@ func (s *Store) exhaustedLocked(j *Job) bool {
 // with the verdict, checkpoint retained for post-mortems.
 func (s *Store) poisonLocked(j *Job) {
 	j.Trail = trailAppend(j.Trail, fmt.Sprintf("%s poisoned after %d attempts (max_attempts %d)", s.now().UTC().Format(time.RFC3339), j.Attempts, j.MaxAttempts))
-	j.State = Poisoned
+	s.setStateLocked(j, Poisoned)
 	j.Error = fmt.Sprintf("jobs: poisoned after %d failed attempts", j.Attempts)
 	j.FinishedAt = s.now().UTC()
 	j.Lease = nil
@@ -369,32 +366,28 @@ func (s *Store) SweepRetention(horizon time.Duration) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cutoff := s.now().Add(-horizon)
-	type victim struct {
-		id  string
-		fin time.Time
-	}
-	var victims []victim
-	for id, j := range s.jobs {
+	var victims []*Job
+	for _, j := range s.jobs {
 		if j.State.Terminal() && !j.FinishedAt.IsZero() && j.FinishedAt.Before(cutoff) {
-			victims = append(victims, victim{id, j.FinishedAt})
+			victims = append(victims, j)
 		}
 	}
-	sort.Slice(victims, func(a, b int) bool {
-		if !victims[a].fin.Equal(victims[b].fin) {
-			return victims[a].fin.Before(victims[b].fin)
+	slices.SortFunc(victims, func(a, b *Job) int {
+		if c := a.FinishedAt.Compare(b.FinishedAt); c != 0 {
+			return c
 		}
-		return victims[a].id < victims[b].id
+		return byCreation(a, b)
 	})
 	removed := make([]string, 0, len(victims))
-	for _, v := range victims {
+	for _, j := range victims {
 		// Delete before appending: the append may rotate the log into a
 		// snapshot, and the snapshot must not contain the job the tombstone
 		// is deleting.
-		delete(s.jobs, v.id)
-		if err := s.appendLocked(&Job{ID: v.id, Tombstone: true}); err != nil {
+		s.deleteLocked(j.ID)
+		if err := s.appendLocked(&Job{ID: j.ID, Tombstone: true}); err != nil {
 			break
 		}
-		removed = append(removed, v.id)
+		removed = append(removed, j.ID)
 	}
 	return removed
 }

@@ -71,8 +71,8 @@ type Manager struct {
 	mu sync.Mutex
 	// cond + wake form the scheduling signal: every event that could make
 	// a claim succeed where it previously failed (submit, requeue, job
-	// finish, remote complete) bumps wake and broadcasts; workers rescan
-	// the store whenever wake moves past what they last saw. This is what
+	// finish, remote complete) bumps wake and broadcasts; workers retry a
+	// claim whenever wake moves past what they last saw. This is what
 	// lets a quota-blocked worker sleep instead of busy-polling.
 	cond     *sync.Cond
 	wake     uint64
@@ -212,8 +212,8 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 
 // Requeue schedules an already-queued job on the local worker pool — the
 // coordinator calls it when a lease sweep hands a dead fleet worker's job
-// back. The id is advisory: workers rescan the whole store, and whichever
-// claim wins, wins.
+// back. The id is advisory: a woken worker claims through ClaimNext, which
+// considers every active job, and whichever claim wins, wins.
 func (m *Manager) Requeue(id string) {
 	_ = id
 	m.mu.Lock()
@@ -282,10 +282,16 @@ type Stats struct {
 }
 
 // Stats derives gauges from the store, so they survive restarts.
-func (m *Manager) Stats() Stats {
-	now := m.store.Now()
+func (m *Manager) Stats() Stats { return m.store.stats() }
+
+// stats counts the stored jobs under the store lock, cloning none of
+// them, so a metrics scrape allocates nothing per job held.
+func (s *Store) stats() Stats {
+	now := s.now()
 	st := Stats{QueueDepthByClass: map[string]int{}, QueueDepthByTenant: map[string]int{}}
-	for _, j := range m.store.List() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
 		switch j.State {
 		case Queued:
 			st.QueueDepth++

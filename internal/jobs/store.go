@@ -2,11 +2,13 @@ package jobs
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -40,7 +42,12 @@ type Store struct {
 	dir  string
 	now  func() time.Time
 	jobs map[string]*Job
-	seq  uint64
+	// active indexes the non-terminal (queued or running) jobs of jobs,
+	// by the same pointers, so claims, lease sweeps, admission and
+	// recovery cost O(active jobs) rather than O(every job ever held).
+	// putLocked, setStateLocked and deleteLocked keep the two in step.
+	active map[string]*Job
+	seq    uint64
 	// picker, when set, chooses which queued job ClaimNext hands out
 	// (the scheduler's dequeue hook). Nil keeps the FIFO default.
 	picker Picker
@@ -73,7 +80,7 @@ func Open(dir string, now func() time.Time) (*Store, error) {
 	if now == nil {
 		now = time.Now
 	}
-	s := &Store{dir: dir, now: now, jobs: map[string]*Job{}}
+	s := &Store{dir: dir, now: now, jobs: map[string]*Job{}, active: map[string]*Job{}}
 	if dir == "" {
 		return s, nil
 	}
@@ -107,7 +114,7 @@ func (s *Store) load() error {
 		s.seq = snap.Seq
 		s.leaseSeq = snap.LeaseSeq
 		for _, j := range snap.Jobs {
-			s.jobs[j.ID] = j
+			s.putLocked(j)
 		}
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("jobs: read snapshot: %w", err)
@@ -135,9 +142,9 @@ func (s *Store) load() error {
 			break
 		}
 		if j.Tombstone {
-			delete(s.jobs, j.ID)
+			s.deleteLocked(j.ID)
 		} else {
-			s.jobs[j.ID] = &j
+			s.putLocked(&j)
 		}
 		if n := idSeq(j.ID); n > s.seq {
 			s.seq = n
@@ -161,7 +168,7 @@ func (s *Store) load() error {
 // job has exhausted its failover budget, in which case it is quarantined.
 func (s *Store) recover() {
 	now := s.now()
-	for _, j := range s.jobs {
+	for _, j := range s.active {
 		if j.State != Running {
 			continue
 		}
@@ -179,6 +186,40 @@ func (s *Store) recover() {
 		}
 		s.requeueLocked(j)
 	}
+}
+
+// putLocked stores j under its ID and files it in the active index by
+// its state.
+func (s *Store) putLocked(j *Job) {
+	s.jobs[j.ID] = j
+	s.setStateLocked(j, j.State)
+}
+
+// setStateLocked moves a stored job to state st, keeping the active index
+// in step. Every state change goes through here.
+func (s *Store) setStateLocked(j *Job, st State) {
+	j.State = st
+	if st.Terminal() {
+		delete(s.active, j.ID)
+	} else {
+		s.active[j.ID] = j
+	}
+}
+
+// deleteLocked forgets a job entirely.
+func (s *Store) deleteLocked(id string) {
+	delete(s.jobs, id)
+	delete(s.active, id)
+}
+
+// byCreation orders jobs by creation sequence. IDs are "j%08d", so past
+// j99999999 the padding runs out and a longer ID is a later one; IDs of
+// one length compare as strings.
+func byCreation(a, b *Job) int {
+	if c := cmp.Compare(len(a.ID), len(b.ID)); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
 // idSeq parses the numeric part of a "jNNNNNNNN" id, 0 if malformed.
@@ -206,7 +247,7 @@ type CreateSpec struct {
 
 // CreateWith appends a new queued job after running the admission check
 // under the store lock: admit sees a snapshot of every non-terminal job
-// (ordered by ID) and a non-nil return refuses the submission with that
+// (in creation order) and a non-nil return refuses the submission with that
 // error, atomically with respect to concurrent creates and claims. This
 // is what makes per-tenant quotas race-free and — because tenant and
 // class are persisted on the record — restart-proof.
@@ -214,13 +255,11 @@ func (s *Store) CreateWith(spec CreateSpec, admit func(active []*Job) error) (*J
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if admit != nil {
-		active := make([]*Job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			if !j.State.Terminal() {
-				active = append(active, j.Clone())
-			}
+		active := make([]*Job, 0, len(s.active))
+		for _, j := range s.active {
+			active = append(active, j.Clone())
 		}
-		sort.Slice(active, func(a, b int) bool { return active[a].ID < active[b].ID })
+		slices.SortFunc(active, byCreation)
 		if err := admit(active); err != nil {
 			return nil, err
 		}
@@ -236,7 +275,7 @@ func (s *Store) CreateWith(spec CreateSpec, admit func(active []*Job) error) (*J
 		MaxAttempts: spec.MaxAttempts,
 		CreatedAt:   s.now().UTC(),
 	}
-	s.jobs[j.ID] = j
+	s.putLocked(j)
 	if err := s.appendLocked(j); err != nil {
 		return nil, err
 	}
@@ -270,7 +309,7 @@ func (s *Store) Get(id string) (*Job, bool) {
 	return j.Clone(), true
 }
 
-// List returns snapshots of all jobs ordered by ID (= creation order).
+// List returns snapshots of all jobs in creation order.
 func (s *Store) List() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,7 +317,7 @@ func (s *Store) List() []*Job {
 	for _, j := range s.jobs {
 		out = append(out, j.Clone())
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	slices.SortFunc(out, byCreation)
 	return out
 }
 
@@ -290,7 +329,7 @@ func (s *Store) Update(j *Job) error {
 		return fmt.Errorf("jobs: update unknown job %s", j.ID)
 	}
 	c := j.Clone()
-	s.jobs[j.ID] = c
+	s.putLocked(c)
 	return s.appendLocked(c)
 }
 
@@ -348,12 +387,12 @@ func (s *Store) rotateLocked() error {
 
 // writeSnapshot atomically replaces snapshot.json (tmp + rename).
 func (s *Store) writeSnapshot() error {
-	jobsByID := make([]*Job, 0, len(s.jobs))
+	all := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		jobsByID = append(jobsByID, j)
+		all = append(all, j)
 	}
-	sort.Slice(jobsByID, func(a, b int) bool { return jobsByID[a].ID < jobsByID[b].ID })
-	b, err := json.Marshal(snapshotFile{Seq: s.seq, LeaseSeq: s.leaseSeq, Jobs: jobsByID})
+	slices.SortFunc(all, byCreation)
+	b, err := json.Marshal(snapshotFile{Seq: s.seq, LeaseSeq: s.leaseSeq, Jobs: all})
 	if err != nil {
 		return fmt.Errorf("jobs: marshal snapshot: %w", err)
 	}

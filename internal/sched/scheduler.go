@@ -75,7 +75,7 @@ func (s *Scheduler) weight(c Class) int {
 // at its running quota (the claim then reports an empty queue and the
 // worker sleeps until something finishes).
 //
-// queued and running arrive ID-ordered from the store, so "first
+// queued and running arrive in creation order from the store, so "first
 // eligible job of the class" is "oldest" and the whole decision is a
 // pure function of (config, accumulated virtual time, queue state).
 func (s *Scheduler) Pick(queued, running []*jobs.Job) string {
