@@ -2,7 +2,8 @@ package mapper
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/arch"
@@ -126,6 +127,14 @@ type GeneratedDataflow struct {
 	plan *buildPlan
 }
 
+// The attention leaves' spatial dims, shared by every wrapper; callers of
+// LeafSpatial only read them.
+var (
+	attentionLVSpatial     = []string{"m", "n"}
+	attentionVectorSpatial = []string{"l"}
+	attentionMACSpatial    = []string{"m", "l"}
+)
+
 // NewGeneratedDataflow builds the wrapper with sensible spatial choices for
 // the known workload families.
 func NewGeneratedDataflow(label string, g *workload.Graph, spec *arch.Spec, enc *Encoding) *GeneratedDataflow {
@@ -135,11 +144,11 @@ func NewGeneratedDataflow(label string, g *workload.Graph, spec *arch.Spec, enc 
 		gd.LeafSpatial = func(op *workload.Operator) []string {
 			switch {
 			case op.Name == "LV":
-				return []string{"m", "n"}
+				return attentionLVSpatial
 			case op.Kind.Vector():
-				return []string{"l"}
+				return attentionVectorSpatial
 			default:
-				return []string{"m", "l"}
+				return attentionMACSpatial
 			}
 		}
 	} else { // convolution chain (any channel-dim naming)
@@ -147,17 +156,19 @@ func NewGeneratedDataflow(label string, g *workload.Graph, spec *arch.Spec, enc 
 		gd.LeafSpatial = func(op *workload.Operator) []string {
 			var dims []string
 			// Output channels: write dims other than the image plane.
-			for _, d := range op.Write.Dims() {
-				if d != "h" && d != "w" {
-					dims = append(dims, d)
+			for _, ix := range op.Write.Index {
+				for _, t := range ix.Terms {
+					if t.Dim != "h" && t.Dim != "w" && !slices.Contains(dims, t.Dim) {
+						dims = append(dims, t.Dim)
+					}
 				}
 			}
 			// Input channels: the largest reduction dim (filter taps are
 			// tiny; the channel reduction dominates).
 			best, bsz := "", 1
-			for _, rd := range op.ReductionDims() {
-				if sz := op.DimSize(rd); sz > bsz {
-					best, bsz = rd, sz
+			for _, d := range op.Dims {
+				if sz := op.DimSize(d.Name); op.IsReduction(d.Name) && sz > bsz {
+					best, bsz = d.Name, sz
 				}
 			}
 			if best != "" {
@@ -178,28 +189,29 @@ func (d *GeneratedDataflow) Graph() *workload.Graph { return d.G }
 func (d *GeneratedDataflow) StructureStable() bool { return true }
 
 // Factors implements Dataflow: one factor per on-chip level per dimension
-// ("L<level>_<dim>"), plus the spatial splits.
+// ("L<level>_<dim>"), plus the spatial splits. The keys are the plan's.
 func (d *GeneratedDataflow) Factors() []dataflows.FactorSpec {
-	var fs []dataflows.FactorSpec
-	maxMem := d.Spec.NumLevels() - 2
-	dims := d.G.AllDims()
+	p := d.plan
+	maxMem, nd := d.Spec.NumLevels()-2, len(p.dims)
+	fs := make([]dataflows.FactorSpec, 0, max(maxMem, 0)*nd+2)
 	for l := maxMem; l >= 1; l-- {
-		for _, dim := range dims {
+		lv := strconv.Itoa(l)
+		for g, dim := range p.dims {
 			if dim.Size <= 1 {
 				continue
 			}
 			fs = append(fs, dataflows.FactorSpec{
-				Key:   fmt.Sprintf("L%d_%s", l, dim.Name),
+				Key:   p.keys[(l-1)*nd+g],
 				Total: dim.Size,
-				Doc:   fmt.Sprintf("temporal tiles of %s at level %d nodes", dim.Name, l),
+				Doc:   "temporal tiles of " + dim.Name + " at level " + lv + " nodes",
 			})
 		}
 	}
-	if n := d.G.DimSize(d.SpatialDim); n > 1 {
+	if n := p.spatialSize; n > 1 {
 		fs = append(fs, dataflows.FactorSpec{Key: "sp_c", Total: n, Doc: "spatial split across cores"})
 	}
 	if d.Spec.NumLevels() >= 4 {
-		if n := d.G.DimSize(d.SubDim); n > 1 {
+		if n := p.subSize; n > 1 {
 			fs = append(fs, dataflows.FactorSpec{Key: "sp_s", Total: n, Doc: "spatial split across sub-cores"})
 		}
 	}
@@ -222,24 +234,33 @@ func (d *GeneratedDataflow) DefaultFactors() map[string]int {
 }
 
 // buildPlan is the factor-independent part of Build, computed once per
-// encoding by NewGeneratedDataflow: the repaired encoding's tree skeleton
-// (node names, levels, bindings, child order), the factor keys each
-// interior node reads, and for each leaf the ancestor factors on its dims,
-// its PE budget and its loop order. Build then only allocates the nodes and
-// loops and does the extent arithmetic.
+// encoding by NewGeneratedDataflow: the factor key table, the repaired
+// encoding's tree skeleton (node names, levels, bindings, child order),
+// the keys each interior node reads, and for each leaf the ancestor
+// factors on its dims, its PE budget and its loop order. Build then only
+// does the extent arithmetic and, for a feasible candidate, fills the
+// tree's slabs.
 type buildPlan struct {
+	// dims are the graph's dimensions (Graph.AllDims) and keys the factor
+	// keys on them: keys[(l-1)*len(dims)+g] is "L<l>_<dims[g].Name>" for
+	// every on-chip level l. Factors lists them too.
+	dims []workload.Dim
+	keys []string
 	// lenErr and err are structural failures: Build reports lenErr before
 	// the spatial-split checks and err after them.
 	lenErr, err error
 	// spatialSize and subSize are the graph extents of SpatialDim and
 	// SubDim, which sp_c and sp_s must divide.
 	spatialSize, subSize int
-	nodes                []planNode // nodes[0] is the root
-	children             []int      // child node indices, sliced by planNode
-	cands                []loopCand // temporal loop candidates, sliced by planNode
-	leaves               []planLeaf // one per op, in op order
-	maxLoops             int        // upper bound on the loops of one tree
-	maxSlots             int        // most distinct dims of any op
+	nodes                []planNode   // nodes[0] is the root
+	children             []int        // child node indices, sliced by planNode
+	used                 []int        // the keys some loop candidate reads, each once
+	cands                []loopCand   // temporal loop candidates, sliced by planNode
+	terms                []factorTerm // leaf path factors, sliced by planLeaf
+	leaves               []planLeaf   // one per op, in op order
+	subSplits            int          // nodes that carry the sub-core split
+	// nslots sums the leaves' slot counts; maxSlots is the largest.
+	nslots, maxSlots int
 }
 
 // planNode is one tree node. Interior nodes own cands[candLo:candHi];
@@ -256,11 +277,12 @@ type planNode struct {
 	subSplit bool
 }
 
-// loopCand is one "L<level>_<dim>" factor that an interior node turns into
-// a temporal loop when it divides the op's extent.
+// loopCand is one "L<level>_<dim>" factor (keys[key]) that an interior
+// node turns into a temporal loop when it divides the op's extent.
+// Dimensions of extent one never loop and get no candidate.
 type loopCand struct {
-	key, dim string
-	size     int
+	dim       string
+	size, key int
 }
 
 // planLeaf is one op's leaf.
@@ -268,14 +290,17 @@ type planLeaf struct {
 	node int
 	op   *workload.Operator
 	// slot[k] numbers op.Dims[k] by name; path factors, remaining extents
-	// and spatial splits are kept per slot.
-	slot   []int
-	nslots int
+	// and spatial splits are kept per slot, the leaf's slots at
+	// [slotLo, slotLo+nslots) of Build's per-slot scratch.
+	slot           []int
+	nslots, slotLo int
 	// terms are the ancestors' loops on the op's dims: temporal loop
 	// candidates, and the sp_c/sp_s splits (see Build's ext).
 	terms []factorTerm
-	// spatial holds LeafSpatial's dims as slots (-1: not an op dim).
-	spatial []int
+	// spatial holds the first nspatial (at most two) of LeafSpatial's dims
+	// as slots (-1: not an op dim).
+	spatial  [2]int
+	nspatial int
 	// order lists op.Dims indices with reductions innermost.
 	order  []int
 	budget int // PE lanes available to a MAC leaf
@@ -283,207 +308,262 @@ type planLeaf struct {
 
 type factorTerm struct{ cand, slot int }
 
-// newPlan assembles the tree skeleton from the encoding (repaired for the
-// spec): each op's chain of interior nodes, fused chains attached to their
-// hosts, top-level chains under the root, then one leaf under each chain.
+// dimIndex returns the index of the dimension named name in dims, or -1.
+func dimIndex(dims []workload.Dim, name string) int {
+	for g := range dims {
+		if dims[g].Name == name {
+			return g
+		}
+	}
+	return -1
+}
+
+// newPlan builds the factor key table, then assembles the tree skeleton
+// from the encoding (repaired for the spec): each op's chain of interior
+// nodes, fused chains attached to their hosts, top-level chains under the
+// root, then one leaf under each chain.
 func (d *GeneratedDataflow) newPlan() *buildPlan {
-	p := &buildPlan{spatialSize: d.G.DimSize(d.SpatialDim), subSize: d.G.DimSize(d.SubDim)}
+	g, spec := d.G, d.Spec
+	maxMem := spec.NumLevels() - 2
+	p := &buildPlan{dims: g.AllDims(), spatialSize: g.DimSize(d.SpatialDim), subSize: g.DimSize(d.SubDim)}
+	nd := len(p.dims)
+	p.keys = make([]string, 0, max(maxMem, 0)*nd)
+	for l := 1; l <= maxMem; l++ {
+		lv := strconv.Itoa(l)
+		for _, dim := range p.dims {
+			p.keys = append(p.keys, "L"+lv+"_"+dim.Name)
+		}
+	}
 	enc := d.Enc.Clone()
-	enc.Repair(d.Spec.NumLevels())
-	n := len(d.G.Ops)
+	enc.Repair(spec.NumLevels())
+	n := len(g.Ops)
 	if n != len(enc.Target) {
 		p.lenErr = fmt.Errorf("mapper: encoding for %d ops, graph has %d", len(enc.Target), n)
 		return p
 	}
-	maxMem := d.Spec.NumLevels() - 2
 
-	kids := [][]int{nil}
-	p.nodes = []planNode{{name: d.Label, level: d.Spec.DRAMLevel()}}
-	newNode := func(pn planNode) int {
-		p.nodes = append(p.nodes, pn)
-		kids = append(kids, nil)
-		return len(p.nodes) - 1
-	}
-
-	// Each op's chain spans levels [1, top] plus its leaf. Top-level ops
-	// span the full on-chip hierarchy; fused ops span below their fusion
-	// level.
-	tops := make([]int, n)
-	chainNodes := make([][]int, n) // chainNodes[i][l-1]: op i's level-l node
-	leafOf := make([]int, n)
-	at := func(i, l int) int {
-		if l < 1 || l > tops[i] {
-			return -1
-		}
-		return chainNodes[i][l-1]
-	}
-	newLeaf := func(i int) int {
-		leafOf[i] = newNode(planNode{name: d.G.Ops[i].Name, op: d.G.Ops[i]})
-		return leafOf[i]
-	}
+	// Node layout: the root, then one block per op in reverse op order:
+	// the op's chain from level tops[i] down to 1, then its leaf. Top-level
+	// chains span the full on-chip hierarchy, fused chains the levels below
+	// their fusion level. A host is a later op, so every parent precedes
+	// its children, and a chain node's own child (the next node down, or
+	// the leaf) is the node after it.
+	maxNodes := 1 + n*(max(maxMem, 0)+1)
+	ints := make([]int, 2*n+len(p.keys)+nd+3*maxNodes)
+	tops, ints := ints[:n], ints[n:]
+	base, ints := ints[:n], ints[n:]
+	keyUsed, ints := ints[:len(p.keys)], ints[len(p.keys):]
+	slotOfDim, ints := ints[:nd], ints[nd:]
+	parent, ints := ints[:maxNodes], ints[maxNodes:]
+	macs, pathTerms := ints[:maxNodes], ints[maxNodes:]
+	nn, nc, ndims := 1, 0, 0
 	for i := n - 1; i >= 0; i-- {
-		op := d.G.Ops[i]
 		tops[i] = maxMem
 		if enc.Target[i] >= 0 {
 			tops[i] = enc.Mem[i] - 1
 		}
-		leafOf[i] = -1
-		chainNodes[i] = make([]int, max(tops[i], 0))
-		for l := tops[i]; l >= 1; l-- {
-			lo := len(p.cands)
-			for _, dim := range op.DimNames() {
-				p.cands = append(p.cands, loopCand{key: fmt.Sprintf("L%d_%s", l, dim), dim: dim, size: op.DimSize(dim)})
-			}
-			chainNodes[i][l-1] = newNode(planNode{
-				name: fmt.Sprintf("%s@L%d", op.Name, l), level: l, candLo: lo, candHi: len(p.cands),
-			})
-		}
+		base[i] = nn
+		nn += max(tops[i], 0) + 1
+		nc += max(tops[i], 0) * len(g.Ops[i].Dims)
+		ndims += len(g.Ops[i].Dims)
 	}
-	for i, op := range d.G.Ops {
-		// The sub-core spatial split goes on the innermost interior node
-		// of top-level chains.
-		if b := at(i, 1); enc.Target[i] < 0 && b >= 0 && op.HasDim(d.SubDim) {
-			p.nodes[b].subSplit = true
+	at := func(i, l int) int {
+		if l < 1 || l > tops[i] {
+			return -1
 		}
-		for l := tops[i]; l > 1; l-- {
-			kids[at(i, l)] = []int{at(i, l-1)}
-		}
+		return base[i] + tops[i] - l
 	}
-	// Attach fused chains to their hosts (reverse order keeps producer
-	// tiles before their consumers under the same host node).
+	leafOf := func(i int) int { return base[i] + max(tops[i], 0) }
+
+	// Structural checks, in the order their errors are reported: every
+	// fused chain needs a host node, every top-level chain an interior one.
 	for i := n - 1; i >= 0; i-- {
-		if enc.Target[i] < 0 {
-			continue
-		}
-		host := at(enc.Target[i], enc.Mem[i])
-		if host < 0 {
+		if enc.Target[i] >= 0 && at(enc.Target[i], enc.Mem[i]) < 0 {
 			p.err = fmt.Errorf("mapper: op %d fused at level %d but host has no node there", i, enc.Mem[i])
 			return p
 		}
-		sub := at(i, tops[i])
-		if sub < 0 {
-			sub = newLeaf(i)
-		}
-		kids[host] = append([]int{sub}, kids[host]...)
-		if enc.Binding[i] != core.Seq {
-			p.nodes[host].binding = enc.Binding[i]
-		}
 	}
-	// Attach top-level chains under the root in topological order.
-	for i := 0; i < n; i++ {
-		if top := at(i, tops[i]); enc.Target[i] < 0 && top >= 0 {
-			kids[0] = append(kids[0], top)
-		}
-	}
-	// Every chain interior ends in a leaf.
-	for i, op := range d.G.Ops {
-		if leafOf[i] >= 0 {
-			continue
-		}
-		bottom := at(i, 1)
-		if bottom < 0 {
+	for i, op := range g.Ops {
+		if enc.Target[i] < 0 && tops[i] < 1 {
 			p.err = fmt.Errorf("mapper: op %s chain has no interior node", op.Name)
 			return p
 		}
-		kids[bottom] = append(kids[bottom], newLeaf(i))
 	}
 
-	parent := make([]int, len(p.nodes))
+	// Nodes and child lists, in layout order. Every node but the root has
+	// one parent, so the child lists fill nn-1 slots.
+	p.nodes = make([]planNode, 0, nn)
+	p.children = make([]int, 0, nn-1)
+	p.cands = make([]loopCand, 0, nc)
+	p.used = make([]int, 0, len(p.keys))
 	parent[0] = -1
-	for v, ks := range kids {
-		p.nodes[v].childLo = len(p.children)
-		p.children = append(p.children, ks...)
-		p.nodes[v].childHi = len(p.children)
-		for _, c := range ks {
-			parent[c] = v
+	attach := func(v, c int) {
+		p.children = append(p.children, c)
+		parent[c] = v
+	}
+	// The root holds the top-level chains in op order.
+	for i := range g.Ops {
+		if enc.Target[i] < 0 {
+			attach(0, base[i])
 		}
 	}
-	var macLeaves func(v int) int
-	macLeaves = func(v int) int {
-		if op := p.nodes[v].op; op != nil {
-			if op.Kind.Vector() {
-				return 0
+	p.nodes = append(p.nodes, planNode{name: d.Label, level: spec.DRAMLevel(), childHi: len(p.children)})
+	for i := n - 1; i >= 0; i-- {
+		op := g.Ops[i]
+		for l := tops[i]; l >= 1; l-- {
+			v := len(p.nodes)
+			pn := planNode{name: op.Name + "@L" + strconv.Itoa(l), level: l, candLo: len(p.cands), childLo: len(p.children)}
+			for _, dim := range op.Dims {
+				size := op.DimSize(dim.Name)
+				if size <= 1 {
+					continue
+				}
+				k := (l-1)*nd + dimIndex(p.dims, dim.Name)
+				if keyUsed[k] == 0 {
+					keyUsed[k] = 1
+					p.used = append(p.used, k)
+				}
+				p.cands = append(p.cands, loopCand{dim: dim.Name, size: size, key: k})
 			}
-			return 1
+			pn.candHi = len(p.cands)
+			// Chains fused at this node come first, in op order, and the
+			// first non-Seq binding among them binds it; then the node's
+			// own child, the next node down its chain or its leaf.
+			for j := 0; j < i; j++ {
+				if enc.Target[j] == i && enc.Mem[j] == l {
+					attach(v, base[j])
+					if pn.binding == core.Seq {
+						pn.binding = enc.Binding[j]
+					}
+				}
+			}
+			attach(v, v+1)
+			pn.childHi = len(p.children)
+			// The sub-core spatial split goes on the innermost interior
+			// node of top-level chains.
+			if l == 1 && enc.Target[i] < 0 && op.HasDim(d.SubDim) {
+				pn.subSplit = true
+				p.subSplits++
+			}
+			p.nodes = append(p.nodes, pn)
 		}
-		m := 0
-		for _, c := range kids[v] {
-			m += macLeaves(c)
+		p.nodes = append(p.nodes, planNode{name: op.Name, op: op})
+	}
+	// macs[v] counts the MAC leaves under v; pathTerms[v] bounds the path
+	// factors of a leaf at v.
+	for v := nn - 1; v > 0; v-- {
+		if op := p.nodes[v].op; op != nil && !op.Kind.Vector() {
+			macs[v]++
 		}
-		return m
+		macs[parent[v]] += macs[v]
+	}
+	nt := 0
+	for v := range p.nodes {
+		pn := &p.nodes[v]
+		pathTerms[v] = pn.candHi - pn.candLo + 2
+		if v > 0 {
+			pathTerms[v] += pathTerms[parent[v]]
+		}
+		if pn.op != nil {
+			nt += pathTerms[v]
+		}
 	}
 
 	// Build's ext holds the sp_c and sp_s extents after the candidates'.
 	spCTerm, spSTerm := len(p.cands), len(p.cands)+1
-	p.maxLoops = 1 + len(p.cands)
-	for _, pn := range p.nodes {
-		if pn.subSplit {
-			p.maxLoops++
-		}
+	spatialDim, subDim := dimIndex(p.dims, d.SpatialDim), dimIndex(p.dims, d.SubDim)
+	for gi := range slotOfDim {
+		slotOfDim[gi] = -1
 	}
-	for i, op := range d.G.Ops {
-		pl := planLeaf{node: leafOf[i], op: op, budget: d.Spec.MeshX * d.Spec.MeshY}
-		slots := map[string]int{}
-		for _, dim := range op.Dims {
-			s, ok := slots[dim.Name]
-			if !ok {
-				s = len(slots)
-				slots[dim.Name] = s
-			}
-			pl.slot = append(pl.slot, s)
+	slotOf := func(gi int) int {
+		if gi < 0 {
+			return -1
 		}
-		pl.nslots = len(slots)
+		return slotOfDim[gi]
+	}
+	p.leaves = make([]planLeaf, n)
+	p.terms = make([]factorTerm, 0, nt)
+	leafInts := make([]int, 2*ndims)
+	for i, op := range g.Ops {
+		pl := &p.leaves[i]
+		*pl = planLeaf{node: leafOf(i), op: op, slotLo: p.nslots, budget: spec.MeshX * spec.MeshY}
+		m := len(op.Dims)
+		pl.slot, pl.order, leafInts = leafInts[:m:m], leafInts[m:2*m:2*m], leafInts[2*m:]
+		for k, dim := range op.Dims {
+			gi := dimIndex(p.dims, dim.Name)
+			if slotOfDim[gi] < 0 {
+				slotOfDim[gi] = pl.nslots
+				pl.nslots++
+			}
+			pl.slot[k] = slotOfDim[gi]
+		}
+		lo := len(p.terms)
 		for a := parent[pl.node]; a >= 0; a = parent[a] {
 			pn := &p.nodes[a]
 			for c := pn.candLo; c < pn.candHi; c++ {
-				if s, ok := slots[p.cands[c].dim]; ok {
-					pl.terms = append(pl.terms, factorTerm{c, s})
+				if s := slotOfDim[p.cands[c].key%nd]; s >= 0 {
+					p.terms = append(p.terms, factorTerm{c, s})
 				}
 			}
-			if s, ok := slots[d.SpatialDim]; ok && a == 0 {
-				pl.terms = append(pl.terms, factorTerm{spCTerm, s})
+			if s := slotOf(spatialDim); s >= 0 && a == 0 {
+				p.terms = append(p.terms, factorTerm{spCTerm, s})
 			}
-			if s, ok := slots[d.SubDim]; ok && pn.subSplit {
-				pl.terms = append(pl.terms, factorTerm{spSTerm, s})
+			if s := slotOf(subDim); s >= 0 && pn.subSplit {
+				p.terms = append(p.terms, factorTerm{spSTerm, s})
 			}
 		}
+		pl.terms = p.terms[lo:len(p.terms):len(p.terms)]
 		// MAC leaves running concurrently under a Para/Pipe ancestor
 		// must share the PE array.
 		if !op.Kind.Vector() {
 			for a := parent[pl.node]; a >= 0; a = parent[a] {
-				if pn := p.nodes[a]; pn.binding.Spatial() && pn.childHi-pn.childLo > 1 {
-					if macs := macLeaves(a); macs > 1 {
-						pl.budget = max(1, pl.budget/macs)
+				if pn := &p.nodes[a]; pn.binding.Spatial() && pn.childHi-pn.childLo > 1 {
+					if macs[a] > 1 {
+						pl.budget = max(1, pl.budget/macs[a])
 					}
 					break
 				}
 			}
 		}
-		for _, dim := range d.LeafSpatial(op) {
-			s, ok := slots[dim]
-			if !ok {
-				s = -1
+		for _, name := range d.LeafSpatial(op) {
+			if pl.nspatial == len(pl.spatial) {
+				break
 			}
-			pl.spatial = append(pl.spatial, s)
+			pl.spatial[pl.nspatial] = slotOf(dimIndex(p.dims, name))
+			pl.nspatial++
 		}
-		pl.order = make([]int, len(op.Dims))
-		for k := range pl.order {
-			pl.order[k] = k
+		// A stable partition: non-reduction dims from the front, reductions
+		// from the back, whose order is then restored.
+		front, back := 0, m
+		for k, dim := range op.Dims {
+			if op.IsReduction(dim.Name) {
+				back--
+				pl.order[back] = k
+			} else {
+				pl.order[front] = k
+				front++
+			}
 		}
-		sort.SliceStable(pl.order, func(a, b int) bool {
-			ra, rb := op.IsReduction(op.Dims[pl.order[a]].Name), op.IsReduction(op.Dims[pl.order[b]].Name)
-			return !ra && rb
-		})
+		slices.Reverse(pl.order[back:])
+		for gi := range slotOfDim {
+			slotOfDim[gi] = -1
+		}
+		p.nslots += pl.nslots
 		p.maxSlots = max(p.maxSlots, pl.nslots)
-		p.maxLoops += 2 * len(op.Dims)
-		p.leaves = append(p.leaves, pl)
 	}
 	return p
 }
 
+// buildScratch is the length of Build's stack scratch; a plan whose
+// extents need more ints allocates them.
+const buildScratch = 256
+
 // Build implements Dataflow: it converts the encoding into an analysis tree
 // (Fig 7b) with the factor table as loops (Fig 7c), following the plan
-// NewGeneratedDataflow computed.
+// NewGeneratedDataflow computed. It computes every extent and checks every
+// leaf before it allocates, so a rejected candidate costs only its error;
+// a feasible one gets its node, child-pointer and loop slabs at their
+// exact sizes.
 func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 	p := d.plan
 	if p.lenErr != nil {
@@ -506,20 +586,67 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 		return nil, p.err
 	}
 
+	// Scratch: val[k] is the factor for key k; ext[c] the extent loop
+	// candidate c got (1 when it was dropped), followed by the sp_c and
+	// sp_s extents; covered is one leaf's path factors per slot; rem and
+	// spat hold every leaf's remaining extents and spatial splits.
+	nk, nc := len(p.keys), len(p.cands)
+	var buf [buildScratch]int
+	ints := buf[:]
+	if need := nk + nc + 2 + p.maxSlots + 2*p.nslots; need > len(ints) {
+		ints = make([]int, need)
+	}
+	val, ints := ints[:nk], ints[nk:]
+	ext, ints := ints[:nc+2], ints[nc+2:]
+	covered, ints := ints[:p.maxSlots], ints[p.maxSlots:]
+	rem, spat := ints[:p.nslots], ints[p.nslots:2*p.nslots]
+	for _, k := range p.used {
+		val[k] = f[p.keys[k]]
+	}
+	nloops := 0
+	ext[nc], ext[nc+1] = spC, spS
+	if spC > 1 {
+		nloops++
+	}
+	if spS > 1 {
+		nloops += p.subSplits
+	}
+	for c := range p.cands {
+		cand := &p.cands[c]
+		ext[c] = 1
+		if v := val[cand.key]; v > 1 && cand.size%v == 0 {
+			ext[c] = v
+			nloops++
+		}
+	}
+	// Leaf extents: what the ancestors' loops leave of each dimension.
+	for li := range p.leaves {
+		pl := &p.leaves[li]
+		cov := covered[:pl.nslots]
+		for s := range cov {
+			cov[s] = 1
+		}
+		for _, t := range pl.terms {
+			cov[t.slot] *= ext[t.cand]
+		}
+		r := rem[pl.slotLo : pl.slotLo+pl.nslots]
+		for k, dim := range pl.op.Dims {
+			s := pl.slot[k]
+			if dim.Size%cov[s] != 0 {
+				return nil, fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
+					pl.op.Name, dim.Name, cov[s], dim.Size)
+			}
+			r[s] = dim.Size / cov[s]
+		}
+		nloops += pl.split(d.Spec, r, spat[pl.slotLo:pl.slotLo+pl.nslots])
+	}
+
 	nodes := make([]core.Node, len(p.nodes))
 	kids := make([]*core.Node, len(p.children))
 	for i, c := range p.children {
 		kids[i] = &nodes[c]
 	}
-	loops := make([]core.Loop, 0, p.maxLoops)
-	// ext[c] is the extent loop candidate c got (1 when it was dropped),
-	// followed by the sp_c and sp_s extents; covered, rem and spat are
-	// per-slot scratch for one leaf at a time.
-	nc := len(p.cands)
-	ints := make([]int, nc+2+3*p.maxSlots)
-	ext, ints := ints[:nc+2], ints[nc+2:]
-	ext[nc], ext[nc+1] = spC, spS
-	covered, rem, spat := ints[:p.maxSlots], ints[p.maxSlots:2*p.maxSlots], ints[2*p.maxSlots:]
+	loops := make([]core.Loop, 0, nloops)
 	for i := range p.nodes {
 		pn, n := &p.nodes[i], &nodes[i]
 		n.Name, n.Level, n.Binding, n.Op = pn.name, pn.level, pn.binding, pn.op
@@ -537,35 +664,16 @@ func (d *GeneratedDataflow) Build(f map[string]int) (*core.Node, error) {
 			loops = append(loops, core.S(d.SubDim, spS))
 		}
 		for c := pn.candLo; c < pn.candHi; c++ {
-			cand := &p.cands[c]
-			ext[c] = 1
-			if v := f[cand.key]; v > 1 && cand.size%v == 0 {
-				ext[c] = v
-				loops = append(loops, core.T(cand.dim, v))
+			if e := ext[c]; e > 1 {
+				loops = append(loops, core.T(p.cands[c].dim, e))
 			}
 		}
 		n.Loops = ownLoops(loops, start)
 	}
-
-	// Leaf extents: what the ancestors' loops leave of each dimension.
 	for li := range p.leaves {
 		pl := &p.leaves[li]
-		for s := 0; s < pl.nslots; s++ {
-			covered[s], spat[s] = 1, 0
-		}
-		for _, t := range pl.terms {
-			covered[t.slot] *= ext[t.cand]
-		}
-		for k, dim := range pl.op.Dims {
-			s := pl.slot[k]
-			if dim.Size%covered[s] != 0 {
-				return nil, fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d",
-					pl.op.Name, dim.Name, covered[s], dim.Size)
-			}
-			rem[s] = dim.Size / covered[s]
-		}
 		start := len(loops)
-		loops = pl.appendLoops(loops, d.Spec, rem, spat)
+		loops = pl.appendLoops(loops, rem[pl.slotLo:pl.slotLo+pl.nslots], spat[pl.slotLo:pl.slotLo+pl.nslots])
 		nodes[pl.node].Loops = ownLoops(loops, start)
 	}
 	return &nodes[0], nil
@@ -580,42 +688,56 @@ func ownLoops(loops []core.Loop, start int) []core.Loop {
 	return loops[start:len(loops):len(loops)]
 }
 
-// appendLoops mirrors the dataflows package's leaf construction: temporal
-// loops (reductions innermost) then spatial loops sized to the available
-// lanes. rem holds the remaining extent per slot; spat (zeroed) receives
-// the spatial split per slot.
-func (pl *planLeaf) appendLoops(loops []core.Loop, spec *arch.Spec, rem, spat []int) []core.Loop {
-	remOf := func(s int) int {
-		if s < 0 {
-			return 0
-		}
-		return rem[s]
-	}
-	split := func(s, v int) int {
-		if s >= 0 {
-			spat[s] = v
-		}
-		return v
-	}
+// split mirrors the dataflows package's leaf spatial mapping: it sizes the
+// leaf's spatial splits to the available lanes, writing them per slot into
+// spat (zeroed), and returns how many loops appendLoops will emit. rem
+// holds the remaining extent per slot.
+func (pl *planLeaf) split(spec *arch.Spec, rem, spat []int) int {
 	if pl.op.Kind.Vector() {
-		if len(pl.spatial) > 0 {
-			s := pl.spatial[0]
-			split(s, dataflows.DivisorAtMost(remOf(s), spec.VectorLanesPerSubcore))
+		if pl.nspatial > 0 {
+			splitSlot(rem, spat, pl.spatial[0], spec.VectorLanesPerSubcore)
 		}
 	} else {
 		used := 1
-		if len(pl.spatial) > 0 {
-			s := pl.spatial[0]
-			used = split(s, dataflows.DivisorAtMost(remOf(s), min(spec.MeshX, pl.budget)))
+		if pl.nspatial > 0 {
+			used = splitSlot(rem, spat, pl.spatial[0], min(spec.MeshX, pl.budget))
 		}
-		if len(pl.spatial) > 1 {
-			s := pl.spatial[1]
-			split(s, dataflows.DivisorAtMost(remOf(s), min(spec.MeshY, max(1, pl.budget/used))))
+		if pl.nspatial > 1 {
+			splitSlot(rem, spat, pl.spatial[1], min(spec.MeshY, max(1, pl.budget/used)))
 		}
 	}
+	n := 0
+	for _, s := range pl.slot {
+		if leafTile(rem, spat, s) > 1 {
+			n++
+		}
+		if spat[s] > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// splitSlot splits slot s across the largest divisor of its remaining
+// extent that fits in lanes, and returns the split (1 when s < 0: the op
+// lacks the dimension).
+func splitSlot(rem, spat []int, s, lanes int) int {
+	if s < 0 {
+		return 1
+	}
+	spat[s] = dataflows.DivisorAtMost(rem[s], lanes)
+	return spat[s]
+}
+
+// leafTile is a leaf's temporal extent on slot s: what its spatial split
+// leaves of the remaining extent.
+func leafTile(rem, spat []int, s int) int { return max(rem[s], 1) / max(spat[s], 1) }
+
+// appendLoops emits a leaf's loops: temporal loops (reductions innermost)
+// then spatial loops, from the extents and splits split computed.
+func (pl *planLeaf) appendLoops(loops []core.Loop, rem, spat []int) []core.Loop {
 	for _, k := range pl.order {
-		s := pl.slot[k]
-		if t := max(rem[s], 1) / max(spat[s], 1); t > 1 {
+		if t := leafTile(rem, spat, pl.slot[k]); t > 1 {
 			loops = append(loops, core.T(pl.op.Dims[k].Name, t))
 		}
 	}

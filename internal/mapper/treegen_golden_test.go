@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dataflows"
 	"repro/internal/notation"
 	"repro/internal/workload"
 )
@@ -199,4 +200,58 @@ func TestGeneratedBuildGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("Build output has %d lines, %s has %d", len(gl), buildGoldenPath, len(wl))
+}
+
+// referenceFactors is the formula Factors must keep: one "L<level>_<dim>"
+// key per on-chip level (outermost first) per graph dimension longer than
+// one, then the core and sub-core spatial splits.
+func referenceFactors(d *GeneratedDataflow) []dataflows.FactorSpec {
+	var fs []dataflows.FactorSpec
+	maxMem := d.Spec.NumLevels() - 2
+	for l := maxMem; l >= 1; l-- {
+		for _, dim := range d.G.AllDims() {
+			if dim.Size <= 1 {
+				continue
+			}
+			fs = append(fs, dataflows.FactorSpec{
+				Key:   fmt.Sprintf("L%d_%s", l, dim.Name),
+				Total: dim.Size,
+				Doc:   fmt.Sprintf("temporal tiles of %s at level %d nodes", dim.Name, l),
+			})
+		}
+	}
+	if n := d.G.DimSize(d.SpatialDim); n > 1 {
+		fs = append(fs, dataflows.FactorSpec{Key: "sp_c", Total: n, Doc: "spatial split across cores"})
+	}
+	if d.Spec.NumLevels() >= 4 {
+		if n := d.G.DimSize(d.SubDim); n > 1 {
+			fs = append(fs, dataflows.FactorSpec{Key: "sp_s", Total: n, Doc: "spatial split across sub-cores"})
+		}
+	}
+	return fs
+}
+
+// TestGeneratedFactorsMatchReference: Factors lists the same keys, totals
+// and docs, in the same order, as referenceFactors for every golden graph,
+// spec and encoding, and for an encoding whose length does not match the
+// graph (Build rejects it, but the search still asks for its factors).
+func TestGeneratedFactorsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, g := range goldenGraphs() {
+		for _, spec := range []*arch.Spec{arch.Edge(), arch.Cloud()} {
+			encs := append(goldenEncodings(g, spec, rng), LayerwiseEncoding(len(g.Ops)+1))
+			for _, enc := range encs {
+				gd := NewGeneratedDataflow("golden", g, spec, enc)
+				got, want := gd.Factors(), referenceFactors(gd)
+				if len(got) != len(want) {
+					t.Fatalf("%s %s %s: %d factors, want %d", g.Name, spec.Name, enc, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s %s %s: factor %d is %+v, want %+v", g.Name, spec.Name, enc, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -179,10 +180,10 @@ func BenchmarkGeneratedBuild(b *testing.B) {
 	}
 }
 
-// TestGeneratedBuildAllocs is Build's timing-free cost gate: a candidate
-// tree is allocated in four slabs (nodes, child pointers, loops, integer
-// scratch) whatever its size, so every factor-independent step stays in
-// the plan NewGeneratedDataflow computed.
+// TestGeneratedBuildAllocs is Build's timing-free cost gate: a feasible
+// candidate tree costs three exact-size slabs (nodes, child pointers,
+// loops) whatever its size, so every factor-independent step stays in the
+// plan NewGeneratedDataflow computed.
 func TestGeneratedBuildAllocs(t *testing.T) {
 	gd, f := buildFixture()
 	allocs := testing.AllocsPerRun(100, func() {
@@ -190,7 +191,89 @@ func TestGeneratedBuildAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("Build allocates %v objects per candidate, want <= 4", allocs)
+	if allocs > 3 {
+		t.Errorf("Build allocates %v objects per candidate, want <= 3", allocs)
+	}
+}
+
+// rejectFixture is buildFixture with an L1_m factor that divides m on its
+// own, but not once the L2_m factor and the sub-core split above it are
+// applied: the candidate fails leaf divisibility at op QK.
+func rejectFixture() (*GeneratedDataflow, map[string]int) {
+	gd, f := buildFixture()
+	f["L1_m"] = gd.G.DimSize("m")
+	return gd, f
+}
+
+// errSink keeps TestGeneratedRejectAllocs's reference error live.
+var errSink error
+
+// TestGeneratedRejectAllocs: a candidate that fails leaf divisibility
+// allocates no tree; it costs no more than formatting its error.
+func TestGeneratedRejectAllocs(t *testing.T) {
+	gd, f := rejectFixture()
+	op := gd.G.Op("QK")
+	var dim workload.Dim
+	for _, d := range op.Dims {
+		if d.Name == "m" {
+			dim = d
+		}
+	}
+	covered := f["L2_m"] * f["L1_m"] * f["sp_s"]
+	reference := func() error {
+		return fmt.Errorf("mapper: op %s dim %s: path factors %d do not divide %d", op.Name, dim.Name, covered, dim.Size)
+	}
+	_, err := gd.Build(f)
+	if err == nil || err.Error() != reference().Error() {
+		t.Fatalf("Build error %v, want %v", err, reference())
+	}
+	want := testing.AllocsPerRun(100, func() { errSink = reference() })
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := gd.Build(f); err == nil {
+			t.Fatal("candidate built")
+		}
+	})
+	if allocs > want {
+		t.Errorf("a rejected candidate allocates %v objects, its error alone %v", allocs, want)
+	}
+}
+
+// TestNewGeneratedDataflowAllocs gates the per-individual set-up: the plan
+// interns each factor key once and fills presized slabs, so it costs at
+// most half the 247 allocations of one fmt.Sprintf key per loop candidate.
+func TestNewGeneratedDataflowAllocs(t *testing.T) {
+	gd, _ := buildFixture()
+	allocs := testing.AllocsPerRun(100, func() {
+		NewGeneratedDataflow("candidate", gd.G, gd.Spec, gd.Enc)
+	})
+	if allocs > 123 {
+		t.Errorf("NewGeneratedDataflow allocates %v objects, want <= 123", allocs)
+	}
+}
+
+// BenchmarkGeneratedBuildReject measures one candidate that fails leaf
+// divisibility.
+func BenchmarkGeneratedBuildReject(b *testing.B) {
+	gd, f := rejectFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := gd.Build(f); err == nil {
+			b.Fatal("candidate built")
+		}
+	}
+}
+
+// gdSink keeps BenchmarkNewGeneratedDataflow's result live.
+var gdSink *GeneratedDataflow
+
+// BenchmarkNewGeneratedDataflow measures one GA individual's set-up: the
+// wrapper and its build plan.
+func BenchmarkNewGeneratedDataflow(b *testing.B) {
+	gd, _ := buildFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gdSink = NewGeneratedDataflow("candidate", gd.G, gd.Spec, gd.Enc)
 	}
 }
