@@ -174,12 +174,7 @@ func (c *Coordinator) goneAfter() time.Duration { return 3 * c.ttl() }
 // holds, and whether it is busy, idle, or gone. Sorted by node name.
 func (c *Coordinator) Nodes() []NodeInfo {
 	now := c.Store.Now().UTC()
-	held := map[string]int{}
-	for _, j := range c.Store.List() {
-		if j.State == jobs.Running && j.Lease != nil && j.Lease.Owner != "" {
-			held[j.Lease.Owner]++
-		}
-	}
+	held := c.Store.LeasesHeld()
 	c.nodeMu.Lock()
 	out := make([]NodeInfo, 0, len(c.nodes))
 	for name, st := range c.nodes {

@@ -421,3 +421,45 @@ func TestNoDoubleExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestNodesAllocsIndependentOfHistory: the fleet inventory counts leases
+// over the store's active jobs, so a /v1/fleet/nodes call or a metrics
+// scrape costs the same whether the store holds no finished jobs or
+// thousands.
+func TestNodesAllocsIndependentOfHistory(t *testing.T) {
+	var allocs [2]float64
+	for i, finished := range []int{0, 5000} {
+		h := newHarness(t, time.Minute)
+		for k := 0; k < finished; k++ {
+			j, err := h.store.Create("search", json.RawMessage(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := h.store.ClaimNext("w0", 0)
+			if err != nil || c.ID != j.ID {
+				t.Fatalf("claim got %v (%v), want %s", c, err, j.ID)
+			}
+			if _, err := h.store.Complete(c.ID, c.Lease.Token, jobs.Done, json.RawMessage(`{}`), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k := 0; k < 2; k++ {
+			if _, err := h.store.Create("search", json.RawMessage(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.store.ClaimNext("w1", time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.coord.touchNode("w1", true)
+		h.coord.touchNode("w2", false)
+		nodes := h.coord.Nodes()
+		if len(nodes) != 2 || nodes[0].LeasesHeld != 2 || nodes[0].State != "busy" || nodes[1].State != "idle" {
+			t.Fatalf("inventory %+v, want w1 busy with 2 leases and w2 idle", nodes)
+		}
+		allocs[i] = testing.AllocsPerRun(50, func() { h.coord.Nodes() })
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("Nodes: %v allocs with no history, %v with 5000 finished jobs", allocs[0], allocs[1])
+	}
+}

@@ -106,6 +106,21 @@ func (s *Store) ClaimNext(owner string, ttl time.Duration) (*Job, error) {
 	return s.claimLocked(j, owner, ttl)
 }
 
+// LeasesHeld counts the running jobs each lease owner holds. It walks the
+// active-job index under the store lock and clones no job, so its cost
+// does not grow with the store's history.
+func (s *Store) LeasesHeld() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	held := map[string]int{}
+	for _, j := range s.active {
+		if j.State == Running && j.Lease != nil && j.Lease.Owner != "" {
+			held[j.Lease.Owner]++
+		}
+	}
+	return held
+}
+
 // ClaimID claims one specific queued job (the in-process manager's path:
 // its queue already names the job). Returns ErrNotQueued when the job is
 // no longer claimable and ErrUnknownJob when it does not exist.
