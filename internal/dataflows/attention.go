@@ -51,9 +51,21 @@ type attnPrep struct {
 	stageSizes     []int // dim size of stageDims[i]
 	fusedOps       []*workload.Operator
 	// leafRed[i] is fusedOps[i]'s is-reduction mask parallel to its Dims,
-	// fed to leafLoops so per-candidate builds skip the recomputation.
+	// fed to leafLoops so per-candidate builds skip the recomputation;
+	// lvRed is L×V's, for its leaf outside the fusion.
 	leafRed [][]bool
+	lvOp    *workload.Operator
+	lvRed   []bool
 	budget  int
+}
+
+// reductionMask is op's is-reduction flag per dim, parallel to op.Dims.
+func reductionMask(op *workload.Operator) []bool {
+	red := make([]bool, len(op.Dims))
+	for i, dim := range op.Dims {
+		red[i] = op.IsReduction(dim.Name)
+	}
+	return red
 }
 
 // prepare computes (once) and returns the Build-path cache.
@@ -86,13 +98,11 @@ func (d *fusedAttention) prepare() *attnPrep {
 		}
 		for _, name := range fused {
 			op := d.g.Op(name)
-			red := make([]bool, len(op.Dims))
-			for i, dim := range op.Dims {
-				red[i] = op.IsReduction(dim.Name)
-			}
 			p.fusedOps = append(p.fusedOps, op)
-			p.leafRed = append(p.leafRed, red)
+			p.leafRed = append(p.leafRed, reductionMask(op))
 		}
+		p.lvOp = d.g.Op("LV")
+		p.lvRed = reductionMask(p.lvOp)
 		p.budget = macLeafBudget(d.spec, d.binding, p.fusedOps)
 		d.prep = p
 	})
@@ -158,12 +168,6 @@ func TileFlowAttention(s workload.AttentionShape, spec *arch.Spec) Dataflow {
 func CustomAttention(name string, s workload.AttentionShape, spec *arch.Spec, outer []string, binding core.Binding, fuseLV bool) Dataflow {
 	return &fusedAttention{name: name, shape: s, spec: spec, g: workload.Attention(s),
 		outer: outer, binding: binding, fuseLV: fuseLV}
-}
-
-// placed is a (dimension, extent) pair destined for a node's loop list.
-type placed struct {
-	dim string
-	ext int
 }
 
 func (d *fusedAttention) Name() string           { return d.name }
@@ -299,53 +303,115 @@ func (d *fusedAttention) DefaultFactors() map[string]int {
 // Edge they all sit at the L1 stage; on Cloud they sit at the L2 mid node
 // with u_m refining the L1 staging.
 func (d *fusedAttention) Build(f map[string]int) (*core.Node, error) {
+	root := d.newTree()
+	if err := d.fill(root, f); err != nil {
+		return nil, err
+	}
+	return root, nil
+}
+
+// Refill implements Refiller.
+func (d *fusedAttention) Refill(dst *core.Node, f map[string]int) error { return d.fill(dst, f) }
+
+// newTree allocates the template's tree, every loop nest empty at its
+// longest: the root holds the core split; the Cloud mid node one loop per
+// outer dim; the stage node the sub-core split, the granularity loops
+// (Edge), u_m and one loop per stage dim. The unfused L×V subtree mirrors
+// the mid and stage nodes.
+func (d *fusedAttention) newTree() *core.Node {
 	pp := d.prepare()
-	r := &factorReader{f: f}
-	spec := d.spec
+	gran := len(d.outer)
+	stageCap := 2 + gran + len(d.stageDims)
+	nodes, loops := 2+len(pp.fusedOps), 1+stageCap
+	for _, op := range pp.fusedOps {
+		loops += leafLoopCap(op)
+	}
+	if pp.cloud {
+		nodes, loops = nodes+1, loops+gran
+	}
+	rootKids := 1
+	if !d.fuseLV {
+		rootKids = 2
+		nodes, loops = nodes+2, loops+stageCap+leafLoopCap(pp.lvOp)
+		if pp.cloud {
+			nodes, loops = nodes+1, loops+gran
+		}
+	}
+	s := newTreeSlab(nodes, loops)
+	root := s.node(d.name, d.spec.DRAMLevel(), core.Seq, nil, 1, rootKids)
+	top := root
+	if pp.cloud {
+		top = s.node("mid", 2, core.Seq, nil, gran, 1)
+		root.Children = append(root.Children, top)
+	}
+	stage := s.node("stage", 1, d.binding, nil, stageCap, len(pp.fusedOps))
+	top.Children = append(top.Children, stage)
+	for _, op := range pp.fusedOps {
+		stage.Children = append(stage.Children, s.node(op.Name, 0, core.Seq, op, leafLoopCap(op), 0))
+	}
+	if !d.fuseLV {
+		top = root
+		if pp.cloud {
+			top = s.node("lv-mid", 2, core.Seq, nil, gran, 1)
+			root.Children = append(root.Children, top)
+		}
+		lv := s.node("lv-stage", 1, core.Seq, nil, stageCap, 1)
+		top.Children = append(top.Children, lv)
+		lv.Children = append(lv.Children, s.node(pp.lvOp.Name, 0, core.Seq, pp.lvOp, leafLoopCap(pp.lvOp), 0))
+	}
+	return root
+}
 
-	// Per-dim products of all outer factors.
-	var opDims [8]string
-	var opProd [8]int
-	outerProd := &outerProds{dims: opDims[:0], prod: opProd[:0]}
-	mul := outerProd.mul
-	var rootSp, granT, stageSp, stageT []placed
+// fill computes every node's loops for f into a tree newTree allocated,
+// rewriting each loop nest from empty.
+func (d *fusedAttention) fill(root *core.Node, f map[string]int) error {
+	pp := d.prepare()
+	r := factorReader{f: f}
+	var outer outerProds
 
-	cd, sd := pp.cd, pp.sd
-	if cd != "" {
+	// gran takes the granularity loops: the Cloud mid node, or on Edge,
+	// where there is no L2 node, the stage node itself.
+	stage := root.Children[0]
+	gran := stage
+	if pp.cloud {
+		stage = gran.Children[0]
+	}
+	root.Loops, gran.Loops, stage.Loops = root.Loops[:0], gran.Loops[:0], stage.Loops[:0]
+	if cd := pp.cd; cd != "" {
 		v := r.get("sp_c", pp.cdSize)
 		if v > 1 {
-			rootSp = append(rootSp, placed{cd, v})
+			root.Loops = append(root.Loops, core.S(cd, v))
 		}
-		mul(cd, v)
+		outer.mul(cd, v)
 	}
-	if pp.cloud && sd != "" {
+	if sd := pp.sd; pp.cloud && sd != "" {
 		v := r.get("sp_s", pp.sdSize)
 		if v > 1 {
-			stageSp = append(stageSp, placed{sd, v})
+			stage.Loops = append(stage.Loops, core.S(sd, v))
 		}
-		mul(sd, v)
+		outer.mul(sd, v)
 	}
 	for i, dim := range d.outer {
 		v := r.get(pp.tKeys[i], pp.outerSizes[i])
 		if v > 1 {
-			granT = append(granT, placed{dim, v})
+			gran.Loops = append(gran.Loops, core.T(dim, v))
 		}
-		mul(dim, v)
+		outer.mul(dim, v)
 	}
 	if pp.cloud && pp.hasM {
 		v := r.get("u_m", pp.mSize)
 		if v > 1 {
-			stageT = append(stageT, placed{"m", v})
+			stage.Loops = append(stage.Loops, core.T("m", v))
 		}
-		mul("m", v)
+		outer.mul("m", v)
 	}
-	if err := r.err(); err != nil {
-		return nil, err
+	if r.err != nil {
+		return r.err
 	}
 	// Divisibility of the combined products.
-	for di, dim := range outerProd.dims {
-		if p := outerProd.prod[di]; pp.size[dim]%p != 0 {
-			return nil, fmt.Errorf("dataflow %s: outer factors %d do not divide %s=%d", d.name, p, dim, pp.size[dim])
+	for i := 0; i < outer.n; i++ {
+		if dim, p := outer.dims[i], outer.prod[i]; pp.size[dim]%p != 0 {
+			return fmt.Errorf("dataflow %s: outer factors %d do not divide %s=%d", d.name, p, dim, pp.size[dim])
 		}
 	}
 
@@ -353,143 +419,71 @@ func (d *fusedAttention) Build(f map[string]int) (*core.Node, error) {
 	// at the innermost staging node, chunk by chunk, in full.
 	for i, dim := range d.stageDims {
 		sz := pp.stageSizes[i]
-		o := outerProd.of(dim)
+		o := outer.of(dim)
 		if o == 0 {
 			o = 1
 		}
 		if sz%o != 0 {
-			return nil, fmt.Errorf("dataflow %s: stage dim %s: outer %d does not divide %d", d.name, dim, o, sz)
+			return fmt.Errorf("dataflow %s: stage dim %s: outer %d does not divide %d", d.name, dim, o, sz)
 		}
 		if e := sz / o; e > 1 {
-			stageT = append(stageT, placed{dim, e})
-			mul(dim, e)
+			stage.Loops = append(stage.Loops, core.T(dim, e))
+			outer.mul(dim, e)
 		}
-	}
-	// On Edge there is no L2 node: the granularity loops fold into the
-	// stage node itself.
-	if !pp.cloud {
-		stageT = append(granT, stageT...)
-		granT = nil
 	}
 
 	// Leaves for the fused stage.
-	budget := pp.budget
-	stageKids := make([]*core.Node, 0, len(pp.fusedOps))
-	for oi, op := range pp.fusedOps {
-		leaf, err := d.buildLeaf(op, outerProd, budget, pp.leafRed[oi])
-		if err != nil {
-			return nil, err
+	for oi, leaf := range stage.Children {
+		if err := d.fillLeaf(leaf, &outer, pp.budget, pp.leafRed[oi]); err != nil {
+			return err
 		}
-		stageKids = append(stageKids, leaf)
 	}
-	var stageLoops []core.Loop
-	for _, p := range stageSp {
-		stageLoops = append(stageLoops, core.S(p.dim, p.ext))
-	}
-	for _, p := range stageT {
-		stageLoops = append(stageLoops, core.T(p.dim, p.ext))
-	}
-	stage := core.Tile("stage", 1, d.binding, stageLoops, stageKids...)
-
-	// Subtree under the root: optionally wrapped in the Cloud L2 node
-	// carrying the coarse granularity loops.
-	var body *core.Node = stage
-	if pp.cloud {
-		var loops []core.Loop
-		for _, p := range granT {
-			loops = append(loops, core.T(p.dim, p.ext))
-		}
-		body = core.Tile("mid", 2, core.Seq, loops, stage)
-	}
-
-	children := []*core.Node{body}
-	rootBinding := core.Seq
 	if !d.fuseLV {
-		lv, err := d.buildUnfusedLV(outerProd, granT, stageSp, stageT)
-		if err != nil {
-			return nil, err
-		}
-		children = append(children, lv)
+		return d.fillUnfusedLV(pp, root.Children[1], &outer, gran, stage)
 	}
-
-	var rootLoops []core.Loop
-	for _, p := range rootSp {
-		rootLoops = append(rootLoops, core.S(p.dim, p.ext))
-	}
-	root := core.Tile("root", spec.DRAMLevel(), rootBinding, rootLoops, children...)
-	root.Name = d.name
-	return root, nil
+	return nil
 }
 
-// Canonical spatial preferences per attention stage: Q×K maps (m,l) to the
-// array, L×V maps (m,n), and the softmax operators map l onto the vector
-// lanes. Package-level so the per-candidate Build path allocates none.
-var (
-	spatialQK      = []string{"m", "l"}
-	spatialLV      = []string{"m", "n"}
-	spatialSoftmax = []string{"l"}
-)
-
-// buildLeaf constructs one operator's leaf with the canonical spatial dims
-// per stage.
-func (d *fusedAttention) buildLeaf(op *workload.Operator, outer *outerProds, budget int, red []bool) (*core.Node, error) {
+// fillLeaf computes one operator's leaf loops with the canonical spatial
+// dims per stage.
+func (d *fusedAttention) fillLeaf(leaf *core.Node, outer *outerProds, budget int, red []bool) error {
+	op := leaf.Op
 	var remBuf [8]int
 	rem, err := remaining(remBuf[:0], op, outer)
 	if err != nil {
-		return nil, fmt.Errorf("dataflow %s, op %s: %w", d.name, op.Name, err)
+		return fmt.Errorf("dataflow %s, op %s: %w", d.name, op.Name, err)
 	}
-	var spatial []string
-	switch op.Name {
-	case "QK":
-		spatial = spatialQK
-	case "LV":
-		spatial = spatialLV
-	default:
-		spatial = spatialSoftmax
-	}
-	return core.Leaf(op.Name, op, leafLoops(op, d.spec, rem, spatial, budget, red)...), nil
+	leaf.Loops = leafLoops(leaf.Loops[:0], op, d.spec, rem, attentionLeafSpatial(op), budget, red)
+	return nil
 }
 
-// buildUnfusedLV gives L×V its own subtree when it is outside the fusion
+// fillUnfusedLV fills L×V's own subtree when it is outside the fusion
 // (Uni-pipe, Chimera): the softmax output L then travels through DRAM. The
-// subtree mirrors the Cloud mid node's loops over L×V's own dimensions so
-// both root children tile their shared dims identically.
-func (d *fusedAttention) buildUnfusedLV(outer *outerProds, granT, stageSp, stageT []placed) (*core.Node, error) {
-	op := d.g.Op("LV")
-	// L×V shares the outer factors for its own dims (b, h, m, l); n is
-	// untiled outside. The subtree mirrors the fused side's staging loops
-	// over those dims so both root children tile their shared dims
-	// identically.
-	lvOuter := &outerProds{}
-	for _, dim := range op.DimNames() {
-		if v := outer.of(dim); v > 1 {
-			lvOuter.mul(dim, v)
+// subtree keeps the fused side's mid and stage loops over L×V's own dims,
+// so both root children tile their shared dims identically; n is untiled
+// outside.
+func (d *fusedAttention) fillUnfusedLV(pp *attnPrep, top *core.Node, outer *outerProds, gran, stage *core.Node) error {
+	lv := top
+	if pp.cloud {
+		lv = top.Children[0]
+		top.Loops = appendOpLoops(top.Loops[:0], gran.Loops, pp.lvOp)
+	}
+	lv.Loops = appendOpLoops(lv.Loops[:0], stage.Loops, pp.lvOp)
+	var lvOuter outerProds
+	for _, dim := range pp.lvOp.Dims {
+		if v := outer.of(dim.Name); v > 1 {
+			lvOuter.mul(dim.Name, v)
 		}
 	}
-	var lvStageLoops []core.Loop
-	for _, p := range stageSp {
-		if op.HasDim(p.dim) && p.ext > 1 {
-			lvStageLoops = append(lvStageLoops, core.S(p.dim, p.ext))
+	return d.fillLeaf(lv.Children[0], &lvOuter, 0, pp.lvRed)
+}
+
+// appendOpLoops appends the loops of src over dims op iterates to dst.
+func appendOpLoops(dst, src []core.Loop, op *workload.Operator) []core.Loop {
+	for _, l := range src {
+		if op.HasDim(l.Dim) {
+			dst = append(dst, l)
 		}
 	}
-	for _, p := range stageT {
-		if op.HasDim(p.dim) && p.ext > 1 {
-			lvStageLoops = append(lvStageLoops, core.T(p.dim, p.ext))
-		}
-	}
-	leaf, err := d.buildLeaf(op, lvOuter, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	node := core.Tile("lv-stage", 1, core.Seq, lvStageLoops, leaf)
-	if d.cloud() {
-		var loops []core.Loop
-		for _, p := range granT {
-			if op.HasDim(p.dim) && p.ext > 1 {
-				loops = append(loops, core.T(p.dim, p.ext))
-			}
-		}
-		return core.Tile("lv-mid", 2, core.Seq, loops, node), nil
-	}
-	return node, nil
+	return dst
 }

@@ -114,3 +114,28 @@ func TestDivisors(t *testing.T) {
 		t.Errorf("DivisorNear(12,5) = %d", DivisorNear(12, 5))
 	}
 }
+
+// TestDivisorAtMostBruteForce checks DivisorAtMost against its definition,
+// the largest divisor of n no greater than cap and at least 1, for every
+// n ≤ 4096 and cap ≤ 256 (non-positive values included).
+func TestDivisorAtMostBruteForce(t *testing.T) {
+	for n := -1; n <= 4096; n++ {
+		var divs []int
+		for d := 1; d <= n; d++ {
+			if n%d == 0 {
+				divs = append(divs, d)
+			}
+		}
+		for c := -1; c <= 256; c++ {
+			want := 1
+			for _, d := range divs {
+				if d <= c {
+					want = d
+				}
+			}
+			if got := DivisorAtMost(n, c); got != want {
+				t.Fatalf("DivisorAtMost(%d, %d) = %d, want %d", n, c, got, want)
+			}
+		}
+	}
+}

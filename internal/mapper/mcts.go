@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -60,6 +61,14 @@ type TileSearch struct {
 	prog  *core.Program
 	delta *core.DeltaState
 
+	// refill is the candidate tree the search rewrites in place when the
+	// template is a dataflows.Refiller, instead of building a new tree per
+	// round. It is the first tree built once prog exists, so never the tree
+	// prog was compiled from: a Program keeps its tree's nodes. The search
+	// drops it (and refiller) if a re-bind reports a structure mismatch.
+	refill   *core.Node
+	refiller dataflows.Refiller
+
 	// Reusable per-round buffers (one RunContext at a time per TileSearch,
 	// which prog/delta already require).
 	selBuf  []int
@@ -110,7 +119,13 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 	if explore == 0 {
 		explore = math.Sqrt2
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(s.Seed)
+	s.refiller = nil
+	if rf, ok := s.Dataflow.(dataflows.Refiller); ok && dataflows.IsStructureStable(s.Dataflow) {
+		s.refiller = rf
+	}
 
 	// Choice lists per factor, in a fixed decision order, narrowed to the
 	// analyzer's domains when the caller provides them: MCTS never expands
@@ -215,6 +230,11 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 	return best, trace
 }
 
+// rngPool recycles the searches' generators: a new source allocates about
+// 5 KB, and Seed resets a used one to exactly the stream a new source with
+// that seed yields.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // selectChild applies UCB1 over the expanded children, preferring an
 // unexpanded choice when one exists.
 func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rng *rand.Rand) int {
@@ -250,7 +270,7 @@ func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rn
 // arena and is valid only until the next rollout; RunContext clones it when
 // it becomes the best-so-far.
 func (s *TileSearch) evaluate(ctx context.Context, factors map[string]int) *Evaluation {
-	root, err := s.Dataflow.Build(factors)
+	root, err := s.build(factors)
 	if err != nil {
 		return nil
 	}
@@ -271,6 +291,22 @@ func (s *TileSearch) evaluate(ctx context.Context, factors map[string]int) *Eval
 		return nil
 	}
 	return &Evaluation{Factors: factors, Cycles: res.Cycles, Result: res}
+}
+
+// build returns the candidate tree for factors: the refill tree rewritten
+// in place once the search owns one, otherwise a new tree from Build.
+func (s *TileSearch) build(factors map[string]int) (*core.Node, error) {
+	if s.refill != nil {
+		if err := s.refiller.Refill(s.refill, factors); err != nil {
+			return nil, err
+		}
+		return s.refill, nil
+	}
+	root, err := s.Dataflow.Build(factors)
+	if err == nil && s.refiller != nil && s.prog != nil {
+		s.refill = root
+	}
+	return root, err
 }
 
 // evaluateTree evaluates one candidate tree. When the dataflow declares a
@@ -302,7 +338,9 @@ func (s *TileSearch) evaluateTree(ctx context.Context, root *core.Node) (*core.R
 		return nil, err
 	}
 	// The re-bind rejected this tree's shape: the template mis-declares a
-	// stable structure. A fresh compile adopts the new structure.
+	// stable structure. A fresh compile adopts the new structure and keeps
+	// this tree's nodes, so the search stops refilling.
+	s.refill, s.refiller = nil, nil
 	p, cerr := core.Compile(root, s.Dataflow.Graph(), s.Spec)
 	if cerr != nil {
 		return nil, cerr

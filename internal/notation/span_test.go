@@ -123,9 +123,9 @@ func TestParseSourceDiagnostics(t *testing.T) {
 func TestParseSourceCollects(t *testing.T) {
 	g := sec42Graph()
 	src := strings.Join([]string{
-		"leaf a = op Zzz { i:2 }",  // unknown op
-		"leaf b = op A { i:0 }",    // bad extent
-		"leaf c = op B { banana }", // bad loop
+		"leaf a = op Zzz { i:2 }",           // unknown op
+		"leaf b = op A { i:0 }",             // bad extent
+		"leaf c = op B { banana }",          // bad loop
 		"tile r @L1 = { } (a, b, c, ghost)", // unknown child
 	}, "\n")
 	_, _, diags := ParseSource(src, g)

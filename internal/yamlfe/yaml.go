@@ -561,8 +561,8 @@ func (p *parser) parseFlowMap(ln yline, j int) (*node, int, bool) {
 
 // unquote reads a quoted scalar starting at raw[j] and returns the
 // unescaped text and the position just past the closing quote. Double
-// quotes support \\, \", \n and \t escapes; single quotes are literal
-// with '' as an escaped quote.
+// quotes support \\, \", \n and \t escapes; single quotes are literal,
+// with a doubled single quote standing for one.
 func unquote(raw string, j int) (string, int, bool) {
 	q := raw[j]
 	var b strings.Builder
