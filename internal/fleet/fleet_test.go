@@ -463,3 +463,43 @@ func TestNodesAllocsIndependentOfHistory(t *testing.T) {
 		t.Errorf("Nodes: %v allocs with no history, %v with 5000 finished jobs", allocs[0], allocs[1])
 	}
 }
+
+// TestWirePayloadsStoredCanonical: a checkpoint, progress report and
+// result a peer sends with whitespace and HTML-special characters are
+// stored in json.Marshal's canonical form (compact, <>& escaped), the
+// form the store's writer splices verbatim.
+func TestWirePayloadsStoredCanonical(t *testing.T) {
+	h := newHarness(t, time.Minute)
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(h.srv.URL+path, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	j, _ := h.store.Create("search", nil)
+	claimed, err := h.store.ClaimNext("w1", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/v1/fleet/checkpoint", fmt.Sprintf(`{"id":%q,"token":%d,
+		"progress": { "generation" : 2 },
+		"checkpoint": { "next_gen" : 2,
+			"pop" : [ [1, 2], [3] ], "s" : "<a & b>" } }`, j.ID, claimed.Lease.Token))
+	got, _ := h.store.Get(j.ID)
+	if want := `{"next_gen":2,"pop":[[1,2],[3]],"s":"\u003ca \u0026 b\u003e"}`; string(got.Checkpoint) != want {
+		t.Errorf("stored checkpoint %s, want %s", got.Checkpoint, want)
+	}
+	if want := `{"generation":2}`; string(got.Progress) != want {
+		t.Errorf("stored progress %s, want %s", got.Progress, want)
+	}
+	post("/v1/fleet/complete", fmt.Sprintf(`{"id":%q,"token":%d,"state":"done","result": {"notation" : "a>b"}}`, j.ID, claimed.Lease.Token))
+	got, _ = h.store.Get(j.ID)
+	if want := `{"notation":"a\u003eb"}`; got.State != jobs.Done || string(got.Result) != want {
+		t.Errorf("stored %s result %s, want done %s", got.State, got.Result, want)
+	}
+}

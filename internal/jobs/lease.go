@@ -193,9 +193,18 @@ func (s *Store) Renew(id string, token uint64, ttl time.Duration) (*Job, error) 
 }
 
 // CommitUpdate is the lease-guarded progress/checkpoint write. A nil field
-// leaves the stored value unchanged. Renews nothing: pair it with Renew
+// leaves the stored value unchanged; an invalid one fails the call with
+// nothing changed. Renews nothing: pair it with Renew
 // (remote workers ship checkpoints and heartbeats on separate cadences).
 func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.RawMessage) (*Job, error) {
+	prog, err := canonicalRaw("progress", progress)
+	if err != nil {
+		return nil, err
+	}
+	cp, err := canonicalRaw("checkpoint", checkpoint)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, err := s.leaseWriteLocked(id, token)
@@ -203,10 +212,10 @@ func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.
 		return nil, err
 	}
 	if progress != nil {
-		j.Progress = append(json.RawMessage(nil), progress...)
+		j.Progress = prog
 	}
 	if checkpoint != nil {
-		j.Checkpoint = append(json.RawMessage(nil), checkpoint...)
+		j.Checkpoint = cp
 		j.CheckpointAt = s.now().UTC()
 	}
 	if err := s.appendLocked(j); err != nil {
@@ -217,10 +226,15 @@ func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.
 
 // Complete finalizes a running job under its lease: state must be Done,
 // Failed, or Cancelled. The lease is consumed. A stale token cannot commit
-// a result — the acceptance rule that makes multi-node execution safe.
+// a result — the acceptance rule that makes multi-node execution safe. An
+// invalid result fails the call with the job still running.
 func (s *Store) Complete(id string, token uint64, state State, result json.RawMessage, errMsg string) (*Job, error) {
 	if !state.Terminal() {
 		return nil, fmt.Errorf("jobs: complete with non-terminal state %s", state)
+	}
+	res, err := canonicalRaw("result", result)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -229,7 +243,7 @@ func (s *Store) Complete(id string, token uint64, state State, result json.RawMe
 		return nil, err
 	}
 	s.setStateLocked(j, state)
-	j.Result = append(json.RawMessage(nil), result...)
+	j.Result = res
 	j.Error = errMsg
 	j.FinishedAt = s.now().UTC()
 	j.Lease = nil

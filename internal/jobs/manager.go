@@ -171,7 +171,8 @@ func (m *Manager) List() []*Job { return m.store.List() }
 // CancelRequested — the owning worker learns on its next heartbeat, and
 // if that worker is dead, the lease sweep finalizes the cancellation.
 // Cancelling a terminal job is a no-op. The returned snapshot may still
-// show state Running for an in-flight cancellation.
+// show state Running for an in-flight cancellation; it may also be the
+// one the job's event stream holds, so callers must not mutate it.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	m.mu.Lock()
 	cancel, isRunning := m.running[id]
@@ -231,7 +232,9 @@ func (m *Manager) Requeue(id string) {
 // stream, closing it when the job reached a terminal state. This is what
 // lets an SSE watcher on the coordinator follow a search executing on a
 // different node. A terminal snapshot also kicks the worker pool: a
-// remote completion may have freed its tenant's running quota.
+// remote completion may have freed its tenant's running quota. The event
+// stream keeps j itself, so the caller may read it afterwards but must not
+// mutate it.
 func (m *Manager) Publish(j *Job) {
 	m.emit(j)
 	if j.State.Terminal() {
@@ -455,13 +458,16 @@ func (m *Manager) runProtected(ctx context.Context, j *Job, upd func(progress, c
 // emit appends a job snapshot to its event log and fans it out. A
 // subscriber too slow to keep up has its channel closed; it can
 // re-subscribe from the last seq it saw.
+//
+// emit takes ownership of j: every caller passes a snapshot the store
+// has just cloned for it, and subscribers read that snapshot from other
+// goroutines, so nothing may mutate j after the call.
 func (m *Manager) emit(j *Job) {
-	snap := j.Clone()
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
 	log := m.eventLogLocked(j.ID)
 	log.seq++
-	ev := Event{Seq: log.seq, Job: snap}
+	ev := Event{Seq: log.seq, Job: j}
 	log.hist = append(log.hist, ev)
 	if len(log.hist) > maxEventHistory {
 		// Compact: drop the oldest events. Seq numbering is untouched, so a

@@ -282,3 +282,62 @@ func TestManagerStats(t *testing.T) {
 		t.Errorf("final stats %+v", st)
 	}
 }
+
+// TestEventSnapshotsSharedWithoutRace: an event carries the very snapshot
+// the store made for it, so an SSE-style subscriber reading every field of
+// every event while the runner commits, and the submitter reading the job
+// Submit returned, must never see a write to it. Run under -race.
+func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
+	s, _ := Open(t.TempDir(), newFakeClock().Now)
+	defer s.Close()
+	start := make(chan struct{})
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		<-start
+		for g := 0; g < 200; g++ {
+			if _, err := json.Marshal(j); err != nil {
+				return nil, err
+			}
+			upd(json.RawMessage(fmt.Sprintf(`{"generation":%d}`, g)), json.RawMessage(fmt.Sprintf(`{"next_gen":%d,"s":"<&>"}`, g)))
+		}
+		return json.RawMessage(`{"cycles":1}`), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	j, err := m.Submit("search", json.RawMessage(`{"w":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int)
+	go func() {
+		seen, last := 0, 0
+		for {
+			ch, stop := m.Subscribe(j.ID, last)
+			for ev := range ch {
+				if _, err := json.Marshal(ev.Job); err != nil {
+					t.Error(err)
+				}
+				seen, last = seen+1, ev.Seq
+				if ev.Job.State.Terminal() {
+					stop()
+					done <- seen
+					return
+				}
+			}
+			stop() // fell behind: resume after the last event seen
+		}
+	}()
+	close(start)
+	for {
+		if _, err := json.Marshal(j); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := m.Get(j.ID); got.State.Terminal() {
+			break
+		}
+	}
+	if seen := <-done; seen < 2 {
+		t.Errorf("subscriber saw %d events", seen)
+	}
+}

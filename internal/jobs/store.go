@@ -63,6 +63,9 @@ type Store struct {
 	appends   int
 	logBytes  int
 	snapBytes int
+	// buf is appendJob's scratch for log lines and snapshot records,
+	// reused so a steady-state append allocates nothing.
+	buf []byte
 }
 
 // snapshotFile is the on-disk snapshot payload.
@@ -104,7 +107,9 @@ func Open(dir string, now func() time.Time) (*Store, error) {
 	return s, nil
 }
 
-// load replays snapshot.json then jobs.log into the in-memory map.
+// load replays snapshot.json then jobs.log into the in-memory map. A
+// decoded RawMessage keeps its input's spacing, so each payload is
+// canonicalised before it joins the store.
 func (s *Store) load() error {
 	if b, err := os.ReadFile(filepath.Join(s.dir, snapshotName)); err == nil {
 		var snap snapshotFile
@@ -114,6 +119,9 @@ func (s *Store) load() error {
 		s.seq = snap.Seq
 		s.leaseSeq = snap.LeaseSeq
 		for _, j := range snap.Jobs {
+			if err := canonicalPayloads(j); err != nil {
+				return fmt.Errorf("jobs: corrupt snapshot: %w", err)
+			}
 			s.putLocked(j)
 		}
 	} else if !os.IsNotExist(err) {
@@ -136,7 +144,7 @@ func (s *Store) load() error {
 			continue
 		}
 		var j Job
-		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" {
+		if err := json.Unmarshal(line, &j); err != nil || j.ID == "" || canonicalPayloads(&j) != nil {
 			// A torn tail from a crash mid-append; everything before it
 			// already applied, so stop replaying here.
 			break
@@ -250,8 +258,13 @@ type CreateSpec struct {
 // (in creation order) and a non-nil return refuses the submission with that
 // error, atomically with respect to concurrent creates and claims. This
 // is what makes per-tenant quotas race-free and — because tenant and
-// class are persisted on the record — restart-proof.
+// class are persisted on the record — restart-proof. An invalid request
+// payload is refused before admission runs, and no job is created.
 func (s *Store) CreateWith(spec CreateSpec, admit func(active []*Job) error) (*Job, error) {
+	req, err := canonicalRaw("request", spec.Request)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if admit != nil {
@@ -269,7 +282,7 @@ func (s *Store) CreateWith(spec CreateSpec, admit func(active []*Job) error) (*J
 		ID:          fmt.Sprintf("j%08d", s.seq),
 		Kind:        spec.Kind,
 		State:       Queued,
-		Request:     append(json.RawMessage(nil), spec.Request...),
+		Request:     req,
 		Tenant:      spec.Tenant,
 		Class:       spec.Class,
 		MaxAttempts: spec.MaxAttempts,
@@ -321,14 +334,18 @@ func (s *Store) List() []*Job {
 	return out
 }
 
-// Update persists a new version of the job (whole-record, last-wins).
+// Update persists a new version of the job (whole-record, last-wins). An
+// invalid raw payload fails the update and leaves the stored job as it was.
 func (s *Store) Update(j *Job) error {
+	c := j.Clone()
+	if err := canonicalPayloads(c); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[j.ID]; !ok {
 		return fmt.Errorf("jobs: update unknown job %s", j.ID)
 	}
-	c := j.Clone()
 	s.putLocked(c)
 	return s.appendLocked(c)
 }
@@ -341,15 +358,17 @@ func (s *Store) appendLocked(j *Job) error {
 	if s.log == nil {
 		return nil
 	}
-	b, err := json.Marshal(j)
+	b, err := appendJob(s.buf[:0], j)
 	if err != nil {
 		return fmt.Errorf("jobs: marshal job: %w", err)
 	}
-	if _, err := s.log.Write(append(b, '\n')); err != nil {
+	b = append(b, '\n')
+	s.buf = b
+	if _, err := s.log.Write(b); err != nil {
 		return fmt.Errorf("jobs: append log: %w", err)
 	}
 	s.appends++
-	s.logBytes += len(b) + 1
+	s.logBytes += len(b)
 	if s.appends >= snapshotEvery && s.logBytes >= s.snapBytes {
 		return s.rotateLocked()
 	}
@@ -385,25 +404,37 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// writeSnapshot atomically replaces snapshot.json (tmp + rename).
+// writeSnapshot atomically replaces snapshot.json (tmp + rename). The
+// records stream through appendJob into a buffered writer, one job at a
+// time, so a snapshot never holds every job's bytes at once.
 func (s *Store) writeSnapshot() error {
 	all := make([]*Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		all = append(all, j)
 	}
 	slices.SortFunc(all, byCreation)
-	b, err := json.Marshal(snapshotFile{Seq: s.seq, LeaseSeq: s.leaseSeq, Jobs: all})
-	if err != nil {
-		return fmt.Errorf("jobs: marshal snapshot: %w", err)
-	}
 	tmp := filepath.Join(s.dir, snapshotName+".tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("jobs: write snapshot: %w", err)
+	}
+	w := bufio.NewWriterSize(f, 64<<10)
+	var n int
+	s.buf, n, err = writeSnapshotTo(w, s.buf, s.seq, s.leaseSeq, all)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("jobs: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotName)); err != nil {
 		return fmt.Errorf("jobs: install snapshot: %w", err)
 	}
-	s.snapBytes = len(b)
+	s.snapBytes = n
 	return nil
 }
 

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -136,9 +138,9 @@ func cloneFactors(f map[string]int) map[string]int {
 // cpFloat is a float64 that survives JSON: infinities (which appear in
 // traces before the first feasible candidate and as infeasible fitness)
 // are encoded as the strings "+inf"/"-inf", finite values as ordinary JSON
-// numbers. encoding/json renders float64 with the shortest round-tripping
-// representation, so decode(encode(x)) is bit-identical — a requirement,
-// since resumed traces are compared for exact equality.
+// numbers. Finite values take encoding/json's float64 form, the shortest
+// round-tripping representation, so decode(encode(x)) is bit-identical —
+// a requirement, since resumed traces are compared for exact equality.
 type cpFloat float64
 
 func (f cpFloat) MarshalJSON() ([]byte, error) {
@@ -148,8 +150,28 @@ func (f cpFloat) MarshalJSON() ([]byte, error) {
 		return []byte(`"+inf"`), nil
 	case math.IsInf(v, -1):
 		return []byte(`"-inf"`), nil
+	case math.IsNaN(v):
+		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: "NaN"}
 	}
-	return json.Marshal(v)
+	return appendJSONFloat(make([]byte, 0, 24), v), nil
+}
+
+// appendJSONFloat appends a finite v exactly as json.Marshal(v) renders
+// it: shortest 'f' form, switching to 'e' below 1e-6 and from 1e21 on,
+// with a two-digit negative exponent trimmed (e-07 becomes e-7).
+func appendJSONFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 func (f *cpFloat) UnmarshalJSON(b []byte) error {

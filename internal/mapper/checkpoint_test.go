@@ -1,8 +1,11 @@
 package mapper
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -213,5 +216,50 @@ func TestRunContextIgnoresIncompatibleCheckpoint(t *testing.T) {
 	got := outcomeOf(t, s.Run())
 	if !got.equal(want) {
 		t.Errorf("incompatible checkpoint changed the result:\nwant %+v\ngot  %+v", want, got)
+	}
+}
+
+// TestCPFloatMatchesMarshal: a finite checkpoint float renders exactly as
+// json.Marshal(float64) does, over the format's edge values (the 'f'/'e'
+// switch points, the e-0N trim, subnormals, signed zero) and random bit
+// patterns; NaN is refused as json.Marshal refuses it.
+func TestCPFloatMatchesMarshal(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("json.Marshal(%v): %v", v, err)
+		}
+		got, err := cpFloat(v).MarshalJSON()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("cpFloat(%v) = %s, %v; json.Marshal gives %s", v, got, err, want)
+		}
+	}
+	edges := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1234.5678901234,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1e-7, 1.5e-7, 1e-9, 1e-10, 1e-99, 1e-100,
+		1e20, 1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), 1e22, 1e99, 1e100,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
+		float64(1<<53) + 2, 123456789012345678,
+	}
+	for _, v := range edges {
+		check(v)
+		check(-v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 200_000; {
+		v := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		check(v)
+		n++
+	}
+	// Random bit patterns rarely land in the 'f' range; cover it too.
+	for n := 0; n < 50_000; n++ {
+		check(rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	if _, err := cpFloat(math.NaN()).MarshalJSON(); err == nil {
+		t.Error("cpFloat(NaN) encoded; json.Marshal refuses NaN")
 	}
 }
