@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/memo"
 )
 
 // DefaultLeaseTTL is the lease duration granted on claim when the
@@ -30,11 +29,6 @@ type Coordinator struct {
 	Store *jobs.Store
 	// TTL is the lease duration granted on claim (DefaultLeaseTTL if zero).
 	TTL time.Duration
-	// Cache is the shared memoization tier workers consult; nil disables
-	// the memo endpoints (lookups answer "not found").
-	Cache memo.Cache
-	// Codec moves cache values across the wire; required when Cache is set.
-	Codec Codec
 	// OnEvent, when set, observes every job snapshot the protocol mutates —
 	// the composition root fans these into the job event streams so an SSE
 	// watcher on the coordinator follows a search executing on another node.
@@ -53,9 +47,6 @@ type Coordinator struct {
 	failovers  atomic.Uint64
 	sweepCanc  atomic.Uint64
 	sweepPois  atomic.Uint64
-	memoHits   atomic.Uint64
-	memoMiss   atomic.Uint64
-	memoPuts   atomic.Uint64
 
 	// nodes is the fleet inventory: last contact per worker node, fed by
 	// every protocol request that names its sender. Claim polls count as
@@ -94,10 +85,6 @@ type CoordinatorStats struct {
 	Failovers    uint64
 	SweepCancels uint64
 	SweepPoisons uint64
-	// MemoHits/MemoMisses/MemoPuts count shared-cache traffic from workers.
-	MemoHits   uint64
-	MemoMisses uint64
-	MemoPuts   uint64
 }
 
 // Stats snapshots the coordinator counters.
@@ -113,9 +100,6 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		Failovers:       c.failovers.Load(),
 		SweepCancels:    c.sweepCanc.Load(),
 		SweepPoisons:    c.sweepPois.Load(),
-		MemoHits:        c.memoHits.Load(),
-		MemoMisses:      c.memoMiss.Load(),
-		MemoPuts:        c.memoPuts.Load(),
 	}
 }
 
@@ -135,8 +119,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/fleet/renew", c.handleRenew)
 	mux.HandleFunc("POST /v1/fleet/checkpoint", c.handleCheckpoint)
 	mux.HandleFunc("POST /v1/fleet/complete", c.handleComplete)
-	mux.HandleFunc("POST /v1/fleet/memo/get", c.handleMemoGet)
-	mux.HandleFunc("POST /v1/fleet/memo/put", c.handleMemoPut)
 	mux.HandleFunc("GET /v1/fleet/nodes", c.handleNodes)
 	return mux
 }
@@ -336,45 +318,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, &completeResponse{Job: j})
-}
-
-func (c *Coordinator) handleMemoGet(w http.ResponseWriter, r *http.Request) {
-	var req memoGetRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if c.Cache != nil && c.Codec.Encode != nil {
-		if v, ok := c.Cache.Get(req.Key); ok {
-			if b, ok := c.Codec.Encode(v); ok {
-				c.memoHits.Add(1)
-				writeJSON(w, http.StatusOK, &memoGetResponse{Found: true, Value: b})
-				return
-			}
-		}
-	}
-	c.memoMiss.Add(1)
-	writeJSON(w, http.StatusOK, &memoGetResponse{Found: false})
-}
-
-func (c *Coordinator) handleMemoPut(w http.ResponseWriter, r *http.Request) {
-	var req memoPutRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if c.Cache == nil || c.Codec.Decode == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	v, err := c.Codec.Decode(req.Value)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad memo value: %w", err))
-		return
-	}
-	// Decode before Put: the coordinator's cache holds native values, so
-	// its own searches and every worker share one evaluation pool.
-	c.Cache.Put(req.Key, v)
-	c.memoPuts.Add(1)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) countStale(err error) {

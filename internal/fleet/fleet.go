@@ -3,14 +3,12 @@
 // HTTP peer protocol, and workers on other processes that claim, heartbeat,
 // checkpoint, and complete them.
 //
-// The protocol has four job endpoints plus a shared memoization tier:
+// The protocol has four job endpoints plus an inventory:
 //
 //	POST /v1/fleet/claim       claim the oldest queued job under a TTL lease
 //	POST /v1/fleet/renew       heartbeat: extend the lease, learn of cancels
 //	POST /v1/fleet/checkpoint  ship a progress + checkpoint payload
 //	POST /v1/fleet/complete    finalize (or release) the job under the lease
-//	POST /v1/fleet/memo/get    read the coordinator's shared fitness cache
-//	POST /v1/fleet/memo/put    write-through into the shared fitness cache
 //	GET  /v1/fleet/nodes       fleet inventory: per-node heartbeat age + state
 //
 // Claims are not strictly FIFO: the store's installed Picker (the
@@ -28,11 +26,15 @@
 // with a byte-identical trajectory, migration across nodes is invisible in
 // the job's result and trace.
 //
+// Fitness stays node-local: a worker's search memoizes against its own
+// node's cache, and a resumed search re-seeds that cache from the tuned
+// statistics its checkpoint carries, so no evaluation state crosses the
+// wire beyond the checkpoint itself.
+//
 // The package sits beside the jobs store in the dependency graph: it
-// imports only internal/jobs and internal/memo, and the fitness-cache value
-// codec is injected (Codec) so fleet never learns the mapper's types. It is
-// inside the determinism lint scope, so all clock reads go through injected
-// now() functions.
+// imports only internal/jobs, and the job runner is injected, so fleet
+// never learns the mapper's types. It is inside the determinism lint
+// scope, so all clock reads go through injected now() functions.
 package fleet
 
 import (
@@ -41,20 +43,6 @@ import (
 
 	"repro/internal/jobs"
 )
-
-// Codec translates shared-cache values to and from their wire form. The
-// memo tier stores the mapper's unexported fitness values; the composition
-// root (internal/serve) injects the mapper's codec here so the coordinator
-// can hold decoded values in its cache (shared with its own local searches)
-// while workers move them as opaque JSON.
-type Codec struct {
-	// Encode renders a cache value for the wire; ok=false means the value
-	// is not transportable (foreign type in a shared cache) and the lookup
-	// is treated as a miss.
-	Encode func(v any) ([]byte, bool)
-	// Decode parses a wire value back into the cache's native type.
-	Decode func(b []byte) (any, error)
-}
 
 // Wire error codes, mirroring the jobs package's coded errors so a remote
 // worker sees the same taxonomy as an in-process one.
@@ -125,23 +113,6 @@ type completeRequest struct {
 // completeResponse echoes the finalized job snapshot.
 type completeResponse struct {
 	Job *jobs.Job `json:"job"`
-}
-
-// memoGetRequest looks up one shared-cache key.
-type memoGetRequest struct {
-	Key string `json:"key"`
-}
-
-// memoGetResponse carries the encoded value on a hit.
-type memoGetResponse struct {
-	Found bool            `json:"found"`
-	Value json.RawMessage `json:"value,omitempty"`
-}
-
-// memoPutRequest writes one encoded value through to the shared cache.
-type memoPutRequest struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
 }
 
 // NodeInfo is one row of the fleet inventory on GET /v1/fleet/nodes: a

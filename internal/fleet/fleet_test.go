@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/memo"
 )
 
 // testClock is a manually advanced clock shared by the store and workers.
@@ -37,31 +36,6 @@ func (c *testClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// testValue is the toy cache value the test codec moves across the wire.
-type testValue struct {
-	X int `json:"x"`
-}
-
-func testCodec() Codec {
-	return Codec{
-		Encode: func(v any) ([]byte, bool) {
-			tv, ok := v.(*testValue)
-			if !ok {
-				return nil, false
-			}
-			b, _ := json.Marshal(tv)
-			return b, true
-		},
-		Decode: func(b []byte) (any, error) {
-			tv := &testValue{}
-			if err := json.Unmarshal(b, tv); err != nil {
-				return nil, err
-			}
-			return tv, nil
-		},
-	}
-}
-
 // harness bundles a store, a coordinator, and its HTTP server.
 type harness struct {
 	clk   *testClock
@@ -77,7 +51,7 @@ func newHarness(t *testing.T, ttl time.Duration) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &Coordinator{Store: store, TTL: ttl, Cache: memo.NewShardedLRU(64), Codec: testCodec()}
+	coord := &Coordinator{Store: store, TTL: ttl}
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() {
 		srv.Close()
@@ -330,59 +304,6 @@ func TestWorkerCloseReleasesJobs(t *testing.T) {
 	}
 	if h.coord.Stats().Releases != 1 {
 		t.Errorf("releases %d, want 1", h.coord.Stats().Releases)
-	}
-}
-
-// TestRemoteCacheWriteThrough checks the two-tier memo path: a value Put
-// on one node is readable from another via the coordinator, with the
-// second node's local tier warmed by the remote hit.
-func TestRemoteCacheWriteThrough(t *testing.T) {
-	h := newHarness(t, time.Hour)
-	nodeA := &RemoteCache{Local: memo.NewShardedLRU(16), Coordinator: h.srv.URL, Codec: testCodec()}
-	nodeB := &RemoteCache{Local: memo.NewShardedLRU(16), Coordinator: h.srv.URL, Codec: testCodec()}
-
-	if _, ok := nodeA.Get("k"); ok {
-		t.Fatal("empty cache hit")
-	}
-	if rs := nodeA.RemoteStats(); rs.Misses != 1 {
-		t.Errorf("remote misses %d, want 1", rs.Misses)
-	}
-
-	nodeA.Put("k", &testValue{X: 42})
-	// The coordinator's shared cache holds the decoded value.
-	if v, ok := h.coord.Cache.Get("k"); !ok || v.(*testValue).X != 42 {
-		t.Fatalf("coordinator cache: %v %v", v, ok)
-	}
-
-	v, ok := nodeB.Get("k")
-	if !ok || v.(*testValue).X != 42 {
-		t.Fatalf("nodeB remote get: %v %v", v, ok)
-	}
-	if rs := nodeB.RemoteStats(); rs.Hits != 1 {
-		t.Errorf("nodeB remote hits %d, want 1", rs.Hits)
-	}
-	// Warmed locally: the next lookup never leaves the node.
-	if v, ok := nodeB.Local.Get("k"); !ok || v.(*testValue).X != 42 {
-		t.Errorf("nodeB local tier not warmed: %v %v", v, ok)
-	}
-
-	// Untransportable values stay local-only and break nothing.
-	nodeA.Put("weird", &struct{ y int }{y: 1})
-	if _, ok := nodeA.Local.Get("weird"); !ok {
-		t.Error("untransportable value not kept locally")
-	}
-	if _, ok := h.coord.Cache.Get("weird"); ok {
-		t.Error("untransportable value leaked to the coordinator")
-	}
-
-	// A dead coordinator degrades to local-only.
-	dead := &RemoteCache{Local: memo.NewShardedLRU(16), Coordinator: "http://127.0.0.1:1", Codec: testCodec()}
-	dead.Put("k2", &testValue{X: 1})
-	if v, ok := dead.Get("k2"); !ok || v.(*testValue).X != 1 {
-		t.Errorf("local tier broken with dead peer: %v %v", v, ok)
-	}
-	if rs := dead.RemoteStats(); rs.Errors == 0 {
-		t.Error("dead peer produced no error counts")
 	}
 }
 

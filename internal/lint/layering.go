@@ -25,10 +25,11 @@ var allowedImports = map[string][]string{
 	// jobs is a stdlib-only leaf: the server injects the runner, so the
 	// job subsystem must never reach back into serve or the mapper.
 	"repro/internal/jobs": {},
-	// fleet moves jobs and memoized fitness between nodes; the fitness
-	// value codec is injected by the composition root, so fleet must never
-	// import the mapper (or serve) directly.
-	"repro/internal/fleet": {"repro/internal/jobs", "repro/internal/memo"},
+	// fleet leases job records between nodes and nothing else: fitness
+	// stays in each node's own cache and the runner is injected by the
+	// composition root, so fleet must never import the mapper, the memo
+	// layer or serve.
+	"repro/internal/fleet": {"repro/internal/jobs"},
 	// sched decides which queued job runs next and who may submit; it
 	// plugs into the store as a picker callback, so it may see job records
 	// but never the runner, the mapper, or the HTTP layer.

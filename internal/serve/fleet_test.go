@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -349,6 +350,73 @@ func TestFleetProtocolMounted(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&eb)
 	if resp.StatusCode != http.StatusConflict || eb.Code != "stale_lease" {
 		t.Errorf("stale complete: status %d code %q; want 409 stale_lease", resp.StatusCode, eb.Code)
+	}
+}
+
+// TestFleetPeerRequestMix counts the peer requests reaching a coordinator
+// while one search job runs on one worker. A worker's search memoizes
+// against its own node's cache, so the only peer traffic is the lease
+// protocol: claim polls, heartbeats, checkpoints and the completion. No
+// fitness lookup or write crosses the wire, and the coordinator serves no
+// memo endpoint at all.
+func TestFleetPeerRequestMix(t *testing.T) {
+	clk := newFleetClock()
+	coord, err := Open(Config{Clock: clk.Now, JobWorkers: -1, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNode(t, coord)
+	var mu sync.Mutex
+	seen := map[string]int{}
+	coordHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/fleet/") {
+			mu.Lock()
+			seen[r.Method+" "+r.URL.Path]++
+			mu.Unlock()
+		}
+		coord.Handler().ServeHTTP(w, r)
+	}))
+	defer coordHS.Close()
+
+	req := SearchRequest{
+		Arch: "edge", Workload: "attention:Bert-S",
+		Population: 4, Generations: 3, TileRounds: 10, TopK: 2, Seed: 29,
+	}
+	j := submitJob(t, coordHS.URL, &req)
+	w := newWorkerNode(t, clk, coordHS.URL, "w1")
+	got := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool { return j.State == "done" || j.State == "failed" })
+	closeNode(t, w)
+	if got.State != "done" {
+		t.Fatalf("job ended %s: %s", got.State, got.Error)
+	}
+
+	mu.Lock()
+	mix := maps.Clone(seen)
+	mu.Unlock()
+	allowed := map[string]bool{
+		"POST /v1/fleet/claim":      true,
+		"POST /v1/fleet/renew":      true,
+		"POST /v1/fleet/checkpoint": true,
+		"POST /v1/fleet/complete":   true,
+	}
+	for path, n := range mix {
+		if !allowed[path] {
+			t.Errorf("worker sent %d × %s; want only claim/renew/checkpoint/complete", n, path)
+		}
+	}
+	for _, path := range []string{"POST /v1/fleet/claim", "POST /v1/fleet/checkpoint", "POST /v1/fleet/complete"} {
+		if mix[path] == 0 {
+			t.Errorf("no %s reached the coordinator (saw %v)", path, mix)
+		}
+	}
+
+	resp, err := http.Post(coordHS.URL+"/v1/fleet/memo/get", "application/json", strings.NewReader(`{"key":"k"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/fleet/memo/get: status %d, want 404", resp.StatusCode)
 	}
 }
 

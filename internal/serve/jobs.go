@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/mapper"
-	"repro/internal/memo"
 	"repro/internal/sched"
 )
 
@@ -31,18 +30,12 @@ type SearchProgress struct {
 	BestEncoding string   `json:"best_encoding,omitempty"`
 }
 
-// runSearchJob is the jobs.Runner for searchJobKind on this node's own
-// worker pool, searching against the local service cache.
+// runSearchJob is the jobs.Runner for searchJobKind, on this node's own
+// worker pool and on a fleet worker alike. It runs the search through the
+// synchronous /v1/search execution path (runTreeSearch), reusing the
+// node's service cache and the shared worker width, checkpointing at every
+// generation boundary, and resuming from job.Checkpoint when present.
 func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint json.RawMessage)) (json.RawMessage, error) {
-	return s.runSearch(ctx, job, upd, s.cache)
-}
-
-// runSearch runs a search job through the synchronous /v1/search
-// execution path (runTreeSearch), reusing the given fitness cache (the
-// local service cache, or the fleet's remote write-through tier on a worker
-// node) and the shared worker width, checkpointing at every generation
-// boundary, and resuming from job.Checkpoint when present.
-func (s *Server) runSearch(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint json.RawMessage), cache memo.Cache) (json.RawMessage, error) {
 	var req SearchRequest
 	if err := json.Unmarshal(job.Request, &req); err != nil {
 		return nil, fmt.Errorf("bad search request: %w", err)
@@ -52,7 +45,7 @@ func (s *Server) runSearch(ctx context.Context, job *jobs.Job, upd func(progress
 		return nil, err
 	}
 	var lastCP json.RawMessage
-	resp, err := s.runTreeSearch(ctx, &req, spec, g, searchKey(spec, g, &req), cache, func(ts *mapper.TreeSearch) {
+	resp, err := s.runTreeSearch(ctx, &req, spec, g, searchKey(spec, g, &req), func(ts *mapper.TreeSearch) {
 		if len(job.Checkpoint) > 0 {
 			// A checkpoint that no longer matches (deploy changed defaults,
 			// hand-edited store) must not poison the job: fall back to a

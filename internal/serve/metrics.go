@@ -212,8 +212,7 @@ func (m *Metrics) writeSched(w io.Writer, s *Server, js jobs.Stats) {
 }
 
 // writeFleet renders the coordinator-side protocol counters, and — on a
-// node running a fleet worker — the per-worker gauges and the remote memo
-// tier's traffic.
+// node running a fleet worker — the per-worker gauges.
 func (m *Metrics) writeFleet(w io.Writer, s *Server) {
 	cs := s.coord.Stats()
 	fmt.Fprintf(w, "# HELP tileflow_fleet_claims_total Job leases granted to workers.\n")
@@ -256,15 +255,6 @@ func (m *Metrics) writeFleet(w io.Writer, s *Server) {
 			fmt.Fprintf(w, "tileflow_fleet_node_leases_held{node=%q} %d\n", ni.Node, ni.LeasesHeld)
 		}
 	}
-	fmt.Fprintf(w, "# HELP tileflow_fleet_memo_hits_total Shared-cache lookups from workers that hit.\n")
-	fmt.Fprintf(w, "# TYPE tileflow_fleet_memo_hits_total counter\n")
-	fmt.Fprintf(w, "tileflow_fleet_memo_hits_total %d\n", cs.MemoHits)
-	fmt.Fprintf(w, "# HELP tileflow_fleet_memo_misses_total Shared-cache lookups from workers that missed.\n")
-	fmt.Fprintf(w, "# TYPE tileflow_fleet_memo_misses_total counter\n")
-	fmt.Fprintf(w, "tileflow_fleet_memo_misses_total %d\n", cs.MemoMisses)
-	fmt.Fprintf(w, "# HELP tileflow_fleet_memo_puts_total Shared-cache values written through by workers.\n")
-	fmt.Fprintf(w, "# TYPE tileflow_fleet_memo_puts_total counter\n")
-	fmt.Fprintf(w, "tileflow_fleet_memo_puts_total %d\n", cs.MemoPuts)
 
 	if s.worker == nil {
 		return
@@ -285,12 +275,4 @@ func (m *Metrics) writeFleet(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP tileflow_fleet_worker_stale_losses_total Jobs this node abandoned after losing their lease.\n")
 	fmt.Fprintf(w, "# TYPE tileflow_fleet_worker_stale_losses_total counter\n")
 	fmt.Fprintf(w, "tileflow_fleet_worker_stale_losses_total{node=%q} %d\n", ws.Node, ws.StaleLosses)
-
-	rs := s.remote.RemoteStats()
-	fmt.Fprintf(w, "# HELP tileflow_fleet_remote_memo_hits_total Local cache misses served by the coordinator's memo tier.\n")
-	fmt.Fprintf(w, "# TYPE tileflow_fleet_remote_memo_hits_total counter\n")
-	fmt.Fprintf(w, "tileflow_fleet_remote_memo_hits_total{node=%q} %d\n", ws.Node, rs.Hits)
-	fmt.Fprintf(w, "# HELP tileflow_fleet_remote_memo_misses_total Remote memo lookups that came back empty.\n")
-	fmt.Fprintf(w, "# TYPE tileflow_fleet_remote_memo_misses_total counter\n")
-	fmt.Fprintf(w, "tileflow_fleet_remote_memo_misses_total{node=%q} %d\n", ws.Node, rs.Misses)
 }

@@ -50,8 +50,8 @@ type Config struct {
 
 	// Coordinator, when set, turns this node into a fleet worker: it claims
 	// jobs from the coordinator at this base URL (e.g. "http://host:8080"),
-	// runs them under heartbeated leases, and consults the coordinator's
-	// shared fitness cache through a local write-through tier.
+	// runs them under heartbeated leases against this node's own fitness
+	// cache, as a local job does.
 	Coordinator string
 	// FleetNode names this node in lease ownership and metrics; defaults to
 	// hostname-pid.
@@ -113,11 +113,10 @@ type Server struct {
 	warm  *sched.WarmStore
 
 	// coord serves the fleet peer protocol over this node's store (every
-	// node can coordinate); worker and remote are set only when
-	// cfg.Coordinator points this node at a peer.
+	// node can coordinate); worker is set only when cfg.Coordinator points
+	// this node at a peer.
 	coord     *fleet.Coordinator
 	worker    *fleet.Worker
-	remote    *fleet.RemoteCache
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 }
@@ -203,15 +202,12 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// Every node can coordinate: the peer protocol leases out this node's
-	// own store, sharing the service cache as the fleet memo tier. Job
-	// snapshots the protocol mutates flow into the local event streams, so
-	// SSE watchers here follow searches executing on other nodes.
-	fitnessCodec := fleet.Codec{Encode: mapper.EncodeFitness, Decode: mapper.DecodeFitness}
+	// own store. Job snapshots the protocol mutates flow into the local
+	// event streams, so SSE watchers here follow searches executing on
+	// other nodes.
 	s.coord = &fleet.Coordinator{
 		Store: store,
 		TTL:   cfg.LeaseTTL,
-		Cache: s.cache,
-		Codec: fitnessCodec,
 		OnEvent: func(j *jobs.Job) {
 			s.jobs.Publish(j)
 			if j.State == jobs.Done {
@@ -223,11 +219,6 @@ func Open(cfg Config) (*Server, error) {
 		OnRequeue: func(id string) { s.jobs.Requeue(id) },
 	}
 	if cfg.Coordinator != "" {
-		s.remote = &fleet.RemoteCache{
-			Local:       s.cache,
-			Coordinator: cfg.Coordinator,
-			Codec:       fitnessCodec,
-		}
 		slots := cfg.JobWorkers
 		if slots < 1 {
 			slots = 1
@@ -239,9 +230,7 @@ func Open(cfg Config) (*Server, error) {
 			Poll:        cfg.FleetPoll,
 			Heartbeat:   cfg.FleetHeartbeat,
 			Clock:       cfg.Clock,
-			Runner: func(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint json.RawMessage)) (json.RawMessage, error) {
-				return s.runSearch(ctx, job, upd, s.remote)
-			},
+			Runner:      s.runSearchJob,
 		})
 		if err != nil {
 			store.Close()
@@ -912,7 +901,7 @@ func (s *Server) searchOne(ctx context.Context, req *SearchRequest) (*SearchResp
 
 	var resp *SearchResponse
 	err = s.pool.Do(ctx, func() (err error) {
-		resp, err = s.runTreeSearch(ctx, req, spec, g, key, s.cache, nil)
+		resp, err = s.runTreeSearch(ctx, req, spec, g, key, nil)
 		return err
 	})
 	return resp, err
@@ -920,18 +909,18 @@ func (s *Server) searchOne(ctx context.Context, req *SearchRequest) (*SearchResp
 
 // runTreeSearch is the one search execution path behind /v1/search and
 // the job runner, local or fleet. It builds the mapper.TreeSearch over the
-// given fitness cache, lets setup install a job's checkpoint resume, warm
+// node's service cache, lets setup install a job's checkpoint resume, warm
 // start and progress hook (the synchronous path passes nil), runs it, and
 // renders the winner. A finished answer is stored under key, the request's
 // searchKey, so a later synchronous request for the same point is a hit; a
 // best-so-far answer cut short by ctx is marked TimedOut and not stored.
-func (s *Server) runTreeSearch(ctx context.Context, req *SearchRequest, spec *arch.Spec, g *workload.Graph, key string, cache memo.Cache, setup func(*mapper.TreeSearch)) (*SearchResponse, error) {
+func (s *Server) runTreeSearch(ctx context.Context, req *SearchRequest, spec *arch.Spec, g *workload.Graph, key string, setup func(*mapper.TreeSearch)) (*SearchResponse, error) {
 	ts := &mapper.TreeSearch{
 		G: g, Spec: spec, Opts: req.options(),
 		Population: req.Population, Generations: req.Generations,
 		TileRounds: req.TileRounds, TopK: req.TopK,
 		Parallel: s.pool.Workers(), Seed: req.Seed,
-		Cache: cache,
+		Cache: s.cache,
 	}
 	if setup != nil {
 		setup(ts)
