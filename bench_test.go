@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataflows"
 	"repro/internal/experiments"
-	"repro/internal/mapper"
 	"repro/internal/workload"
 )
 
@@ -191,37 +190,4 @@ func BenchmarkEvaluate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTileSearch measures the MCTS mapper's throughput.
-func BenchmarkTileSearch(b *testing.B) {
-	shape, _ := workload.AttentionShapeByName("ViT/16-B")
-	spec := arch.Edge()
-	for i := 0; i < b.N; i++ {
-		df := dataflows.TileFlowAttention(shape, spec)
-		s := &mapper.TileSearch{Dataflow: df, Spec: spec, Rounds: 100, Seed: int64(i)}
-		if best, _ := s.Run(); best == nil {
-			b.Fatal("no mapping found")
-		}
-	}
-}
-
-// BenchmarkMapperThroughput reports the mapper's end-to-end evaluation
-// throughput (evals/sec): every MCTS round costs one tree evaluation, plus
-// one for the default-factors seed point, so a run of R rounds performs
-// R+1 evaluations. With structure-stable templates the mapper compiles the
-// tree once and re-binds tilings through core.Program per rollout.
-func BenchmarkMapperThroughput(b *testing.B) {
-	shape, _ := workload.AttentionShapeByName("ViT/16-B")
-	spec := arch.Edge()
-	const rounds = 100
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		df := dataflows.TileFlowAttention(shape, spec)
-		s := &mapper.TileSearch{Dataflow: df, Spec: spec, Rounds: rounds, Seed: int64(i)}
-		if best, _ := s.Run(); best == nil {
-			b.Fatal("no mapping found")
-		}
-	}
-	b.ReportMetric(float64(b.N)*(rounds+1)/b.Elapsed().Seconds(), "evals/sec")
 }

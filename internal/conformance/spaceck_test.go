@@ -10,11 +10,11 @@ import (
 	"repro/internal/spaceck"
 )
 
-// TestSpaceckSoundness is the space-analysis backstop referenced by the
-// BENCH_PR9 gate: across hundreds of seeded design points, every factor
-// assignment the real Compile/Evaluate pipeline accepts must lie inside the
-// narrowed domains spaceck.Analyze reports (zero false prunes). Soundness
-// is absolute; completeness (how much gets pruned) is best-effort and not
+// TestSpaceckSoundness is the space-analysis backstop behind the mapper's
+// narrowed search domains (TestSpaceckNarrowingCounts): across hundreds of
+// seeded design points, every factor assignment the real Compile/Evaluate
+// pipeline accepts must lie inside the narrowed domains spaceck.Analyze
+// reports (zero false prunes). Soundness is absolute; completeness (how much gets pruned) is best-effort and not
 // asserted here beyond counting complete sweeps.
 func TestSpaceckSoundness(t *testing.T) {
 	const (

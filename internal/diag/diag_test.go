@@ -28,6 +28,14 @@ func TestSeverityJSONRoundTrip(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	code := Register(Info{Code: "TF-TEST-001", Severity: Warning, Title: "test rule", Hint: "do the thing"})
+	// Codes are append-only for rule packages, but the test's own code
+	// must go, or a second run in this process (-count=2, -cpu 1,4) would
+	// find it registered already.
+	t.Cleanup(func() {
+		regMu.Lock()
+		delete(registry, code)
+		regMu.Unlock()
+	})
 	info, ok := Lookup(code)
 	if !ok || info.Title != "test rule" {
 		t.Fatalf("Lookup(%s) = %+v, %v", code, info, ok)

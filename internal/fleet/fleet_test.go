@@ -343,6 +343,51 @@ func TestNoDoubleExecution(t *testing.T) {
 	}
 }
 
+// TestFleetLeasesConcurrently: three single-slot workers hold three leases
+// at once, one each. Every runner reports its arrival and then holds its
+// job until the test releases them all, so a coordinator that leases one
+// job at a time never delivers the third arrival and the test fails at its
+// deadline instead of hanging. perfbench's explore-fleet workload measures
+// what the fleet buys (ops_per_s, fleet.claim_wait_p50_ms).
+func TestFleetLeasesConcurrently(t *testing.T) {
+	const nodes = 3
+	h := newHarness(t, time.Hour)
+	arrived := make(chan struct{}, nodes)
+	release := make(chan struct{})
+	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+			return json.RawMessage(`{}`), nil
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		w := h.newWorker(t, fmt.Sprintf("w%d", i), runner)
+		w.Start()
+		defer w.Kill()
+	}
+	for i := 0; i < nodes; i++ {
+		if _, err := h.store.Create("search", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for n := 0; n < nodes; n++ {
+		select {
+		case <-arrived:
+		case <-deadline:
+			t.Fatalf("only %d of %d jobs ran at once", n, nodes)
+		}
+	}
+	held := h.store.LeasesHeld()
+	if len(held) != nodes || held["w0"] != 1 || held["w1"] != 1 || held["w2"] != 1 {
+		t.Errorf("leases held %v, want one on each of w0, w1, w2", held)
+	}
+	close(release)
+}
+
 // TestNodesAllocsIndependentOfHistory: the fleet inventory counts leases
 // over the store's active jobs, so a /v1/fleet/nodes call or a metrics
 // scrape costs the same whether the store holds no finished jobs or

@@ -53,6 +53,47 @@ func TestManagerRunsJobs(t *testing.T) {
 	}
 }
 
+// TestManagerWorkersRunConcurrently: a pool of four workers runs four jobs
+// at once. Each runner reports its arrival and then holds its job until
+// the test releases them all, so a pool that runs fewer jobs at a time
+// never delivers the fourth arrival and the test fails at its deadline
+// instead of hanging. perfbench's explore workload measures what the
+// concurrency buys (ops_per_s, jobs.queue_wait_p50_ms).
+func TestManagerWorkersRunConcurrently(t *testing.T) {
+	const workers = 4
+	s, _ := Open("", newFakeClock().Now)
+	arrived := make(chan struct{}, workers)
+	release := make(chan struct{})
+	m, err := NewManager(s, Config{Workers: workers, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+			return json.RawMessage(`{}`), nil
+		case <-ctx.Done():
+			return nil, context.Cause(ctx)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+
+	for i := 0; i < workers; i++ {
+		if _, err := m.Submit("search", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for n := 0; n < workers; n++ {
+		select {
+		case <-arrived:
+		case <-deadline:
+			t.Fatalf("only %d of %d jobs ran at once", n, workers)
+		}
+	}
+	close(release)
+}
+
 func TestManagerFailureAndPanic(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {

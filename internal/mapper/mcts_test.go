@@ -96,6 +96,29 @@ func TestTileSearchProgramReuseMatchesCold(t *testing.T) {
 	}
 }
 
+// TestTileSearchCompilesOnce: a 100-round search of a structure-stable
+// template compiles its structure once and re-binds every later candidate,
+// so the mapper's per-round cost never includes a Compile. perfbench's
+// tune workload carries the speed this buys (ops_per_s and
+// core.compiles_per_op); the round's steady-state evaluation allocates
+// nothing (TestEvaluateIntoZeroAlloc in internal/core).
+func TestTileSearchCompilesOnce(t *testing.T) {
+	shape, ok := workload.AttentionShapeByName("ViT/16-B")
+	if !ok {
+		t.Fatal("ViT/16-B shape missing")
+	}
+	spec := arch.Edge()
+	s := &TileSearch{Dataflow: dataflows.TileFlowAttention(shape, spec), Spec: spec, Rounds: 100, Seed: 1}
+	before := core.CompileCount()
+	best, trace := s.Run()
+	if best == nil || len(trace) != 100 {
+		t.Fatalf("search returned best %v after %d rounds, want a mapping after 100", best, len(trace))
+	}
+	if n := core.CompileCount() - before; n != 1 {
+		t.Errorf("a 100-round search called Compile %d times, want 1", n)
+	}
+}
+
 // stableNarrow declares the narrow template's structure stable, so its
 // searches take the compiled delta path instead of the per-candidate one.
 type stableNarrow struct{ *narrowTemplate }

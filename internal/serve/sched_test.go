@@ -8,9 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/arch"
+	"repro/internal/mapper"
 )
 
 // schedJobSet is the mixed-class, multi-tenant workload the determinism
@@ -245,4 +250,154 @@ func TestFleetNodesEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+}
+
+// TestSchedulerFairness is the starvation gate, judged by claim order:
+// tenant "flood" queues a bulk sweep of 100 searches over HTTP, then
+// tenant "alice" queues 10 interactive ones behind it. Every job is queued
+// before the first claim (the node takes submissions without running them,
+// then restarts over its data directory with two job workers), and a
+// ticking clock stamps each claim in order. FIFO dequeue would start the
+// interactive jobs last; weighted-fair dequeue must start every one of
+// them before the median bulk job. perfbench's explore workload measures
+// the waits in time (sched.interactive_wait_p90_ms,
+// sched.bulk_wait_p50_ms).
+func TestSchedulerFairness(t *testing.T) {
+	const bulkJobs, interJobs = 100, 10
+	var tick atomic.Int64
+	clock := func() time.Time { return time.Unix(0, tick.Add(1)) }
+	dir := t.TempDir()
+	submitter, err := Open(Config{DataDir: dir, JobWorkers: -1, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(submitter.Handler())
+	// Distinct seeds keep the search cache from collapsing the sweep into
+	// one evaluation.
+	var ids []string
+	submit := func(n, seedBase int, tenant, class string) {
+		for i := 0; i < n; i++ {
+			req := SearchRequest{
+				Arch: "edge", Workload: "attention:Bert-S",
+				Population: 4, Generations: 2, TileRounds: 20, TopK: 2,
+				Seed:   int64(seedBase + i),
+				Tenant: tenant, Class: class,
+			}
+			ids = append(ids, submitJob(t, hs.URL, &req).ID)
+		}
+	}
+	submit(bulkJobs, 1, "flood", "bulk")
+	submit(interJobs, 1001, "alice", "interactive")
+	hs.Close()
+	closeNode(t, submitter)
+
+	s, err := Open(Config{DataDir: dir, Workers: 1, JobWorkers: 2, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs = httptest.NewServer(s.Handler())
+	defer closeNode(t, s)
+	defer hs.Close()
+	done := make([]*JobJSON, len(ids))
+	for i, id := range ids {
+		done[i] = waitJob(t, hs.URL, id, func(j *JobJSON) bool { return j.State == "done" })
+	}
+	sort.Slice(done, func(a, b int) bool { return done[a].StartedAt.Before(*done[b].StartedAt) })
+	bulkFirst, interLeft := 0, interJobs
+	for _, j := range done {
+		if j.Class == "interactive" {
+			if interLeft--; interLeft == 0 {
+				break
+			}
+		} else {
+			bulkFirst++
+		}
+	}
+	t.Logf("the last of %d interactive jobs started after %d of %d bulk jobs", interJobs, bulkFirst, bulkJobs)
+	if 2*bulkFirst >= bulkJobs {
+		t.Errorf("%d of %d bulk jobs started before the last interactive one: the bulk sweep starves interactive", bulkFirst, bulkJobs)
+	}
+}
+
+// TestWarmStartGenerations: seeding a Bert-L search from a finished
+// Bert-S donor (structurally identical, different tensor shapes) must
+// reach the better of the two runs' final best qualities in no more
+// generations than the cold run — generations-to-target with min(cold
+// final, warm final) as the target. One evaluation worker and fixed seeds
+// make both runs deterministic.
+func TestWarmStartGenerations(t *testing.T) {
+	spec := arch.Edge()
+	donorG, err := PickGraph("attention:Bert-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targetG, err := PickGraph("attention:Bert-L")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var donorCP *mapper.Checkpoint
+	donor := &mapper.TreeSearch{
+		G: donorG, Spec: spec,
+		Population: 8, Generations: 6, TileRounds: 20, TopK: 2, Parallel: 1, Seed: 11,
+		Progress: func(ev mapper.ProgressEvent) { donorCP = ev.Checkpoint },
+	}
+	if res := donor.Run(); res.Best == nil {
+		t.Fatal("donor search found nothing feasible")
+	}
+	if donorCP == nil {
+		t.Fatal("donor produced no checkpoint")
+	}
+
+	// A small population over the large Bert encoding space makes the
+	// cold run actually climb across generations instead of lucking into
+	// its best in the initial draw; the warm run starts from the donor's
+	// tuned encodings and should already be at or past the target early.
+	newTarget := func() *mapper.TreeSearch {
+		return &mapper.TreeSearch{
+			G: targetG, Spec: spec,
+			Population: 4, Generations: 8, TileRounds: 20, TopK: 2, Parallel: 1, Seed: 12,
+		}
+	}
+	// gensToTarget: first generation whose best-so-far is at or below the
+	// target (len+1 = never reached within budget).
+	gensToTarget := func(trace []float64, target float64) int {
+		for i, c := range trace {
+			if c <= target*(1+1e-9) {
+				return i + 1
+			}
+		}
+		return len(trace) + 1
+	}
+
+	cold := newTarget()
+	coldRes := cold.Run()
+	if coldRes.Best == nil {
+		t.Fatal("cold search found nothing feasible")
+	}
+	warm := newTarget()
+	seeds := warm.WarmStart(donorCP)
+	if seeds == 0 {
+		t.Fatal("warm start installed no seeds")
+	}
+	warmRes := warm.Run()
+	if warmRes.Best == nil {
+		t.Fatal("warm search found nothing feasible")
+	}
+
+	// Target = the better final best of the two runs: the quality the
+	// search space demonstrably offers under this budget. gens==budget+1
+	// means the run never got there at all.
+	target := coldRes.Best.Cycles
+	if warmRes.Best.Cycles < target {
+		target = warmRes.Best.Cycles
+	}
+	coldGens := gensToTarget(coldRes.Trace, target)
+	warmGens := gensToTarget(warmRes.Trace, target)
+	t.Logf("target %.4g cycles: cold best %.4g reaches it in %d/%d generations, warm (%d seeds) best %.4g in %d",
+		target, coldRes.Best.Cycles, coldGens, len(coldRes.Trace), seeds, warmRes.Best.Cycles, warmGens)
+	if warmGens > coldGens {
+		t.Errorf("warm start needed %d generations to reach %.4g cycles; cold needed %d", warmGens, target, coldGens)
+	}
+
 }
