@@ -148,7 +148,6 @@ func checkStaticVariant(p *Point, root *core.Node, expectValid bool) error {
 	// none of it may allocate a Program.
 	before := core.CompileCount()
 	vs := core.AnalyzeStatic(root, p.Graph, p.Spec, p.Opts)
-	qerr := core.QuickReject(root, p.Graph, p.Spec, p.Opts)
 	diags := check.AnalyzeSource(src, p.Graph, p.Spec, p.Opts)
 	if after := core.CompileCount(); after != before {
 		return fmt.Errorf("static pass compiled %d Programs", after-before)
@@ -163,9 +162,6 @@ func checkStaticVariant(p *Point, root *core.Node, expectValid bool) error {
 		if len(vs) != 0 {
 			return fmt.Errorf("false positive: AnalyzeStatic says %v, pipeline accepts", vs)
 		}
-		if qerr != nil {
-			return fmt.Errorf("false positive: QuickReject says %v, pipeline accepts", qerr)
-		}
 		if diags.HasErrors() {
 			return fmt.Errorf("false positive: vet errors on an accepted point:\n%s", diags)
 		}
@@ -178,11 +174,6 @@ func checkStaticVariant(p *Point, root *core.Node, expectValid bool) error {
 	}
 	if vs[0].Err.Error() != perr.Error() {
 		return fmt.Errorf("first violation %q, pipeline %q", vs[0].Err, perr)
-	}
-	// QuickReject skips only capacity; these points skip the capacity check
-	// anyway (generator opts), so it must agree exactly.
-	if qerr == nil || qerr.Error() != perr.Error() {
-		return fmt.Errorf("QuickReject %v, pipeline %v", qerr, perr)
 	}
 	// The vet view: at least one coded, positioned error diagnostic.
 	if !diags.HasErrors() {

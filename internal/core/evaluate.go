@@ -58,7 +58,7 @@ func invalidf(format string, args ...any) error {
 }
 
 // coverageError is the coverage rule's violation, an ErrInvalidMapping
-// that formats its message on demand: a search pre-screen rejects far more
+// that formats its message on demand: a tiling search rejects far more
 // points on coverage than it ever prints, and formatting each one would
 // cost more than checking it.
 type coverageError struct {

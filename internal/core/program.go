@@ -11,8 +11,8 @@ import (
 
 // compileCount counts Compile calls process-wide. The static pass promises
 // to allocate no Program; the conformance differential test pins that
-// promise by asserting the counter does not move across AnalyzeStatic and
-// QuickReject calls.
+// promise by asserting the counter does not move across AnalyzeStatic
+// calls.
 var compileCount atomic.Int64
 
 // CompileCount returns the number of Compile calls made by this process.

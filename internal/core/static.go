@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/arch"
 	"repro/internal/workload"
 )
@@ -15,8 +13,7 @@ import (
 //     point is legal. Compile runs the arch, structure and placement
 //     phases, Evaluate and Explain the tiling phase (restricted by the
 //     delta path's dirty masks) and the resource and capacity phases on
-//     the usage figures they compute anyway, and QuickReject every phase
-//     but capacity, with no Program.
+//     the usage figures they compute anyway.
 //   - collect: every violation with its locus, in the order fail-fast
 //     meets them (AnalyzeStatic). So the first collected violation is the
 //     very error the pipeline returns, and a point with none compiles and
@@ -150,42 +147,6 @@ func AnalyzeStatic(root *Node, g *workload.Graph, spec *arch.Spec, opts Options)
 	_ = x.check(allPhases, &vs) // collect mode reports through vs
 	return vs
 }
-
-// QuickReject is the mapper's pre-screen: every rule but capacity, fail
-// fast, over the tree index alone — no access groups, no Program. It
-// returns the exact error the Compile/Evaluate pipeline would produce, or
-// nil when no rule but capacity rejects the point. A nil result therefore
-// never changes search outcomes: the point proceeds to full evaluation
-// exactly as before.
-func QuickReject(root *Node, g *workload.Graph, spec *arch.Spec, opts Options) error {
-	a := quickArenas.Get().(*quickArena)
-	a.t.indexRoot(root)
-	a.x = ruleInput{t: &a.t, g: g, spec: spec, opts: opts}
-	err := a.x.check(allPhases&^phaseCapacity, nil)
-	// Keep no candidate tree or graph alive in the pool.
-	a.x.unbind()
-	a.t.root = nil
-	clear(a.t.nodeSet)
-	clear(a.st.leafOps)
-	clear(a.st.dimNames)
-	quickArenas.Put(a)
-	return err
-}
-
-// quickArena is one of QuickReject's pooled indexes: a tree and its
-// structure whose tables keep their capacity from candidate to candidate,
-// so a steady-state pre-screen allocates only what a rejection returns.
-type quickArena struct {
-	t  tree
-	st structure
-	x  ruleInput
-}
-
-var quickArenas = sync.Pool{New: func() any {
-	a := new(quickArena)
-	a.t.st = &a.st
-	return a
-}}
 
 // phase groups the rules by the pipeline step that checks them.
 type phase uint8

@@ -99,12 +99,6 @@ func TestStaticMatchesPipeline(t *testing.T) {
 			if !found {
 				t.Errorf("no %s violation in %v", m.rule, vs)
 			}
-			// QuickReject covers every non-capacity rule with the same error.
-			if err := QuickReject(root, g, spec, opts); err == nil {
-				t.Error("QuickReject passed a broken mapping")
-			} else if err.Error() != want.Error() {
-				t.Errorf("QuickReject = %q, pipeline = %q", err, want)
-			}
 			// Sentinel classification matches.
 			if errors.Is(want, ErrInvalidMapping) != isMark(vs[0].Err, ErrInvalidMapping) {
 				t.Error("sentinel class mismatch")
@@ -122,9 +116,6 @@ func TestStaticCleanOnValid(t *testing.T) {
 	}
 	if vs := AnalyzeStatic(root, g, spec, Options{}); len(vs) != 0 {
 		t.Fatalf("violations on a valid mapping: %v", vs)
-	}
-	if err := QuickReject(root, g, spec, Options{}); err != nil {
-		t.Fatalf("QuickReject on a valid mapping: %v", err)
 	}
 }
 
@@ -155,9 +146,6 @@ func TestStaticResourceRules(t *testing.T) {
 	}
 	if !vs[0].Infeasible() {
 		t.Error("resource violation not classified infeasible")
-	}
-	if err := QuickReject(root, g, spec, Options{}); err == nil || err.Error() != want.Error() {
-		t.Errorf("QuickReject = %v, pipeline = %v", err, want)
 	}
 
 	// With the PE check off, the pipeline's next complaint (if any) must
@@ -190,10 +178,6 @@ func TestStaticResourceRules(t *testing.T) {
 	vsCap := AnalyzeStatic(capRoot, g2, spec, Options{})
 	if len(vsCap) == 0 || vsCap[0].Rule != RuleCapacity || vsCap[0].Err.Error() != wantCap.Error() {
 		t.Fatalf("capacity static = %v, pipeline = %v", vsCap, wantCap)
-	}
-	// QuickReject deliberately skips the capacity rule.
-	if err := QuickReject(capRoot, g2, spec, Options{}); err != nil {
-		t.Errorf("QuickReject must skip capacity, got %v", err)
 	}
 	// And with the capacity check off, the point is fully valid both ways.
 	if err := pipelineErr(capRoot, g2, spec, Options{SkipCapacityCheck: true}); err != nil {
@@ -233,8 +217,6 @@ func TestStaticAllocatesNoProgram(t *testing.T) {
 	before := CompileCount()
 	_ = AnalyzeStatic(root, g, arch.Cloud(), Options{})
 	_ = AnalyzeStatic(broken2, g2, arch.Cloud(), Options{})
-	_ = QuickReject(root, g, arch.Cloud(), Options{})
-	_ = QuickReject(broken2, g2, arch.Cloud(), Options{})
 	if after := CompileCount(); after != before {
 		t.Fatalf("static pass compiled %d Programs", after-before)
 	}

@@ -313,13 +313,6 @@ type structure struct {
 	// groups lists, per node, the tensors its subtree accesses with all
 	// per-tensor access closures precomputed, in first-use order.
 	groups [][]tensorGroup
-
-	// intBuf, idBuf and rowBuf are the slabs behind the integer tables,
-	// the leaf and loop dim ids, and the rows of both dim id tables. A
-	// re-index reuses their capacity.
-	intBuf []int
-	idBuf  []int32
-	rowBuf [][]int32
 }
 
 // leafOf returns the pre-order id of op's leaf: the first childless leaf
@@ -405,50 +398,32 @@ func buildTree(root *Node) (*tree, error) {
 }
 
 // indexTree numbers root's tiles in pre-order into a fresh tree, its
-// structure allocated alongside.
+// structure allocated alongside, and fills the parent, children,
+// subtree-size and operator-leaf tables. It accepts malformed trees, which
+// the structure rules then report: a leaf's children are not tiles and are
+// not indexed, and leafOf keeps the first childless leaf of each operator
+// (-1 when the operator occurs only on or under a leaf with children).
+// Slices are sized by a counting pass and the integer tables share one
+// slab, so indexing costs a few allocations whatever the tree size. The dim
+// tables are left for indexDims.
 func indexTree(root *Node) *tree {
 	ts := &struct {
 		tree
 		st structure
 	}{}
-	ts.tree.st = &ts.st
-	ts.tree.indexRoot(root)
-	return &ts.tree
-}
-
-// indexRoot numbers root's tiles in pre-order and fills the parent,
-// children, subtree-size and operator-leaf tables, reusing the capacity of
-// t's tables (QuickReject's pooled arenas index every candidate this way).
-// It accepts malformed trees, which the structure rules then report: a
-// leaf's children are not tiles and are not indexed, and leafOf keeps the
-// first childless leaf of each operator (-1 when the operator occurs only
-// on or under a leaf with children). Slices are sized by a counting pass
-// and the integer tables share one slab, so indexing costs a few
-// allocations whatever the tree size. The dim tables are left for
-// indexDims.
-func (t *tree) indexRoot(root *Node) {
+	t, st := &ts.tree, &ts.st
+	t.st = st
 	nn, nl := countTiles(root)
-	st := t.st
 	t.root = root
-	t.nodeSet = resize(t.nodeSet, nn)[:0]
-	t.ldim = nil
-	ints := resize(st.intBuf, 3*nn+nl)
-	st.intBuf = ints
+	t.nodeSet = make([]*Node, 0, nn)
+	ints := make([]int, 3*nn+nl)
 	st.parent, st.size = ints[0:0:nn], ints[nn:nn:2*nn]
 	st.leafIDs = ints[3*nn : 3*nn : 3*nn+nl]
-	st.children = resize(st.children, nn)[:0]
-	st.leafOps = resize(st.leafOps, nl)[:0]
+	st.children = make([][]int, 0, nn)
+	st.leafOps = make([]*workload.Operator, 0, nl)
 	kids := ints[2*nn : 2*nn : 3*nn]
 	t.index(root, -1, &kids)
-}
-
-// resize returns s resliced to length n when its capacity allows, else a
-// new slice of length n. Reused elements keep their old values.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+	return t
 }
 
 // countTiles counts the tiles index will number and, of them, the leaves.
@@ -517,15 +492,13 @@ func (t *tree) indexDims(spatial bool) {
 	}
 	// One slab holds the leaf dim ids and the per-loop ids setLdim fills;
 	// another the rows of both tables.
-	st.idBuf = resize(st.idBuf, total+loops)
-	t.ldimBuf = st.idBuf[total:]
-	ids := st.idBuf[:0:total]
-	st.rowBuf = resize(st.rowBuf, 2*nn)
-	st.leafDims, t.ldim = st.rowBuf[:nn:nn], st.rowBuf[nn:nn]
-	st.dimNames = resize(st.dimNames, min(total, 16))[:0]
-	st.dimStart = [256]uint8{}
+	ids := make([]int32, total+loops)
+	t.ldimBuf = ids[total:]
+	ids = ids[:0:total]
+	rows := make([][]int32, 2*nn)
+	st.leafDims, t.ldim = rows[:nn:nn], rows[nn:nn]
+	st.dimNames = make([]string, 0, min(total, 16))
 	for i, n := range t.nodeSet {
-		st.leafDims[i] = nil
 		if !n.IsLeaf() {
 			continue
 		}
@@ -540,8 +513,7 @@ func (t *tree) indexDims(spatial bool) {
 		st.leafDims[i] = ids[lo:len(ids):len(ids)]
 	}
 	st.numDims = len(st.dimNames)
-	st.dimMask = resize(st.dimMask, nn*st.numDims)
-	clear(st.dimMask)
+	st.dimMask = make([]bool, nn*st.numDims)
 	for id := nn - 1; id >= 0; id-- {
 		m := st.subtreeDims(id)
 		if t.nodeSet[id].IsLeaf() {

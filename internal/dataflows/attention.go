@@ -173,11 +173,6 @@ func CustomAttention(name string, s workload.AttentionShape, spec *arch.Spec, ou
 func (d *fusedAttention) Name() string           { return d.name }
 func (d *fusedAttention) Graph() *workload.Graph { return d.g }
 
-// StructureStable: the tree shape depends only on the template's fusion
-// config and the architecture (cloud vs edge), never on the factors —
-// factors fill loop extents only.
-func (d *fusedAttention) StructureStable() bool { return true }
-
 func (d *fusedAttention) hasOuter(dim string) bool {
 	for _, o := range d.outer {
 		if o == dim {

@@ -59,10 +59,6 @@ func TileFlowConv(s workload.ConvChainShape, spec *arch.Spec) Dataflow {
 func (d *fusedConv) Name() string           { return d.name }
 func (d *fusedConv) Graph() *workload.Graph { return d.g }
 
-// StructureStable: the chain shape is fixed by the graph and architecture;
-// factors fill loop extents only.
-func (d *fusedConv) StructureStable() bool { return true }
-
 func (d *fusedConv) hasOuter(dim string) bool {
 	for _, o := range d.outer {
 		if o == dim {

@@ -46,33 +46,33 @@ type Dataflow interface {
 	Build(f map[string]int) (*core.Node, error)
 }
 
-// StructureStable is an optional Dataflow capability: a template declares
+// StructureStable was an optional Dataflow capability: a template declared
 // that every factor assignment Build accepts yields a tree with the same
-// structure — shape, levels, bindings and operators; only loop nests
-// differ. Mappers exploit it to core.Compile the template's tree once and
-// re-bind tilings through core.Program.WithTiling instead of recompiling
-// per candidate. Factor-1 loops may come and go freely (builders drop
-// them); what must not vary is the node tree itself.
+// structure. No template declares it any more and no mapper reads it: a
+// tile search compiles its first candidate and recompiles only when a
+// re-bind reports core.ErrStructureMismatch. The interface and
+// IsStructureStable remain only because perfbench's traced tune wrapper
+// compiles against them; they go with the next perfbench change.
 type StructureStable interface {
 	// StructureStable reports whether Build's tree structure is
 	// independent of the factor assignment.
 	StructureStable() bool
 }
 
-// Refiller is an optional capability of a StructureStable Dataflow: Refill
-// rewrites, in place, the loop nests of a tree the same template's Build
-// returned, for another factor assignment. It accepts and rejects exactly
-// the assignments Build does, with the same trees and byte-identical
-// errors, and a feasible refill allocates nothing. A rejected refill may
-// leave dst half written; the next accepted one rewrites every node. The
-// caller owns dst: a tree compiled into a core.Program keeps its nodes
-// there and must never be refilled.
+// Refiller is an optional Dataflow capability: Refill rewrites, in place,
+// the loop nests of a tree the same template's Build returned, for another
+// factor assignment. It accepts and rejects exactly the assignments Build
+// does, with the same trees and byte-identical errors, and a feasible
+// refill allocates nothing. A rejected refill may leave dst half written;
+// the next accepted one rewrites every node. The caller owns dst: a tree
+// compiled into a core.Program keeps its nodes there and must never be
+// refilled.
 type Refiller interface {
 	Refill(dst *core.Node, f map[string]int) error
 }
 
 // IsStructureStable reports whether the dataflow declares a
-// factor-independent tree structure.
+// factor-independent tree structure. Only perfbench calls it.
 func IsStructureStable(df Dataflow) bool {
 	s, ok := df.(StructureStable)
 	return ok && s.StructureStable()

@@ -82,10 +82,6 @@ func convLeafSpatial(op *workload.Operator) []string {
 func (d *layerwise) Name() string           { return d.name }
 func (d *layerwise) Graph() *workload.Graph { return d.g }
 
-// StructureStable: one subtree per operator in graph order, independent of
-// the factor assignment.
-func (d *layerwise) StructureStable() bool { return true }
-
 func (d *layerwise) Factors() []FactorSpec {
 	fs := []FactorSpec{
 		{Key: "t", Total: d.g.DimSize(d.chunkDim), Doc: "temporal tiles of " + d.chunkDim + " per operator"},

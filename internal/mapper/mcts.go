@@ -50,14 +50,15 @@ type TileSearch struct {
 	// mappings.
 	Domains map[string][]int
 
-	// prog is the compiled program of the template's structure, reused
-	// across rounds when the dataflow declares StructureStable: every
-	// candidate, the default-factors seed included, then pays only a
-	// tiling re-bind plus the evaluate half of the pipeline instead of a
-	// full compile. delta is the one incremental re-evaluation state all
-	// those rounds run through — successive MCTS candidates differ by a
-	// handful of factors, so most of the tree's analysis is replayed from
-	// the cache instead of recomputed.
+	// prog is the compiled program of the template's structure, compiled
+	// from the first candidate that compiles and reused across rounds:
+	// every later candidate pays only a tiling re-bind plus the evaluate
+	// half of the pipeline instead of a full compile. A candidate whose
+	// tree shape differs from prog's is compiled afresh and replaces it.
+	// delta is the one incremental re-evaluation state all those rounds run
+	// through — successive MCTS candidates differ by a handful of factors,
+	// so most of the tree's analysis is replayed from the cache instead of
+	// recomputed.
 	prog  *core.Program
 	delta *core.DeltaState
 
@@ -122,10 +123,7 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)
 	rng.Seed(s.Seed)
-	s.refiller = nil
-	if rf, ok := s.Dataflow.(dataflows.Refiller); ok && dataflows.IsStructureStable(s.Dataflow) {
-		s.refiller = rf
-	}
+	s.refiller, _ = s.Dataflow.(dataflows.Refiller)
 
 	// Choice lists per factor, in a fixed decision order, narrowed to the
 	// analyzer's domains when the caller provides them: MCTS never expands
@@ -265,26 +263,14 @@ func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rn
 	return bestIdx
 }
 
-// evaluate builds and evaluates one factor assignment. On the compiled
-// fast path the returned Evaluation's Result aliases the search's delta
-// arena and is valid only until the next rollout; RunContext clones it when
-// it becomes the best-so-far.
+// evaluate builds and evaluates one factor assignment. The returned
+// Evaluation's Result aliases the search's delta arena and is valid only
+// until the next rollout; RunContext clones it when it becomes the
+// best-so-far.
 func (s *TileSearch) evaluate(ctx context.Context, factors map[string]int) *Evaluation {
 	root, err := s.build(factors)
 	if err != nil {
 		return nil
-	}
-	if !dataflows.IsStructureStable(s.Dataflow) {
-		// Static pre-screen: QuickReject fails with exactly the error the
-		// pipeline would produce and passes only points no non-capacity
-		// rule rejects, so pruning here discards the same candidates
-		// Compile or Evaluate would — just without allocating a Program
-		// for them. On the compiled path below the pre-screen is skipped:
-		// the delta evaluator rejects the same points with the same errors
-		// at a fraction of a full static pass's cost.
-		if core.QuickReject(root, s.Dataflow.Graph(), s.Spec, s.Opts) != nil {
-			return nil
-		}
 	}
 	res, err := s.evaluateTree(ctx, root)
 	if err != nil {
@@ -309,15 +295,11 @@ func (s *TileSearch) build(factors map[string]int) (*core.Node, error) {
 	return root, err
 }
 
-// evaluateTree evaluates one candidate tree. When the dataflow declares a
-// stable structure the template is compiled once and every further
-// candidate re-binds into the incremental evaluator, paying only for the
-// subtrees whose loop nests changed since the previous rollout; otherwise
-// each candidate compiles from scratch.
+// evaluateTree evaluates one candidate tree. The template is compiled once
+// and every further candidate re-binds into the incremental evaluator,
+// paying only for the subtrees whose loop nests changed since the previous
+// rollout; a candidate of another structure is compiled afresh.
 func (s *TileSearch) evaluateTree(ctx context.Context, root *core.Node) (*core.Result, error) {
-	if !dataflows.IsStructureStable(s.Dataflow) {
-		return core.EvaluateContext(ctx, root, s.Dataflow.Graph(), s.Spec, s.Opts)
-	}
 	if s.prog == nil {
 		p, err := core.Compile(root, s.Dataflow.Graph(), s.Spec)
 		if err != nil {
@@ -337,9 +319,9 @@ func (s *TileSearch) evaluateTree(ctx context.Context, root *core.Node) (*core.R
 		// without paying for one.
 		return nil, err
 	}
-	// The re-bind rejected this tree's shape: the template mis-declares a
-	// stable structure. A fresh compile adopts the new structure and keeps
-	// this tree's nodes, so the search stops refilling.
+	// The re-bind rejected this tree's shape: the template's structure
+	// depends on its factors. A fresh compile adopts the new structure and
+	// keeps this tree's nodes, so the search stops refilling.
 	s.refill, s.refiller = nil, nil
 	p, cerr := core.Compile(root, s.Dataflow.Graph(), s.Spec)
 	if cerr != nil {

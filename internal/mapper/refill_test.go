@@ -23,8 +23,6 @@ type refillProbe struct {
 	t        *testing.T
 }
 
-func (p *refillProbe) StructureStable() bool { return true }
-
 func (p *refillProbe) Build(f map[string]int) (*core.Node, error) {
 	p.builds++
 	root, err := p.Dataflow.Build(f)
@@ -52,11 +50,9 @@ func (p *refillProbe) Refill(dst *core.Node, f map[string]int) error {
 	return nil
 }
 
-// hideRefill exposes only Build and StructureStable, so the search builds
-// a new tree per candidate.
+// hideRefill exposes only the Dataflow methods, so the search builds a
+// new tree per candidate.
 type hideRefill struct{ dataflows.Dataflow }
-
-func (hideRefill) StructureStable() bool { return true }
 
 // TestTileSearchRefillMatchesBuild: on every catalog template whose
 // defaults evaluate, a search that refills one tree visits the same

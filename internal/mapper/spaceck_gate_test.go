@@ -52,7 +52,6 @@ type narrowTemplate struct {
 
 func (t *narrowTemplate) Name() string           { return "narrow-template" }
 func (t *narrowTemplate) Graph() *workload.Graph { return t.g }
-func (t *narrowTemplate) StructureStable() bool  { return false }
 func (t *narrowTemplate) Factors() []dataflows.FactorSpec {
 	return []dataflows.FactorSpec{
 		{Key: "a", Total: t.i, Doc: "temporal i tile at DRAM"},
@@ -181,12 +180,6 @@ func (r *recordingDataflow) Build(f map[string]int) (*core.Node, error) {
 	return r.Dataflow.Build(f)
 }
 
-// StructureStable forwards the wrapped template's declaration, so a
-// recorded search takes the same evaluation path as an unwrapped one.
-func (r *recordingDataflow) StructureStable() bool {
-	return dataflows.IsStructureStable(r.Dataflow)
-}
-
 func mapsEqual(a, b map[string]int) bool {
 	if len(a) != len(b) {
 		return false
@@ -216,10 +209,11 @@ func spaceckStream(n int, total int) []map[string]int {
 
 // TestSpaceckNarrowingCounts pins what narrowing the space once saves on
 // the invalid-heavy assignment stream, in exact counts. The baseline path
-// builds and pre-screens every candidate (Build, then QuickReject); the
-// narrowed path first drops every assignment outside the analyzer's kept
-// domains, in the plain-data form TileSearch.Domains consumes, and only
-// builds and pre-screens the rest. Both must accept the same candidates.
+// builds and evaluates every candidate (Build, then Evaluate under every
+// rule but capacity); the narrowed path first drops every assignment
+// outside the analyzer's kept domains, in the plain-data form
+// TileSearch.Domains consumes, and only builds and evaluates the rest.
+// Both must accept the same candidates.
 func TestSpaceckNarrowingCounts(t *testing.T) {
 	const total = 64
 	df := &narrowTemplate{g: narrowGraph(total, 8), i: total}
@@ -248,19 +242,19 @@ func TestSpaceckNarrowingCounts(t *testing.T) {
 		return false
 	}
 
-	type tally struct{ builds, screens, accepts int }
+	type tally struct{ builds, evals, accepts int }
 	run := func(narrowed bool) (c tally) {
 		for _, f := range stream {
 			if narrowed && pruned(f) {
-				continue // provably infeasible: no Build, no pre-screen
+				continue // provably infeasible: no Build, no Evaluate
 			}
 			c.builds++
 			root, err := df.Build(f)
 			if err != nil {
 				continue
 			}
-			c.screens++
-			if core.QuickReject(root, df.Graph(), spec, core.Options{}) != nil {
+			c.evals++
+			if _, err := core.Evaluate(root, df.Graph(), spec, core.Options{SkipCapacityCheck: true}); err != nil {
 				continue
 			}
 			c.accepts++
@@ -284,10 +278,10 @@ func TestSpaceckNarrowingCounts(t *testing.T) {
 	if base.accepts != narrow.accepts {
 		t.Fatalf("accept counts differ: baseline %d, narrowed %d", base.accepts, narrow.accepts)
 	}
-	if want := (tally{builds: 20000, screens: 11456, accepts: 7489}); base != want {
+	if want := (tally{builds: 20000, evals: 11456, accepts: 7489}); base != want {
 		t.Errorf("baseline path %+v, want %+v", base, want)
 	}
-	if want := (tally{builds: 8706, screens: 7489, accepts: 7489}); narrow != want {
+	if want := (tally{builds: 8706, evals: 7489, accepts: 7489}); narrow != want {
 		t.Errorf("narrowed path %+v, want %+v", narrow, want)
 	}
 }

@@ -180,9 +180,8 @@ func renderTrajectoryGolden() string {
 		b.WriteString(trajectoryLine(label, r.Best, nil, r.Trace))
 	}
 
-	// Searches over dataflows that do not declare StructureStable: catalog
-	// templates behind a wrapper that hides the capability, and the narrow
-	// template, plain and with narrowed domains.
+	// Searches first recorded with a per-candidate compile: catalog
+	// templates, and the narrow template, plain and with narrowed domains.
 	seed = 2400
 	for _, spec := range specs {
 		for _, shape := range []string{"Bert-S", "ViT/16-B"} {
@@ -193,13 +192,13 @@ func renderTrajectoryGolden() string {
 				dataflows.Chimera(sh, spec),
 			} {
 				seed++
-				tile(fmt.Sprintf("cold catalog %s %s", df.Name(), df.Graph().Name), hideStability{df}, spec, 120, seed, nil)
+				tile(fmt.Sprintf("cold catalog %s %s", df.Name(), df.Graph().Name), df, spec, 120, seed, nil)
 			}
 		}
 	}
 	rgran := dataflows.FLATRGran(bert, arch.Cloud())
 	seed++
-	tile(fmt.Sprintf("cold narrowed %s %s", rgran.Name(), rgran.Graph().Name), hideStability{rgran}, arch.Cloud(), 120, seed, narrowedDomains(rgran))
+	tile(fmt.Sprintf("cold narrowed %s %s", rgran.Name(), rgran.Graph().Name), rgran, arch.Cloud(), 120, seed, narrowedDomains(rgran))
 	nt := &narrowTemplate{g: narrowGraph(64, 8), i: 64}
 	for i := 0; i < 4; i++ {
 		seed++

@@ -184,10 +184,6 @@ func NewGeneratedDataflow(label string, g *workload.Graph, spec *arch.Spec, enc 
 func (d *GeneratedDataflow) Name() string           { return d.Label }
 func (d *GeneratedDataflow) Graph() *workload.Graph { return d.G }
 
-// StructureStable: the encoding fixes the tree shape (chains, attach
-// points, bindings); the factor assignment fills loop extents only.
-func (d *GeneratedDataflow) StructureStable() bool { return true }
-
 // Factors implements Dataflow: one factor per on-chip level per dimension
 // ("L<level>_<dim>"), plus the spatial splits. The keys are the plan's.
 func (d *GeneratedDataflow) Factors() []dataflows.FactorSpec {

@@ -53,7 +53,6 @@ type retile struct {
 
 func (rt *retile) Name() string           { return rt.name }
 func (rt *retile) Graph() *workload.Graph { return rt.g }
-func (rt *retile) StructureStable() bool  { return true }
 func (rt *retile) Factors() []dataflows.FactorSpec {
 	return append([]dataflows.FactorSpec(nil), rt.specs...)
 }

@@ -56,7 +56,6 @@ type tinyTemplate struct {
 
 func (t *tinyTemplate) Name() string           { return "tiny-template" }
 func (t *tinyTemplate) Graph() *workload.Graph { return t.g }
-func (t *tinyTemplate) StructureStable() bool  { return true }
 func (t *tinyTemplate) Factors() []dataflows.FactorSpec {
 	return []dataflows.FactorSpec{
 		{Key: "a", Total: t.i, Doc: "temporal i tile at DRAM"},
