@@ -14,17 +14,10 @@ type iterm struct {
 	coef int64
 }
 
-// internAccess interns an access's index expression against the
-// structure's dim universe.
-func internAccess(st *structure, acc workload.Access) [][]iterm {
-	rows, terms := make([][]iterm, len(acc.Index)), make([]iterm, accessTerms(acc))
-	iix, _, _ := internAccessInto(st, acc, rows, terms)
-	return iix
-}
-
-// internAccessInto is internAccess carving the index rows and their terms
-// out of caller-owned slabs. It returns the interned index and the slab
-// tails it left unused.
+// internAccessInto interns an access's index expression against the
+// structure's dim universe, carving the index rows and their terms out of
+// caller-owned slabs. It returns the interned index and the slab tails it
+// left unused.
 func internAccessInto(st *structure, acc workload.Access, rows [][]iterm, terms []iterm) ([][]iterm, [][]iterm, []iterm) {
 	iix := rows[:len(acc.Index):len(acc.Index)]
 	for i, ix := range acc.Index {
@@ -56,17 +49,12 @@ func accessAt(op *workload.Operator, k int) (acc workload.Access, read bool) {
 	return op.Write, false
 }
 
-// sliceExtentsInto computes the per-tensor-dimension slice extents of an
-// access at node n (along the path to leaf), per Sec 5.1.1: for each
-// dimension the extent e−b stays constant over time steps and equals
-// 1 + Σ coef·(stepCov(dim)−1) over the affine terms of the index expression.
-// The result is written into dst, which must have len(acc.Index) capacity.
-// This string-keyed form interns on the fly for cold callers and tests;
-// the hot paths hold precomputed iterms and call sliceExtentsIntoI.
-func (t *tree) sliceExtentsInto(dst []int64, n, leaf int, acc workload.Access) []int64 {
-	return t.sliceExtentsIntoI(dst, n, leaf, internAccess(t.st, acc))
-}
-
+// sliceExtentsIntoI computes the per-tensor-dimension slice extents of an
+// interned access at node n (along the path to leaf), per Sec 5.1.1: for
+// each dimension the extent e−b stays constant over time steps and equals
+// 1 + Σ coef·(stepCovID(dim)−1) over the affine terms of the index
+// expression. The result is written into dst, which must have len(iix)
+// capacity.
 func (t *tree) sliceExtentsIntoI(dst []int64, n, leaf int, iix [][]iterm) []int64 {
 	dst = dst[:len(iix)]
 	for i, terms := range iix {
@@ -82,12 +70,8 @@ func (t *tree) sliceExtentsIntoI(dst []int64, n, leaf int, iix [][]iterm) []int6
 	return dst
 }
 
-// sliceVolume is the product of the slice extents: the size in words of the
-// data slice one time step of node n touches for this access.
-func (t *tree) sliceVolume(n, leaf int, acc workload.Access) int64 {
-	return t.sliceVolumeI(n, leaf, internAccess(t.st, acc))
-}
-
+// sliceVolumeI is the product of the slice extents: the size in words of
+// the data slice one time step of node n touches for this access.
 func (t *tree) sliceVolumeI(n, leaf int, iix [][]iterm) int64 {
 	v := int64(1)
 	for _, terms := range iix {
@@ -160,46 +144,12 @@ func (t *tree) coveredVolumeI(n, leaf int, iix [][]iterm) int64 {
 	return v
 }
 
-// temporalLoops lists node n's temporal loops outermost first.
-func temporalLoops(n *Node) []Loop {
-	return temporalLoopsInto(nil, n)
-}
-
-// temporalLoopsInto is temporalLoops appending into a caller-owned buffer.
-func temporalLoopsInto(dst []Loop, n *Node) []Loop {
-	for _, l := range n.Loops {
-		if l.Kind == Temporal {
-			dst = append(dst, l)
-		}
-	}
-	return dst
-}
-
-// stridesInto computes, for each temporal loop of n (outer..inner), the
+// stridesIntoI computes, for each temporal loop of n (outer..inner), the
 // number of elements of its dimension that one advance of that loop shifts
 // the slice window by: the step coverage of the dimension times the extents
-// of any inner temporal loops over the same dimension at this node. Results
-// are appended into dst.
-func (t *tree) stridesInto(dst []int64, n, leaf int, tloops []Loop) []int64 {
-	for k, lk := range tloops {
-		s := int64(t.stepCov(n, leaf, lk.Dim))
-		for j := k + 1; j < len(tloops); j++ {
-			if tloops[j].Dim == lk.Dim {
-				s *= int64(tloops[j].Extent)
-			}
-		}
-		dst = append(dst, s)
-	}
-	return dst
-}
-
-// strides is stridesInto with a fresh result slice (tests and cold paths).
-func (t *tree) strides(n, leaf int, tloops []Loop) []int64 {
-	return t.stridesInto(make([]int64, 0, len(tloops)), n, leaf, tloops)
-}
-
-// stridesIntoI is stridesInto on interned dim ids: tldims[k] is the interned
-// dim of tloops[k].
+// of any inner temporal loops over the same dimension at this node.
+// tldims[k] is the interned dim of tloops[k]. Results are appended into
+// dst.
 func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []int32) []int64 {
 	for k := range tloops {
 		s := int64(t.stepCovID(n, leaf, tldims[k]))
@@ -213,7 +163,7 @@ func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []in
 	return dst
 }
 
-// perExecDM implements the single-tile data-movement formula of Sec 5.1.1:
+// perExecDMI implements the single-tile data-movement formula of Sec 5.1.1:
 // the total volume moved across the node's upper boundary during one
 // complete execution of node n for the given access. It equals the
 // compulsory full slice plus, for every temporal-loop boundary t_k, the
@@ -233,13 +183,7 @@ func (t *tree) stridesIntoI(dst []int64, n, leaf int, tloops []Loop, tldims []in
 // the model matches the polyhedron baselines on single operators.)
 //
 // All intermediate vectors live in the evaluator's scratch arena, so
-// steady-state calls allocate nothing. This string-keyed form interns the
-// access on the fly for tests and cold callers; the hot paths hold the
-// precomputed iterms and call perExecDMI.
-func (e *evaluator) perExecDM(n, leaf int, acc workload.Access, retain bool) float64 {
-	return e.perExecDMI(n, leaf, internAccess(e.t.st, acc), retain)
-}
-
+// steady-state calls allocate nothing.
 func (e *evaluator) perExecDMI(n, leaf int, iix [][]iterm, retain bool) float64 {
 	t, s := e.t, e.s
 	if cap(s.exts) < len(iix) {

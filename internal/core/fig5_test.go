@@ -32,32 +32,34 @@ func TestFigure5SingleTileDM(t *testing.T) {
 		}
 	}
 
+	iA, iB, iC := internTestAccess(tr, accA), internTestAccess(tr, accB), internTestAccess(tr, op.Write)
+
 	// Slice extents: A is 4×6, B is 4×3, C is 4×4 (Fig 5).
-	exts := func(acc workload.Access) []int64 {
-		return tr.sliceExtentsInto(make([]int64, len(acc.Index)), 0, 0, acc)
+	exts := func(iix [][]iterm) []int64 {
+		return tr.sliceExtentsIntoI(make([]int64, len(iix)), 0, 0, iix)
 	}
-	if got := exts(accA); got[0] != 4 || got[1] != 6 {
+	if got := exts(iA); got[0] != 4 || got[1] != 6 {
 		t.Errorf("slice extents of A = %v, want [4 6]", got)
 	}
-	if got := exts(accB); got[0] != 4 || got[1] != 3 {
+	if got := exts(iB); got[0] != 4 || got[1] != 3 {
 		t.Errorf("slice extents of B = %v, want [4 3]", got)
 	}
-	if got := exts(op.Write); got[0] != 4 || got[1] != 4 {
+	if got := exts(iC); got[0] != 4 || got[1] != 4 {
 		t.Errorf("slice extents of C = %v, want [4 4]", got)
 	}
 
 	e := &evaluator{t: tr, s: &Scratch{}}
 	// The headline number: DM_A = 168 elements.
-	if got := e.perExecDM(0, 0, accA, false); got != 168 {
-		t.Errorf("perExecDM(A) = %v, want 168", got)
+	if got := e.perExecDMI(0, 0, iA, false); got != 168 {
+		t.Errorf("perExecDMI(A) = %v, want 168", got)
 	}
 	// B is fully reused along j: 12 compulsory + 2×12 when i advances.
-	if got := e.perExecDM(0, 0, accB, false); got != 36 {
-		t.Errorf("perExecDM(B) = %v, want 36", got)
+	if got := e.perExecDMI(0, 0, iB, false); got != 36 {
+		t.Errorf("perExecDMI(B) = %v, want 36", got)
 	}
 	// C: every output element written exactly once, 12×12 = 144.
-	if got := e.perExecDM(0, 0, op.Write, false); got != 144 {
-		t.Errorf("perExecDM(C) = %v, want 144", got)
+	if got := e.perExecDMI(0, 0, iC, false); got != 144 {
+		t.Errorf("perExecDMI(C) = %v, want 144", got)
 	}
 }
 
@@ -84,9 +86,16 @@ func TestFigure5LoopOrderMatters(t *testing.T) {
 	// occurs (3−1)·3 = 6 times moving 12 fresh elements, and the j
 	// boundary resets i (full 12-element refetch) twice.
 	e := &evaluator{t: tr, s: &Scratch{}}
-	got := e.perExecDM(0, 0, accB, false)
+	got := e.perExecDMI(0, 0, internTestAccess(tr, accB), false)
 	want := 12.0 + 6*12 + 2*12
 	if got != want {
-		t.Errorf("perExecDM(B) with i innermost = %v, want %v", got, want)
+		t.Errorf("perExecDMI(B) with i innermost = %v, want %v", got, want)
 	}
+}
+
+// internTestAccess interns an access against tr's dim universe, as Compile
+// does for every leaf access.
+func internTestAccess(tr *tree, acc workload.Access) [][]iterm {
+	iix, _, _ := internAccessInto(tr.st, acc, make([][]iterm, len(acc.Index)), make([]iterm, accessTerms(acc)))
+	return iix
 }

@@ -127,16 +127,22 @@ func TestStrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := temporalLoops(leaf)
+	var tl []Loop
+	var tld []int32
+	for li, l := range leaf.Loops {
+		if l.Kind == Temporal {
+			tl, tld = append(tl, l), append(tld, tr.ldim[0][li])
+		}
+	}
 	if len(tl) != 4 {
 		t.Fatalf("temporal loops = %d", len(tl))
 	}
-	s := tr.strides(0, 0, tl)
-	// stepCov(j) = spatial 2; inner j loop strides 2, outer j strides 3·2.
+	s := tr.stridesIntoI(nil, 0, 0, tl, tld)
+	// stepCovID(j) = spatial 2; inner j loop strides 2, outer j strides 3·2.
 	if s[1] != 2 || s[0] != 6 {
 		t.Errorf("j strides = outer %d inner %d, want 6/2", s[0], s[1])
 	}
-	// i has a single loop: stride = stepCov(i) = 1.
+	// i has a single loop: stride = stepCovID(i) = 1.
 	if s[2] != 1 {
 		t.Errorf("i stride = %d", s[2])
 	}

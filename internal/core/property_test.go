@@ -130,7 +130,8 @@ func TestPropertySliceExtentsPositive(t *testing.T) {
 		}
 		ev := &evaluator{t: tr, s: &Scratch{}}
 		for _, acc := range op.Accesses() {
-			exts := tr.sliceExtentsInto(make([]int64, len(acc.Index)), 0, 0, acc)
+			iix := internTestAccess(tr, acc)
+			exts := tr.sliceExtentsIntoI(make([]int64, len(iix)), 0, 0, iix)
 			vol := int64(1)
 			for _, x := range exts {
 				if x < 1 {
@@ -138,12 +139,12 @@ func TestPropertySliceExtentsPositive(t *testing.T) {
 				}
 				vol *= x
 			}
-			if vol != tr.sliceVolume(0, 0, acc) {
+			if vol != tr.sliceVolumeI(0, 0, iix) {
 				return false
 			}
 			// Per-exec DM is at least the compulsory slice and at most
 			// slice × temporal trips.
-			dm := ev.perExecDM(0, 0, acc, false)
+			dm := ev.perExecDMI(0, 0, iix, false)
 			if dm < float64(vol)-0.5 {
 				return false
 			}

@@ -710,36 +710,9 @@ func (t *tree) childToward(n, leaf int) int {
 	return child
 }
 
-// covBelow is the chunk of dimension dim covered per iteration step of node
-// n along the path toward leaf: the product of extents of dim loops at all
-// path nodes strictly below n.
-func (t *tree) covBelow(n, leaf int, dim string) int {
-	cov := 1
-	for m := leaf; m >= 0 && m != n; m = t.st.parent[m] {
-		cov *= t.nodeSet[m].DimExtent(dim)
-	}
-	return cov
-}
-
-// stepCov is the extent of dimension dim covered by one temporal step of
-// node n on the path to leaf: the node's own spatial extents times
-// everything below. This is the slice-defining quantity of Sec 5.1.1 — the
-// slice extent stays constant across time steps and is determined by the
-// spatial loops (and the subtree chunk).
-func (t *tree) stepCov(n, leaf int, dim string) int {
-	return t.nodeSet[n].SpatialExtent(dim) * t.covBelow(n, leaf, dim)
-}
-
-// covAt is the full extent of dim covered by node n (all loops at n and
-// below, along the path to leaf).
-func (t *tree) covAt(n, leaf int, dim string) int {
-	return t.nodeSet[n].DimExtent(dim) * t.covBelow(n, leaf, dim)
-}
-
 // dimExtentAt is DimExtent on interned dim ids: the product of all loop
-// extents of node m whose dim interned to dim. The hot analysis loops use
-// these forms to replace string hashing with int32 compares; each is the
-// exact same product, term for term, as its string counterpart.
+// extents of node m whose dim interned to dim. The analysis loops use these
+// forms to replace string hashing with int32 compares.
 func (t *tree) dimExtentAt(m int, dim int32) int {
 	if dim < 0 {
 		// Dims outside the universe match no loop.
@@ -756,7 +729,9 @@ func (t *tree) spatialExtentAt(m int, dim int32) int {
 	return int(t.sext[m*t.st.numDims+int(dim)])
 }
 
-// covBelowID is covBelow on interned dim ids.
+// covBelowID is the chunk of dimension dim covered per iteration step of
+// node n along the path toward leaf: the product of extents of dim loops at
+// all path nodes strictly below n.
 func (t *tree) covBelowID(n, leaf int, dim int32) int {
 	cov := 1
 	for m := leaf; m >= 0 && m != n; m = t.st.parent[m] {
@@ -765,12 +740,17 @@ func (t *tree) covBelowID(n, leaf int, dim int32) int {
 	return cov
 }
 
-// stepCovID is stepCov on interned dim ids.
+// stepCovID is the extent of dimension dim covered by one temporal step of
+// node n on the path to leaf: the node's own spatial extents times
+// everything below. This is the slice-defining quantity of Sec 5.1.1 — the
+// slice extent stays constant across time steps and is determined by the
+// spatial loops (and the subtree chunk).
 func (t *tree) stepCovID(n, leaf int, dim int32) int {
 	return t.spatialExtentAt(n, dim) * t.covBelowID(n, leaf, dim)
 }
 
-// covAtID is covAt on interned dim ids.
+// covAtID is the full extent of dim covered by node n (all loops at n and
+// below, along the path to leaf).
 func (t *tree) covAtID(n, leaf int, dim int32) int {
 	return t.dimExtentAt(n, dim) * t.covBelowID(n, leaf, dim)
 }
