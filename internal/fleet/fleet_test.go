@@ -42,6 +42,9 @@ type harness struct {
 	store *jobs.Store
 	coord *Coordinator
 	srv   *httptest.Server
+	// changed holds a token after the coordinator commits a job snapshot;
+	// waitState sleeps on it between store reads.
+	changed chan struct{}
 }
 
 func newHarness(t *testing.T, ttl time.Duration) *harness {
@@ -51,13 +54,19 @@ func newHarness(t *testing.T, ttl time.Duration) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := &Coordinator{Store: store, TTL: ttl}
+	changed := make(chan struct{}, 1)
+	coord := &Coordinator{Store: store, TTL: ttl, OnEvent: func(*jobs.Job) {
+		select {
+		case changed <- struct{}{}:
+		default: // a token is already pending
+		}
+	}}
 	srv := httptest.NewServer(coord.Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		store.Close()
 	})
-	return &harness{clk: clk, store: store, coord: coord, srv: srv}
+	return &harness{clk: clk, store: store, coord: coord, srv: srv, changed: changed}
 }
 
 func (h *harness) newWorker(t *testing.T, node string, runner jobs.Runner) *Worker {
@@ -76,18 +85,21 @@ func (h *harness) newWorker(t *testing.T, node string, runner jobs.Runner) *Work
 	return w
 }
 
-func waitState(t *testing.T, s *jobs.Store, id string, want jobs.State) *jobs.Job {
+// waitState waits until the job reaches want or the deadline passes,
+// reading the store after each snapshot the coordinator commits. Every
+// state the fleet tests wait for is committed through the coordinator.
+func waitState(t *testing.T, h *harness, id string, want jobs.State) *jobs.Job {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
-		j, ok := s.Get(id)
+		j, ok := h.store.Get(id)
 		if ok && j.State == want {
 			return j
 		}
 		select {
 		case <-deadline:
 			t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
-		case <-time.After(2 * time.Millisecond):
+		case <-h.changed:
 		}
 	}
 }
@@ -105,7 +117,7 @@ func TestWorkerClaimsRunsCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := waitState(t, h.store, j.ID, jobs.Done)
+	got := waitState(t, h, j.ID, jobs.Done)
 	if string(got.Result) != `{"echo":{"x":1}}` {
 		t.Errorf("result %s", got.Result)
 	}
@@ -117,18 +129,15 @@ func TestWorkerClaimsRunsCompletes(t *testing.T) {
 		t.Errorf("coordinator stats %+v", cs)
 	}
 	// The store turns Done inside the complete handler, a beat before the
-	// worker bumps its own counter — poll briefly.
-	deadline := time.After(2 * time.Second)
-	for {
-		ws := w.Stats()
-		if ws.Claims == 1 && ws.CheckpointsShipped == 1 && ws.Completes == 1 && ws.LeasesHeld == 0 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("worker stats %+v", ws)
-		case <-time.After(2 * time.Millisecond):
-		}
+	// worker bumps its own counter, and no coordinator event follows that
+	// bump: drain the worker, which returns once its slot loop has exited.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ws := w.Stats(); ws.Claims != 1 || ws.CheckpointsShipped != 1 || ws.Completes != 1 || ws.LeasesHeld != 0 {
+		t.Fatalf("worker stats %+v", ws)
 	}
 }
 
@@ -187,7 +196,7 @@ func TestFailoverHandsCheckpointToNextWorker(t *testing.T) {
 	if claimed.Attempts != 2 {
 		t.Errorf("attempts %d, want 2", claimed.Attempts)
 	}
-	waitState(t, h.store, j.ID, jobs.Done)
+	waitState(t, h, j.ID, jobs.Done)
 }
 
 // TestStaleCompleteRejectedOnWire exercises lease safety over HTTP: a
@@ -268,7 +277,7 @@ func TestCancelRidesHeartbeat(t *testing.T) {
 	if _, err := h.store.RequestCancel(j.ID); err != nil {
 		t.Fatal(err)
 	}
-	got := waitState(t, h.store, j.ID, jobs.Cancelled)
+	got := waitState(t, h, j.ID, jobs.Cancelled)
 	if got.Error != jobs.ErrCancelled.Error() {
 		t.Errorf("cancelled job error %q", got.Error)
 	}
@@ -332,7 +341,7 @@ func TestNoDoubleExecution(t *testing.T) {
 		ids[i] = j.ID
 	}
 	for _, id := range ids {
-		waitState(t, h.store, id, jobs.Done)
+		waitState(t, h, id, jobs.Done)
 	}
 	mu.Lock()
 	defer mu.Unlock()

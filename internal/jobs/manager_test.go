@@ -9,10 +9,15 @@ import (
 	"time"
 )
 
-// waitState polls until the job reaches want or the deadline passes.
+// waitState waits on the job's event stream until the job reaches want or
+// the deadline passes. The store commits each state before its event is
+// emitted, so a read after an event sees that state or a later one.
 func waitState(t *testing.T, m *Manager, id string, want State) *Job {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
+	ch, stop := m.Subscribe(id, 0)
+	defer func() { stop() }()
+	seq := 0
 	for {
 		j, ok := m.Get(id)
 		if ok && j.State == want {
@@ -21,7 +26,17 @@ func waitState(t *testing.T, m *Manager, id string, want State) *Job {
 		select {
 		case <-deadline:
 			t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
-		case <-time.After(2 * time.Millisecond):
+		case ev, open := <-ch:
+			switch {
+			case open:
+				seq = ev.Seq
+			case ok && j.State.Terminal():
+				// The stream ended with the job: no later state can come.
+				t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
+			default:
+				// Dropped for falling behind: resume after the last event.
+				ch, stop = m.Subscribe(id, seq)
+			}
 		}
 	}
 }

@@ -18,9 +18,13 @@ import (
 	"repro/internal/core"
 )
 
+// newTestServer starts a Server behind an httptest server. Cleanups run
+// last-in first-out, so the HTTP server stops before the Server closes its
+// job workers and sweep ticker.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
+	t.Cleanup(func() { closeNode(t, s) })
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(hs.Close)
 	return s, hs
