@@ -46,13 +46,13 @@ type Dataflow interface {
 	Build(f map[string]int) (*core.Node, error)
 }
 
-// StructureStable was an optional Dataflow capability: a template declared
-// that every factor assignment Build accepts yields a tree with the same
-// structure. No template declares it any more and no mapper reads it: a
-// tile search compiles its first candidate and recompiles only when a
-// re-bind reports core.ErrStructureMismatch. The interface and
-// IsStructureStable remain only because perfbench's traced tune wrapper
-// compiles against them; they go with the next perfbench change.
+// StructureStable lets a template declare that every factor assignment
+// Build accepts yields a tree with the same structure. Nothing outside
+// perfbench reads it: a tile search compiles its first candidate and
+// recompiles only when a re-bind reports core.ErrStructureMismatch. The
+// interface and IsStructureStable stay only because perfbench's traced
+// tune wrapper compiles against them, and go with the next perfbench
+// change.
 type StructureStable interface {
 	// StructureStable reports whether Build's tree structure is
 	// independent of the factor assignment.
