@@ -85,6 +85,9 @@ func main() {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
+	// Shutdown waits for active requests; answering parked fleet claims
+	// at once keeps it from waiting out a worker's claim park.
+	hs.RegisterOnShutdown(srv.StopParking)
 
 	var fs *http.Server
 	if *fleetListen != "" {
@@ -95,6 +98,7 @@ func main() {
 			Handler:           srv.FleetHandler(),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
+		fs.RegisterOnShutdown(srv.StopParking)
 		go func() {
 			log.Printf("tileflow-serve fleet protocol on %s", *fleetListen)
 			if err := fs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,10 +33,9 @@ type Coordinator struct {
 	// OnEvent, when set, observes every job snapshot the protocol mutates —
 	// the composition root fans these into the job event streams so an SSE
 	// watcher on the coordinator follows a search executing on another node.
+	// (The store itself wakes the local manager and parked claims when a
+	// sweep or release re-queues a job.)
 	OnEvent func(*jobs.Job)
-	// OnRequeue, when set, is told the ID of every job a sweep (or release)
-	// put back in the queue, so the local manager can schedule it.
-	OnRequeue func(id string)
 
 	claims     atomic.Uint64
 	emptyClaim atomic.Uint64
@@ -49,11 +49,18 @@ type Coordinator struct {
 	sweepPois  atomic.Uint64
 
 	// nodes is the fleet inventory: last contact per worker node, fed by
-	// every protocol request that names its sender. Claim polls count as
-	// contact even when the queue is empty — an idle worker keeps polling,
-	// which is exactly what distinguishes "idle" from "gone".
+	// every protocol request that names its sender. An empty claim counts
+	// as contact when its park ends: an idle worker's claim parks for up
+	// to its Poll (never past one TTL) and is then sent again at once, and
+	// that steady contact is exactly what distinguishes "idle" from "gone".
 	nodeMu sync.Mutex
 	nodes  map[string]*nodeState
+
+	// parks is the parent of every parked claim's context; StopParking
+	// cancels it, ending them all.
+	parkMu    sync.Mutex
+	parks     context.Context
+	stopParks context.CancelFunc
 }
 
 // nodeState is one worker node's liveness record.
@@ -123,8 +130,9 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// touchNode records contact from a worker node. Claim polls are counted
-// separately from granted claims so the inventory can show poll cadence.
+// touchNode records contact from a worker node. Every claim, granted or
+// answered empty after its park, counts as a poll; granted claims are
+// also counted on their own, so the inventory shows the claim cadence.
 func (c *Coordinator) touchNode(node string, claimed bool) {
 	if node == "" {
 		return
@@ -198,9 +206,6 @@ func (c *Coordinator) Sweep() (requeued, cancelled, poisoned int) {
 	for _, j := range req {
 		c.failovers.Add(1)
 		c.event(j)
-		if c.OnRequeue != nil {
-			c.OnRequeue(j.ID)
-		}
 	}
 	for _, j := range canc {
 		c.sweepCanc.Add(1)
@@ -219,6 +224,31 @@ func (c *Coordinator) event(j *jobs.Job) {
 	}
 }
 
+// parkContext returns the context every parked claim derives from.
+func (c *Coordinator) parkContext() context.Context {
+	c.parkMu.Lock()
+	defer c.parkMu.Unlock()
+	if c.parks == nil {
+		c.parks, c.stopParks = context.WithCancel(context.Background())
+	}
+	return c.parks
+}
+
+// StopParking ends every parked claim with an empty answer and makes
+// later claims answer without parking. Call it when the node shuts down
+// (serve.Server.Close does) and register it with RegisterOnShutdown on
+// each http.Server carrying the protocol, so a graceful Shutdown never
+// waits out a park. Safe to call more than once.
+func (c *Coordinator) StopParking() {
+	c.parkContext()
+	c.stopParks()
+}
+
+// handleClaim grants the next claimable job. When there is none it parks
+// the claim — for the worker's wait_ms, capped at the lease TTL — and
+// retries at each store event that can make a claim succeed; claim order
+// and fencing are ClaimNext's own. The park also ends when the worker
+// hangs up or StopParking runs.
 func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req claimRequest
 	if !decodeBody(w, r, &req) {
@@ -228,7 +258,16 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("claim needs a node name"))
 		return
 	}
-	j, err := c.Store.ClaimNext(req.Node, c.ttl())
+	park, cancel := context.WithTimeout(r.Context(), min(time.Duration(req.WaitMS)*time.Millisecond, c.ttl()))
+	defer cancel()
+	defer context.AfterFunc(c.parkContext(), cancel)()
+	j, err := c.Store.ClaimWait(park, req.Node, c.ttl())
+	if err == nil && r.Context().Err() != nil {
+		// The worker hung up as the grant was made: hand the job straight
+		// back rather than strand it under a lease until the sweep.
+		c.Store.Release(j.ID, j.Lease.Token, true)
+		return
+	}
 	if errors.Is(err, jobs.ErrNoQueuedJob) {
 		c.touchNode(req.Node, false)
 		c.emptyClaim.Add(1)
@@ -297,9 +336,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			c.releases.Add(1)
 			c.event(j)
-			if c.OnRequeue != nil {
-				c.OnRequeue(j.ID)
-			}
 		}
 	case req.State.Terminal():
 		j, err = c.Store.Complete(req.ID, req.Token, req.State, req.Result, req.Error)

@@ -5,7 +5,8 @@
 //
 // The protocol has four job endpoints plus an inventory:
 //
-//	POST /v1/fleet/claim       claim the oldest queued job under a TTL lease
+//	POST /v1/fleet/claim       claim the next queued job under a TTL lease,
+//	                           parking up to wait_ms while none is claimable
 //	POST /v1/fleet/renew       heartbeat: extend the lease, learn of cancels
 //	POST /v1/fleet/checkpoint  ship a progress + checkpoint payload
 //	POST /v1/fleet/complete    finalize (or release) the job under the lease
@@ -62,15 +63,19 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// claimRequest asks for the oldest queued job. Node names the claimant and
-// becomes the lease owner recorded in the store.
+// claimRequest asks for the next queued job. Node names the claimant and
+// becomes the lease owner recorded in the store. WaitMS is how long the
+// coordinator may park the claim while nothing is claimable, waking it at
+// each submit, requeue or finish; the coordinator caps it at its lease
+// TTL, and zero (an older worker) answers at once.
 type claimRequest struct {
-	Node string `json:"node"`
+	Node   string `json:"node"`
+	WaitMS int64  `json:"wait_ms,omitempty"`
 }
 
 // claimResponse hands the claimed job — request, checkpoint, and lease
-// (owner, fencing token, expiry) included — to the worker. An empty queue
-// answers 204 with no body instead.
+// (owner, fencing token, expiry) included — to the worker. A claim that
+// parked without finding work answers 204 with no body instead.
 type claimResponse struct {
 	Job *jobs.Job `json:"job"`
 }
@@ -116,11 +121,12 @@ type completeResponse struct {
 }
 
 // NodeInfo is one row of the fleet inventory on GET /v1/fleet/nodes: a
-// worker node's last protocol contact (claims — even empty polls —
-// renewals, and checkpoints all count), how stale that contact is, the
-// leases it currently holds, and a coarse state: "busy" (holds leases),
-// "idle" (recent contact, no leases), or "gone" (silent for three lease
-// TTLs — its jobs have already failed over).
+// worker node's last protocol contact (claims — even empty ones, counted
+// when their park ends — renewals, and checkpoints all count), how stale
+// that contact is, the leases it currently holds, and a coarse state:
+// "busy" (holds leases), "idle" (recent contact, no leases), or "gone"
+// (silent for three lease TTLs — its jobs have already failed over). A
+// park never outlasts one TTL, so an idle worker never reads as gone.
 type NodeInfo struct {
 	Node       string    `json:"node"`
 	LastSeen   time.Time `json:"last_seen"`

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,6 +47,10 @@ type harness struct {
 	// changed holds a token after the coordinator commits a job snapshot;
 	// waitState sleeps on it between store reads.
 	changed chan struct{}
+	// claimed receives the node name of each claim as it reaches the
+	// coordinator, before the coordinator handles it; sends that find the
+	// buffer full are dropped.
+	claimed chan string
 }
 
 func newHarness(t *testing.T, ttl time.Duration) *harness {
@@ -61,20 +67,39 @@ func newHarness(t *testing.T, ttl time.Duration) *harness {
 		default: // a token is already pending
 		}
 	}}
-	srv := httptest.NewServer(coord.Handler())
+	claimed := make(chan string, 64)
+	handler := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/claim" {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var req claimRequest
+			json.Unmarshal(body, &req)
+			select {
+			case claimed <- req.Node:
+			default:
+			}
+		}
+		handler.ServeHTTP(w, r)
+	}))
 	t.Cleanup(func() {
 		srv.Close()
 		store.Close()
 	})
-	return &harness{clk: clk, store: store, coord: coord, srv: srv, changed: changed}
+	return &harness{clk: clk, store: store, coord: coord, srv: srv, changed: changed, claimed: claimed}
 }
 
 func (h *harness) newWorker(t *testing.T, node string, runner jobs.Runner) *Worker {
 	t.Helper()
+	return h.newWorkerPoll(t, node, 5*time.Millisecond, runner)
+}
+
+func (h *harness) newWorkerPoll(t *testing.T, node string, poll time.Duration, runner jobs.Runner) *Worker {
+	t.Helper()
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: h.srv.URL,
 		Node:        node,
-		Poll:        5 * time.Millisecond,
+		Poll:        poll,
 		Heartbeat:   10 * time.Millisecond,
 		Clock:       h.clk.Now,
 		Runner:      runner,
@@ -85,12 +110,16 @@ func (h *harness) newWorker(t *testing.T, node string, runner jobs.Runner) *Work
 	return w
 }
 
+// eventDeadline bounds each event wait in the fleet tests; none of them
+// sleeps.
+const eventDeadline = 10 * time.Second
+
 // waitState waits until the job reaches want or the deadline passes,
 // reading the store after each snapshot the coordinator commits. Every
 // state the fleet tests wait for is committed through the coordinator.
 func waitState(t *testing.T, h *harness, id string, want jobs.State) *jobs.Job {
 	t.Helper()
-	deadline := time.After(5 * time.Second)
+	deadline := time.After(eventDeadline)
 	for {
 		j, ok := h.store.Get(id)
 		if ok && j.State == want {
@@ -476,5 +505,139 @@ func TestWirePayloadsStoredCanonical(t *testing.T) {
 	got, _ = h.store.Get(j.ID)
 	if want := `{"notation":"a\u003eb"}`; got.State != jobs.Done || string(got.Result) != want {
 		t.Errorf("stored %s result %s, want done %s", got.State, got.Result, want)
+	}
+}
+
+// waitClaimFrom waits until a claim from node reaches the coordinator.
+func waitClaimFrom(t *testing.T, h *harness, node string) {
+	t.Helper()
+	deadline := time.After(eventDeadline)
+	for {
+		select {
+		case n := <-h.claimed:
+			if n == node {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("no claim from %s reached the coordinator", node)
+		}
+	}
+}
+
+// TestParkedClaimTakesLaterSubmit: a worker whose claim found the queue
+// empty is parked on the coordinator, not sleeping out its hour-long
+// Poll, so a job submitted after the claim arrived runs at once.
+func TestParkedClaimTakesLaterSubmit(t *testing.T) {
+	h := newHarness(t, time.Hour)
+	w := h.newWorkerPoll(t, "w1", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		return json.RawMessage(`{"ok":true}`), nil
+	})
+	w.Start()
+	defer w.Kill()
+
+	waitClaimFrom(t, h, "w1")
+	j, err := h.store.Create("search", json.RawMessage(`{"x":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, h, j.ID, jobs.Done)
+	if got.Lease != nil || got.Attempts != 1 {
+		t.Errorf("done job %+v, want one attempt and no lease", got)
+	}
+}
+
+// TestSweepRequeueWakesParkedClaim: a lease sweep that re-queues a dead
+// worker's job wakes another worker's parked claim, which takes the job
+// under the next fencing token.
+func TestSweepRequeueWakesParkedClaim(t *testing.T) {
+	h := newHarness(t, time.Minute)
+	started := make(chan struct{})
+	var once sync.Once
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		once.Do(func() { close(started) })
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	})
+	a.Start()
+	j, err := h.store.Create("search", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(eventDeadline):
+		t.Fatal("worker a never started the job")
+	}
+	a.Kill()
+	first, _ := h.store.Get(j.ID)
+	if first.State != jobs.Running || first.Lease.Owner != "a" {
+		t.Fatalf("job after kill: %+v", first)
+	}
+
+	got := make(chan *jobs.Job, 1)
+	b := h.newWorkerPoll(t, "b", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		got <- j
+		return json.RawMessage(`{}`), nil
+	})
+	b.Start()
+	defer b.Kill()
+	waitClaimFrom(t, h, "b")
+
+	h.clk.Advance(2 * time.Minute)
+	h.coord.Sweep()
+	select {
+	case claimed := <-got:
+		if claimed.ID != j.ID || claimed.Lease.Owner != "b" || claimed.Lease.Token != first.Lease.Token+1 {
+			t.Fatalf("b claimed %s under %+v; want %s under token %d", claimed.ID, claimed.Lease, j.ID, first.Lease.Token+1)
+		}
+	case <-time.After(eventDeadline):
+		t.Fatal("the re-queued job never reached parked worker b")
+	}
+	waitState(t, h, j.ID, jobs.Done)
+}
+
+// TestClaimNoFasterThanPoll: against a coordinator that answers every
+// claim empty at once (one that does not park), each slot sleeps out the
+// rest of its Poll, so two slots with an hour-long Poll send exactly two
+// claims, and Close still returns at once.
+func TestClaimNoFasterThanPoll(t *testing.T) {
+	var claims atomic.Int64
+	arrived := make(chan struct{}, 16)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/claim" {
+			claims.Add(1)
+			arrived <- struct{}{}
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer stub.Close()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: stub.URL,
+		Node:        "w1",
+		Slots:       2,
+		Poll:        time.Hour,
+		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+			return nil, fmt.Errorf("no job should run")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	deadline := time.After(eventDeadline)
+	for n := 0; n < 2; n++ {
+		select {
+		case <-arrived:
+		case <-deadline:
+			t.Fatalf("only %d of 2 claims arrived", n)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), eventDeadline)
+	defer cancel()
+	if err := w.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := claims.Load(); n != 2 {
+		t.Errorf("stub saw %d claims, want 2 (one per slot per Poll)", n)
 	}
 }

@@ -29,8 +29,14 @@ type WorkerConfig struct {
 	Node string
 	// Slots is the number of jobs run concurrently (default 1).
 	Slots int
-	// Poll is how long to wait after an empty claim before asking again
-	// (default 500ms).
+	// Poll bounds the claim cadence while the queue is empty (default
+	// 500ms). Each claim asks the coordinator to park it for up to Poll,
+	// answering as soon as a job is submitted, re-queued or finished; an
+	// empty answer after a full park is followed by the next claim at
+	// once. A park ends early when the worker closes, the coordinator
+	// shuts down, or it reaches the coordinator's lease TTL; the slot then
+	// sleeps out the rest of Poll, and after a failed claim a full Poll,
+	// so no slot claims more than once per Poll.
 	Poll time.Duration
 	// Heartbeat is the lease renewal cadence (default 3s). Keep it well
 	// under the coordinator's lease TTL: a worker that misses every renew
@@ -57,7 +63,10 @@ type Worker struct {
 
 	mu      sync.Mutex
 	running map[string]context.CancelCauseFunc
-	stop    chan struct{}
+	// stop ends the slot loops and their in-flight claims; shutdown
+	// halts it.
+	stop    context.Context
+	halt    context.CancelFunc
 	stopped bool
 	wg      sync.WaitGroup
 
@@ -76,8 +85,8 @@ type WorkerStats struct {
 	// LeasesHeld is the number of jobs currently running under this
 	// worker's leases.
 	LeasesHeld int
-	// Claims counts successful claims; EmptyClaims, polls that found the
-	// queue empty.
+	// Claims counts successful claims; EmptyClaims, claims answered empty
+	// (after parking on the coordinator).
 	Claims      uint64
 	EmptyClaims uint64
 	// Renews counts successful heartbeats; RenewLatency is the most recent
@@ -120,13 +129,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Worker{
+	w := &Worker{
 		cfg:     cfg,
 		now:     now,
 		client:  client,
 		running: map[string]context.CancelCauseFunc{},
-		stop:    make(chan struct{}),
-	}, nil
+	}
+	w.stop, w.halt = context.WithCancel(context.Background())
+	return w, nil
 }
 
 // Start launches the slot loops.
@@ -155,10 +165,11 @@ func (w *Worker) Stats() WorkerStats {
 	}
 }
 
-// Close drains the worker: no new claims, running jobs are cancelled with
-// the draining cause (their runners checkpoint), and each job is released
-// back to the coordinator's queue with its checkpoint intact. Blocks until
-// every slot exits or ctx expires.
+// Close drains the worker: no new claims (a parked one is abandoned),
+// running jobs are cancelled with the draining cause (their runners
+// checkpoint), and each job is released back to the coordinator's queue
+// with its checkpoint intact. Blocks until every slot exits or ctx
+// expires.
 func (w *Worker) Close(ctx context.Context) error {
 	w.shutdown(jobs.ErrDraining)
 	done := make(chan struct{})
@@ -183,37 +194,37 @@ func (w *Worker) Kill() {
 func (w *Worker) shutdown(cause error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.stopped {
-		w.stopped = true
-		close(w.stop)
-	}
+	w.stopped = true
+	w.halt()
 	for _, cancel := range w.running {
 		cancel(cause)
 	}
 }
 
-// slot is one claim-run-complete loop.
+// slot is one claim-run-complete loop. The Poll timer starts before the
+// claim, so after an empty answer the slot waits only for what is left of
+// the Poll — nothing after a full park; after an error it waits a full
+// Poll from then.
 func (w *Worker) slot() {
 	defer w.wg.Done()
-	for {
-		select {
-		case <-w.stop:
-			return
-		default:
-		}
+	for w.stop.Err() == nil {
+		next := time.NewTimer(w.cfg.Poll)
 		j, err := w.claim()
-		if err != nil || j == nil {
-			// Empty queue or unreachable coordinator: back off one poll.
-			t := time.NewTimer(w.cfg.Poll)
-			select {
-			case <-w.stop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
+		if j != nil {
+			next.Stop()
+			w.runJob(j)
 			continue
 		}
-		w.runJob(j)
+		if err != nil {
+			next.Stop()
+			next = time.NewTimer(w.cfg.Poll)
+		}
+		select {
+		case <-w.stop.Done():
+			next.Stop()
+			return
+		case <-next.C:
+		}
 	}
 }
 
@@ -339,11 +350,13 @@ func (w *Worker) runProtected(ctx context.Context, j *jobs.Job, upd func(progres
 	return w.cfg.Runner(ctx, j, upd)
 }
 
-// claim asks the coordinator for a job; nil without error means the queue
-// was empty.
+// claim asks the coordinator for a job, letting it park the request for
+// up to Poll (in whole milliseconds, rounded up); nil without error means
+// nothing became claimable. Shutdown cancels the request.
 func (w *Worker) claim() (*jobs.Job, error) {
 	var resp claimResponse
-	status, err := w.postStatus("/v1/fleet/claim", &claimRequest{Node: w.cfg.Node}, &resp)
+	wait := int64((w.cfg.Poll + time.Millisecond - 1) / time.Millisecond)
+	status, err := w.postStatus(w.stop, "/v1/fleet/claim", &claimRequest{Node: w.cfg.Node, WaitMS: wait}, &resp)
 	if err != nil {
 		return nil, err
 	}
@@ -391,18 +404,23 @@ func isLeaseFatal(err error) bool {
 }
 
 func (w *Worker) post(path string, body, into any) error {
-	_, err := w.postStatus(path, body, into)
+	_, err := w.postStatus(context.Background(), path, body, into)
 	return err
 }
 
-// postStatus POSTs JSON to the coordinator, decoding a 2xx body into `into`
-// and a non-2xx body into a *wireError.
-func (w *Worker) postStatus(path string, body, into any) (int, error) {
+// postStatus POSTs JSON to the coordinator under ctx, decoding a 2xx body
+// into `into` and a non-2xx body into a *wireError.
+func (w *Worker) postStatus(ctx context.Context, path string, body, into any) (int, error) {
 	b, err := json.Marshal(body)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := w.client.Post(w.cfg.Coordinator+path, "application/json", bytes.NewReader(b))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(b))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := w.client.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,6 +71,44 @@ type Picker func(queued, running []*Job) string
 func (s *Store) ClaimNext(owner string, ttl time.Duration) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.claimNextLocked(owner, ttl)
+}
+
+// ClaimWait is ClaimNext that parks while nothing is claimable: a failed
+// claim is retried each time a job's state changes in a way that can let
+// it succeed (see setStateLocked) until one succeeds, ctx ends, or the
+// store closes. It tries at least once, so a ctx that is already done
+// makes it a plain ClaimNext. When ctx ends it returns the last claim's
+// error — ErrNoQueuedJob when the queue simply stayed empty — and after
+// Close it returns ErrNoQueuedJob without claiming. Each attempt reads
+// the wake signal under the same lock hold as its claim, so an event
+// that lands between a failed claim and the wait is never missed.
+func (s *Store) ClaimWait(ctx context.Context, owner string, ttl time.Duration) (*Job, error) {
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, ErrNoQueuedJob
+		}
+		j, err := s.claimNextLocked(owner, ttl)
+		if err == nil {
+			s.mu.Unlock()
+			return j, nil
+		}
+		if s.wake == nil {
+			s.wake = make(chan struct{})
+		}
+		wake := s.wake
+		s.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return nil, err
+		case <-wake:
+		}
+	}
+}
+
+func (s *Store) claimNextLocked(owner string, ttl time.Duration) (*Job, error) {
 	s.sweepLeasesLocked()
 	queued := make([]*Job, 0, len(s.active))
 	running := make([]*Job, 0, len(s.active))

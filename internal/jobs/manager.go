@@ -57,28 +57,27 @@ const localOwner = "local"
 const maxEventHistory = 512
 
 // Manager owns the worker pool on top of a Store. Workers pull work by
-// claiming through Store.ClaimNext — the same scheduler-governed path
+// claiming through Store.ClaimWait — the same scheduler-governed path
 // fleet claims use — rather than from a private FIFO list, so an
 // installed Picker (priority classes, tenant quotas) governs local
-// execution too. Jobs found queued in the store at construction (fresh
-// submissions from a previous process, or running jobs the store
-// re-queued during crash recovery) are scheduled immediately.
+// execution too. A worker with nothing claimable parks on the store's
+// wake signal, which every submit, requeue and finish fires, so a
+// quota-blocked worker sleeps instead of busy-polling. Jobs found queued
+// in the store at construction (fresh submissions from a previous
+// process, or running jobs the store re-queued during crash recovery)
+// are scheduled immediately.
 type Manager struct {
 	store   *Store
 	runner  Runner
 	workers int
+	// parked ends the workers' parked claims; stopParks cancels it at
+	// Drain.
+	parked    context.Context
+	stopParks context.CancelFunc
 
-	mu sync.Mutex
-	// cond + wake form the scheduling signal: every event that could make
-	// a claim succeed where it previously failed (submit, requeue, job
-	// finish, remote complete) bumps wake and broadcasts; workers retry a
-	// claim whenever wake moves past what they last saw. This is what
-	// lets a quota-blocked worker sleep instead of busy-polling.
-	cond     *sync.Cond
-	wake     uint64
+	mu       sync.Mutex
 	running  map[string]context.CancelCauseFunc
 	draining bool
-	closed   bool
 	wg       sync.WaitGroup
 
 	evmu   sync.Mutex
@@ -112,10 +111,7 @@ func NewManager(store *Store, cfg Config) (*Manager, error) {
 		running: map[string]context.CancelCauseFunc{},
 		events:  map[string]*eventLog{},
 	}
-	m.cond = sync.NewCond(&m.mu)
-	// wake starts at 1 while workers start having seen 0, so each worker's
-	// first act is a store scan — that is what picks up recovered jobs.
-	m.wake = 1
+	m.parked, m.stopParks = context.WithCancel(context.Background())
 	for i := 0; i < m.workers; i++ {
 		m.wg.Add(1)
 		go m.work()
@@ -134,7 +130,7 @@ func (m *Manager) Submit(kind string, req json.RawMessage) (*Job, error) {
 // it onto their own taxonomy (the server turns quota errors into 429s).
 func (m *Manager) SubmitWith(spec CreateSpec, admit func(active []*Job) error) (*Job, error) {
 	m.mu.Lock()
-	if m.draining || m.closed {
+	if m.draining {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
@@ -145,18 +141,7 @@ func (m *Manager) SubmitWith(spec CreateSpec, admit func(active []*Job) error) (
 		return nil, err
 	}
 	m.emit(j)
-	m.Kick()
 	return j, nil
-}
-
-// Kick wakes the worker pool to rescan the store for claimable work. Any
-// event that frees capacity — a submission, a requeue, a finished or
-// remotely-completed job releasing its tenant's quota — should kick.
-func (m *Manager) Kick() {
-	m.mu.Lock()
-	m.wake++
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // Get returns a snapshot of one job.
@@ -211,35 +196,17 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	return j, nil
 }
 
-// Requeue schedules an already-queued job on the local worker pool — the
-// coordinator calls it when a lease sweep hands a dead fleet worker's job
-// back. The id is advisory: a woken worker claims through ClaimNext, which
-// considers every active job, and whichever claim wins, wins.
-func (m *Manager) Requeue(id string) {
-	_ = id
-	m.mu.Lock()
-	if m.draining || m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.wake++
-	m.cond.Broadcast()
-	m.mu.Unlock()
-}
-
 // Publish fans a job snapshot mutated outside the manager — by the fleet
 // coordinator's claim/checkpoint/complete handlers — into the job's event
 // stream, closing it when the job reached a terminal state. This is what
 // lets an SSE watcher on the coordinator follow a search executing on a
-// different node. A terminal snapshot also kicks the worker pool: a
-// remote completion may have freed its tenant's running quota. The event
-// stream keeps j itself, so the caller may read it afterwards but must not
-// mutate it.
+// different node. (The store change behind a terminal snapshot has
+// already woken the worker pool.) The event stream keeps j itself, so the
+// caller may read it afterwards but must not mutate it.
 func (m *Manager) Publish(j *Job) {
 	m.emit(j)
 	if j.State.Terminal() {
 		m.closeEvents(j.ID)
-		m.Kick()
 	}
 }
 
@@ -327,12 +294,11 @@ func (s *Store) stats() Stats {
 func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Lock()
 	m.draining = true
-	m.closed = true
 	for _, cancel := range m.running {
 		cancel(ErrDraining)
 	}
-	m.cond.Broadcast()
 	m.mu.Unlock()
+	m.stopParks()
 
 	done := make(chan struct{})
 	go func() { m.wg.Wait(); close(done) }()
@@ -344,45 +310,19 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
-// work is one worker's loop: wait for a wake signal, then keep claiming
-// and running jobs until the store has nothing claimable for us.
+// work is one worker's loop: claim through the scheduler-governed store
+// path, parked while nothing is claimable (queue empty, every queued
+// tenant at quota), and run each claimed job to completion, until Drain
+// ends the park or the store closes.
 func (m *Manager) work() {
 	defer m.wg.Done()
-	var seen uint64
-	for {
-		m.mu.Lock()
-		for m.wake == seen && !m.closed {
-			m.cond.Wait()
-		}
-		if m.closed {
-			m.mu.Unlock()
+	for m.parked.Err() == nil {
+		j, err := m.store.ClaimWait(m.parked, localOwner, 0)
+		if err != nil {
 			return
 		}
-		seen = m.wake
-		m.mu.Unlock()
-		for m.runNext() {
-		}
+		m.runOne(j)
 	}
-}
-
-// runNext claims one job through the scheduler-governed store path and
-// runs it to completion. Returns false when nothing was claimable —
-// queue empty, every queued tenant at quota, or the manager draining.
-func (m *Manager) runNext() bool {
-	m.mu.Lock()
-	if m.draining || m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	m.mu.Unlock()
-	j, err := m.store.ClaimNext(localOwner, 0)
-	if err != nil {
-		return false
-	}
-	m.runOne(j)
-	// Finishing a job may unblock quota-held work for the other workers.
-	m.Kick()
-	return true
 }
 
 // runOne executes a single claimed job end to end. The claim went

@@ -66,6 +66,13 @@ type Store struct {
 	// buf is appendJob's scratch for log lines and snapshot records,
 	// reused so a steady-state append allocates nothing.
 	buf []byte
+	// wake is the work signal ClaimWait parks on: setStateLocked closes
+	// and drops it at every state change that can let a failed claim
+	// succeed, and the next parked claim makes a fresh one. Nil while no
+	// claim is parked, so an event nobody waits for allocates nothing.
+	wake chan struct{}
+	// closed is set by Close; ClaimWait never claims past it.
+	closed bool
 }
 
 // snapshotFile is the on-disk snapshot payload.
@@ -204,13 +211,27 @@ func (s *Store) putLocked(j *Job) {
 }
 
 // setStateLocked moves a stored job to state st, keeping the active index
-// in step. Every state change goes through here.
+// in step. Every state change goes through here, so this is also where
+// parked claims are woken: a job entering the queue, or leaving Running
+// and so freeing its tenant's quota, can make a failed claim succeed. A
+// claim (entering Running) cannot, and wakes nobody.
 func (s *Store) setStateLocked(j *Job, st State) {
 	j.State = st
 	if st.Terminal() {
 		delete(s.active, j.ID)
 	} else {
 		s.active[j.ID] = j
+	}
+	if st != Running {
+		s.kickLocked()
+	}
+}
+
+// kickLocked wakes every parked ClaimWait.
+func (s *Store) kickLocked() {
+	if s.wake != nil {
+		close(s.wake)
+		s.wake = nil
 	}
 }
 
@@ -438,11 +459,13 @@ func (s *Store) writeSnapshot() error {
 	return nil
 }
 
-// Close flushes and closes the append log. The store must not be used
-// afterwards.
+// Close flushes and closes the append log and ends every parked
+// ClaimWait. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
+	s.kickLocked()
 	if s.log == nil {
 		return nil
 	}

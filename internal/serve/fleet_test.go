@@ -537,3 +537,75 @@ func TestRetentionSweepServeLevel(t *testing.T) {
 		t.Errorf("fresh job gone: status %d", resp.StatusCode)
 	}
 }
+
+// TestServerCloseTwice: Close is idempotent, so a shutdown path may close
+// a node that something else closes again (newTestServer's cleanup closes
+// this one a third time).
+func TestServerCloseTwice(t *testing.T) {
+	s, _ := newTestServer(t, Config{JobWorkers: -1})
+	closeNode(t, s)
+	closeNode(t, s)
+}
+
+// TestShutdownEndsParkedClaim: a claim parked on a coordinator node for an
+// hour is answered empty as soon as the node's HTTP server shuts down
+// (StopParking registered with RegisterOnShutdown) or the node closes, so
+// neither waits out the park.
+func TestShutdownEndsParkedClaim(t *testing.T) {
+	for _, how := range []string{"http-shutdown", "server-close"} {
+		t.Run(how, func(t *testing.T) {
+			s, err := Open(Config{JobWorkers: -1, LeaseTTL: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrived := make(chan struct{}, 1)
+			hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/fleet/claim" {
+					arrived <- struct{}{}
+				}
+				s.Handler().ServeHTTP(w, r)
+			}))
+			hs.Config.RegisterOnShutdown(s.StopParking)
+			hs.Start()
+			defer hs.Close()
+			// Runs first, so a failing case does not leave hs.Close waiting
+			// on the park.
+			defer closeNode(t, s)
+
+			status := make(chan int, 1)
+			go func() {
+				resp, err := http.Post(hs.URL+"/v1/fleet/claim", "application/json",
+					strings.NewReader(`{"node":"w1","wait_ms":3600000}`))
+				if err != nil {
+					status <- 0
+					return
+				}
+				resp.Body.Close()
+				status <- resp.StatusCode
+			}()
+			deadline := time.After(10 * time.Second)
+			select {
+			case <-arrived:
+			case <-deadline:
+				t.Fatal("the claim never reached the coordinator")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if how == "http-shutdown" {
+				if err := hs.Config.Shutdown(ctx); err != nil {
+					t.Fatalf("shutdown waited on the parked claim: %v", err)
+				}
+			} else if err := s.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case code := <-status:
+				if code != http.StatusNoContent {
+					t.Errorf("parked claim answered %d, want 204", code)
+				}
+			case <-deadline:
+				t.Fatal("the parked claim outlived the shutdown")
+			}
+		})
+	}
+}

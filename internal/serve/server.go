@@ -65,8 +65,12 @@ type Config struct {
 	// SweepEvery is the cadence of the background lease + retention sweep
 	// (default 1s).
 	SweepEvery time.Duration
-	// FleetPoll and FleetHeartbeat tune the worker's claim poll and lease
-	// renewal cadences (defaults 500ms and 3s; tests shrink them).
+	// FleetPoll and FleetHeartbeat tune the worker's claim and lease
+	// renewal cadences (defaults 500ms and 3s; tests shrink them). An
+	// empty claim parks on the coordinator for up to FleetPoll and is
+	// answered as soon as work arrives; a park ends early when this
+	// worker closes, the coordinator shuts down, or it reaches the
+	// coordinator's lease TTL (see fleet.WorkerConfig.Poll).
 	FleetPoll      time.Duration
 	FleetHeartbeat time.Duration
 
@@ -119,6 +123,8 @@ type Server struct {
 	worker    *fleet.Worker
 	sweepStop chan struct{}
 	sweepDone chan struct{}
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // New builds a Server with the config's defaults applied. It panics when
@@ -216,7 +222,6 @@ func Open(cfg Config) (*Server, error) {
 				s.registerWarm(j)
 			}
 		},
-		OnRequeue: func(id string) { s.jobs.Requeue(id) },
 	}
 	if cfg.Coordinator != "" {
 		slots := cfg.JobWorkers
@@ -264,6 +269,12 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // -fleet-listen port that keeps peer traffic off the public listener.
 func (s *Server) FleetHandler() http.Handler { return s.coord.Handler() }
 
+// StopParking answers every fleet claim parked on this node at once and
+// stops later ones from parking. Register it with RegisterOnShutdown on
+// each http.Server serving Handler or FleetHandler, so a graceful
+// Shutdown does not wait out a worker's park; Close calls it too.
+func (s *Server) StopParking() { s.coord.StopParking() }
+
 // sweepLoop periodically fails over expired leases and evicts terminal
 // jobs past the retention horizon. Tests drive the same steps directly via
 // SweepFleet/SweepRetention with an injected clock.
@@ -296,11 +307,18 @@ func (s *Server) SweepRetention() int {
 	return s.jobs.SweepRetention(s.cfg.JobRetention)
 }
 
-// Close shuts the node down: the sweeper stops, a fleet worker drains
-// (its jobs are released back to the coordinator with checkpoints), local
-// jobs are cancelled with the draining cause and re-queued on disk, and
-// the store closes.
+// Close shuts the node down: parked fleet claims are answered empty, the
+// sweeper stops, a fleet worker drains (its jobs are released back to the
+// coordinator with checkpoints), local jobs are cancelled with the
+// draining cause and re-queued on disk, and the store closes. Later calls
+// return the first call's result.
 func (s *Server) Close(ctx context.Context) error {
+	s.closeOnce.Do(func() { s.closeErr = s.close(ctx) })
+	return s.closeErr
+}
+
+func (s *Server) close(ctx context.Context) error {
+	s.coord.StopParking()
 	close(s.sweepStop)
 	<-s.sweepDone
 	var err error
