@@ -176,17 +176,25 @@ func (s *Store) ClaimID(id, owner string, ttl time.Duration) (*Job, error) {
 	return s.claimLocked(j, owner, ttl)
 }
 
+// claimLocked moves a queued job to Running under a fresh lease. If the
+// claim cannot be logged, every field it touched is restored, so the job
+// stays queued and claimable exactly as before.
 func (s *Store) claimLocked(j *Job, owner string, ttl time.Duration) (*Job, error) {
+	seq, state, lease, attempts, started := s.leaseSeq, j.State, j.Lease, j.Attempts, j.StartedAt
 	s.leaseSeq++
-	lease := &Lease{Owner: owner, Token: s.leaseSeq}
+	l := &Lease{Owner: owner, Token: s.leaseSeq}
 	if ttl > 0 {
-		lease.Expires = s.now().UTC().Add(ttl)
+		l.Expires = s.now().UTC().Add(ttl)
 	}
 	s.setStateLocked(j, Running)
-	j.Lease = lease
+	j.Lease = l
 	j.Attempts++
 	j.StartedAt = s.now().UTC()
 	if err := s.appendLocked(j); err != nil {
+		// Queued and Running share the active index and entering Running
+		// woke no parked claim, so restoring the fields undoes the claim
+		// without waking anyone to retry a log that just failed.
+		s.leaseSeq, j.State, j.Lease, j.Attempts, j.StartedAt = seq, state, lease, attempts, started
 		return nil, err
 	}
 	return j.Clone(), nil

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +59,61 @@ func TestLeaseLifecycle(t *testing.T) {
 	// The consumed lease guards nothing anymore.
 	if _, err := s.Renew(j.ID, token, time.Hour); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("renew after complete: %v, want ErrStaleLease", err)
+	}
+}
+
+// TestFailedClaimAppendRollsBack: a claim whose log append fails leaves
+// the job queued and unchanged (state, lease, attempts, start time, the
+// fencing-token counter and the active index), so a later claim with a
+// working log hands it out as its first attempt. Both claim paths are
+// checked.
+func TestFailedClaimAppendRollsBack(t *testing.T) {
+	for _, path := range []string{"ClaimNext", "ClaimID"} {
+		t.Run(path, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, newFakeClock().Now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			created, err := s.Create("search", json.RawMessage(`{"x":1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			claim := func() (*Job, error) {
+				if path == "ClaimID" {
+					return s.ClaimID(created.ID, "w1", 0)
+				}
+				return s.ClaimNext("w1", 0)
+			}
+
+			if err := s.log.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if j, err := claim(); err == nil {
+				t.Fatalf("claim with a closed log succeeded: %+v", j)
+			}
+			got, _ := s.Get(created.ID)
+			if !reflect.DeepEqual(got, created) {
+				t.Errorf("failed claim changed the job:\n got %+v\nwant %+v", got, created)
+			}
+			if s.leaseSeq != 0 || s.active[created.ID] == nil {
+				t.Errorf("failed claim left lease counter %d, active entry %v", s.leaseSeq, s.active[created.ID])
+			}
+
+			f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.log = f
+			j, err := claim()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j.ID != created.ID || j.State != Running || j.Attempts != 1 || j.Lease.Token != 1 {
+				t.Errorf("claim after the log recovered: %+v (lease %+v); want attempt 1 under token 1", j, j.Lease)
+			}
+		})
 	}
 }
 
