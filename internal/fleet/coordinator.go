@@ -81,8 +81,10 @@ type CoordinatorStats struct {
 	// because the sender's fencing token was superseded.
 	Renews          uint64
 	StaleRejections uint64
-	// Checkpoints counts checkpoint payloads applied; Completes, jobs
-	// finalized by workers; Releases, jobs handed back by draining workers.
+	// Checkpoints counts progress + checkpoint updates committed, whether
+	// they came in a checkpoint request or rode on a completion;
+	// Completes, jobs finalized by workers; Releases, jobs handed back by
+	// draining workers.
 	Checkpoints uint64
 	Completes   uint64
 	Releases    uint64
@@ -302,12 +304,34 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, leaseOf(j))
 }
 
+// commitUpdates applies a worker's queued updates in order, one
+// CommitUpdate and one job event each, so every generation's progress
+// reaches the event log. It stops at the first refused update and returns
+// the last committed snapshot (nil if none was).
+func (c *Coordinator) commitUpdates(id string, token uint64, updates []jobUpdate) (*jobs.Job, error) {
+	var last *jobs.Job
+	for _, u := range updates {
+		j, err := c.Store.CommitUpdate(id, token, u.Progress, u.Checkpoint)
+		if err != nil {
+			return last, err
+		}
+		c.checkps.Add(1)
+		c.event(j)
+		last = j
+	}
+	return last, nil
+}
+
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var req checkpointRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	j, err := c.Store.CommitUpdate(req.ID, req.Token, req.Progress, req.Checkpoint)
+	if len(req.Updates) == 0 {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("checkpoint carries no updates"))
+		return
+	}
+	j, err := c.commitUpdates(req.ID, req.Token, req.Updates)
 	if err != nil {
 		c.countStale(err)
 		writeStoreError(w, err)
@@ -316,8 +340,6 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if j.Lease != nil {
 		c.touchNode(j.Lease.Owner, false)
 	}
-	c.checkps.Add(1)
-	c.event(j)
 	writeJSON(w, http.StatusOK, leaseOf(j))
 }
 
@@ -326,8 +348,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	var j *jobs.Job
-	var err error
+	if req.State != jobs.Queued && !req.State.Terminal() {
+		writeError(w, http.StatusBadRequest, CodeBadState,
+			fmt.Errorf("complete with state %q; want done, failed, cancelled, or queued", req.State))
+		return
+	}
+	j, err := c.commitUpdates(req.ID, req.Token, req.Updates)
+	if err != nil {
+		c.countStale(err)
+		writeStoreError(w, err)
+		return
+	}
 	switch {
 	case req.State == jobs.Queued:
 		// A draining worker hands the job back; its checkpoint stays, so
@@ -337,16 +368,12 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.releases.Add(1)
 			c.event(j)
 		}
-	case req.State.Terminal():
+	default:
 		j, err = c.Store.Complete(req.ID, req.Token, req.State, req.Result, req.Error)
 		if err == nil {
 			c.completes.Add(1)
 			c.event(j)
 		}
-	default:
-		writeError(w, http.StatusBadRequest, CodeBadState,
-			fmt.Errorf("complete with state %q; want done, failed, cancelled, or queued", req.State))
-		return
 	}
 	if err != nil {
 		c.countStale(err)

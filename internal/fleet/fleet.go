@@ -8,7 +8,7 @@
 //	POST /v1/fleet/claim       claim the next queued job under a TTL lease,
 //	                           parking up to wait_ms while none is claimable
 //	POST /v1/fleet/renew       heartbeat: extend the lease, learn of cancels
-//	POST /v1/fleet/checkpoint  ship a progress + checkpoint payload
+//	POST /v1/fleet/checkpoint  ship queued progress + checkpoint updates
 //	POST /v1/fleet/complete    finalize (or release) the job under the lease
 //	GET  /v1/fleet/nodes       fleet inventory: per-node heartbeat age + state
 //
@@ -94,25 +94,37 @@ type leaseResponse struct {
 	CancelRequested bool      `json:"cancel_requested,omitempty"`
 }
 
-// checkpointRequest ships one progress + checkpoint payload pair under the
-// lease. Nil fields leave the stored value unchanged.
-type checkpointRequest struct {
-	ID         string          `json:"id"`
-	Token      uint64          `json:"token"`
+// jobUpdate is one progress + checkpoint pair, as the runner reported it
+// to its update callback. Nil fields leave the stored value unchanged.
+type jobUpdate struct {
 	Progress   json.RawMessage `json:"progress,omitempty"`
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
+}
+
+// checkpointRequest ships the updates a worker queued for one job since
+// its last request, oldest first, under the lease. The coordinator commits
+// them in order, one job event each, and stops at the first it refuses;
+// the entries before it stay committed.
+type checkpointRequest struct {
+	ID      string      `json:"id"`
+	Token   uint64      `json:"token"`
+	Updates []jobUpdate `json:"updates"`
 }
 
 // completeRequest finalizes the job under the lease. State must be a
 // terminal jobs state — or "queued", which releases the job back to the
 // queue with its checkpoint intact (the graceful half of failover, used by
-// draining workers).
+// draining workers). Updates are the ones still queued when the runner
+// returned; the coordinator commits them in order, exactly as a checkpoint
+// request would, before it changes the state, so a finished job keeps its
+// last generation's checkpoint and a released one resumes from it.
 type completeRequest struct {
-	ID     string          `json:"id"`
-	Token  uint64          `json:"token"`
-	State  jobs.State      `json:"state"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
+	ID      string          `json:"id"`
+	Token   uint64          `json:"token"`
+	State   jobs.State      `json:"state"`
+	Updates []jobUpdate     `json:"updates,omitempty"`
+	Result  json.RawMessage `json:"result,omitempty"`
+	Error   string          `json:"error,omitempty"`
 }
 
 // completeResponse echoes the finalized job snapshot.

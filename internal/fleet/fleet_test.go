@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,49 +45,133 @@ type harness struct {
 	store *jobs.Store
 	coord *Coordinator
 	srv   *httptest.Server
-	// changed holds a token after the coordinator commits a job snapshot;
-	// waitState sleeps on it between store reads.
+	// changed holds a token after the coordinator announces a job
+	// snapshot; waitJob sleeps on it between scans of events.
 	changed chan struct{}
 	// claimed receives the node name of each claim as it reaches the
 	// coordinator, before the coordinator handles it; sends that find the
 	// buffer full are dropped.
 	claimed chan string
+
+	mu sync.Mutex
+	// events is every job snapshot the coordinator announced (OnEvent),
+	// in the order it announced them.
+	events []*jobs.Job
+	// requests is every peer request that reached the coordinator, in
+	// arrival order.
+	requests []peerRequest
 }
 
-func newHarness(t *testing.T, ttl time.Duration) *harness {
+// peerRequest is the part of a peer request body the tests inspect.
+type peerRequest struct {
+	Path    string            `json:"-"`
+	Node    string            `json:"node"`
+	ID      string            `json:"id"`
+	Token   uint64            `json:"token"`
+	Updates []json.RawMessage `json:"updates"`
+}
+
+// hold stops every request to one peer endpoint at the coordinator's door:
+// each is announced on arrived, then forwarded once the test closes
+// release, or dropped unanswered if its sender hangs up first (Kill
+// cancels a worker's in-flight requests). The harness releases it at
+// cleanup.
+type hold struct {
+	path    string
+	arrived chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newHold(path string) *hold {
+	return &hold{path: path, arrived: make(chan struct{}, 64), release: make(chan struct{})}
+}
+
+func (hd *hold) open() { hd.once.Do(func() { close(hd.release) }) }
+
+func newHarness(t *testing.T, ttl time.Duration, holds ...*hold) *harness {
 	t.Helper()
 	clk := newTestClock()
 	store, err := jobs.Open("", clk.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed := make(chan struct{}, 1)
-	coord := &Coordinator{Store: store, TTL: ttl, OnEvent: func(*jobs.Job) {
+	h := &harness{clk: clk, store: store, changed: make(chan struct{}, 1), claimed: make(chan string, 64)}
+	h.coord = &Coordinator{Store: store, TTL: ttl, OnEvent: func(j *jobs.Job) {
+		h.mu.Lock()
+		h.events = append(h.events, j)
+		h.mu.Unlock()
 		select {
-		case changed <- struct{}{}:
+		case h.changed <- struct{}{}:
 		default: // a token is already pending
 		}
 	}}
-	claimed := make(chan string, 64)
-	handler := coord.Handler()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	handler := h.coord.Handler()
+	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Reading the body to EOF also lets the server notice a sender
+		// that hangs up while its request is held.
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		req := peerRequest{Path: r.URL.Path}
+		json.Unmarshal(body, &req)
+		h.mu.Lock()
+		h.requests = append(h.requests, req)
+		h.mu.Unlock()
 		if r.URL.Path == "/v1/fleet/claim" {
-			body, _ := io.ReadAll(r.Body)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			var req claimRequest
-			json.Unmarshal(body, &req)
 			select {
-			case claimed <- req.Node:
+			case h.claimed <- req.Node:
 			default:
+			}
+		}
+		for _, hd := range holds {
+			if r.URL.Path != hd.path {
+				continue
+			}
+			hd.arrived <- struct{}{}
+			select {
+			case <-hd.release:
+			case <-r.Context().Done():
+				return
 			}
 		}
 		handler.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() {
-		srv.Close()
+		for _, hd := range holds {
+			hd.open()
+		}
+		h.srv.Close()
 		store.Close()
 	})
-	return &harness{clk: clk, store: store, coord: coord, srv: srv, changed: changed, claimed: claimed}
+	return h
+}
+
+// progressOf lists the progress payloads the coordinator announced for a
+// running job, in order. One job's updates arrive in sequential requests,
+// so this is the order they were committed in.
+func (h *harness) progressOf(id string) []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var seq []string
+	for _, j := range h.events {
+		if j.ID == id && j.State == jobs.Running && j.Progress != nil {
+			seq = append(seq, string(j.Progress))
+		}
+	}
+	return seq
+}
+
+// requestsFor lists the peer requests that quoted a job's lease token.
+func (h *harness) requestsFor(id string, token uint64) []peerRequest {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []peerRequest
+	for _, r := range h.requests {
+		if r.ID == id && r.Token == token {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func (h *harness) newWorker(t *testing.T, node string, runner jobs.Runner) *Worker {
@@ -114,22 +199,54 @@ func (h *harness) newWorkerPoll(t *testing.T, node string, poll time.Duration, r
 // sleeps.
 const eventDeadline = 10 * time.Second
 
-// waitState waits until the job reaches want or the deadline passes,
-// reading the store after each snapshot the coordinator commits. Every
-// state the fleet tests wait for is committed through the coordinator.
-func waitState(t *testing.T, h *harness, id string, want jobs.State) *jobs.Job {
+// announced returns the first snapshot of a job the coordinator
+// announced that satisfies pred, nil if none has. Announcements from
+// concurrent requests need not arrive in commit order, so pred should
+// describe a change that lasts (a terminal state, a first checkpoint).
+func (h *harness) announced(id string, pred func(*jobs.Job) bool) *jobs.Job {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, j := range h.events {
+		if j.ID == id && pred(j) {
+			return j
+		}
+	}
+	return nil
+}
+
+// waitJob waits until the coordinator announces a snapshot of the job
+// that satisfies pred, or the deadline passes. Every change the fleet
+// tests wait for is committed through the coordinator, which updates its
+// counters before it announces the change.
+func waitJob(t *testing.T, h *harness, id, what string, pred func(*jobs.Job) bool) *jobs.Job {
 	t.Helper()
 	deadline := time.After(eventDeadline)
 	for {
-		j, ok := h.store.Get(id)
-		if ok && j.State == want {
+		if j := h.announced(id, pred); j != nil {
 			return j
 		}
 		select {
 		case <-deadline:
-			t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
+			j, _ := h.store.Get(id)
+			t.Fatalf("job %s never %s (now %+v)", id, what, j)
 		case <-h.changed:
 		}
+	}
+}
+
+// waitState waits until the job reaches want.
+func waitState(t *testing.T, h *harness, id string, want jobs.State) *jobs.Job {
+	t.Helper()
+	return waitJob(t, h, id, "reached "+string(want), func(j *jobs.Job) bool { return j.State == want })
+}
+
+// waitFor waits for a signal from a runner or a hold.
+func waitFor(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(eventDeadline):
+		t.Fatalf("timed out waiting: %s", what)
 	}
 }
 
@@ -188,6 +305,9 @@ func TestFailoverHandsCheckpointToNextWorker(t *testing.T) {
 
 	j, _ := h.store.Create("search", nil)
 	<-checkpointed
+	// The runner's update only queued the checkpoint: wait until the
+	// coordinator has committed it, which is when it survives a crash.
+	waitJob(t, h, j.ID, "committed the checkpoint", func(j *jobs.Job) bool { return j.Checkpoint != nil })
 	a.Kill() // crash: nothing reported, lease left dangling
 	if st := a.Stats(); st.StaleLosses != 1 {
 		t.Errorf("killed worker stale losses %d, want 1", st.StaleLosses)
@@ -490,10 +610,10 @@ func TestWirePayloadsStoredCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post("/v1/fleet/checkpoint", fmt.Sprintf(`{"id":%q,"token":%d,
+	post("/v1/fleet/checkpoint", fmt.Sprintf(`{"id":%q,"token":%d, "updates": [ {
 		"progress": { "generation" : 2 },
 		"checkpoint": { "next_gen" : 2,
-			"pop" : [ [1, 2], [3] ], "s" : "<a & b>" } }`, j.ID, claimed.Lease.Token))
+			"pop" : [ [1, 2], [3] ], "s" : "<a & b>" } } ] }`, j.ID, claimed.Lease.Token))
 	got, _ := h.store.Get(j.ID)
 	if want := `{"next_gen":2,"pop":[[1,2],[3]],"s":"\u003ca \u0026 b\u003e"}`; string(got.Checkpoint) != want {
 		t.Errorf("stored checkpoint %s, want %s", got.Checkpoint, want)
@@ -639,5 +759,196 @@ func TestClaimNoFasterThanPoll(t *testing.T) {
 	}
 	if n := claims.Load(); n != 2 {
 		t.Errorf("stub saw %d claims, want 2 (one per slot per Poll)", n)
+	}
+}
+
+// update returns the i'th update a test runner reports.
+func update(i int) (progress, checkpoint json.RawMessage) {
+	return json.RawMessage(fmt.Sprintf(`{"generation":%d}`, i)), json.RawMessage(fmt.Sprintf(`{"cp":%d}`, i))
+}
+
+// TestHeldCheckpointDoesNotStallRunner: while the coordinator holds a
+// worker's checkpoint request, the runner keeps reporting updates and
+// returns; once the hold is released every update is committed in the
+// order reported, and the finished job keeps the last checkpoint.
+func TestHeldCheckpointDoesNotStallRunner(t *testing.T) {
+	hd := newHold("/v1/fleet/checkpoint")
+	h := newHarness(t, time.Hour, hd)
+	returned := make(chan struct{})
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		upd(update(1))
+		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
+		for i := 2; i <= 5; i++ {
+			upd(update(i))
+		}
+		close(returned)
+		return json.RawMessage(`{"ok":true}`), nil
+	})
+	w.Start()
+	defer w.Kill()
+
+	j, _ := h.store.Create("search", nil)
+	waitFor(t, returned, "the runner returned while a checkpoint request was held")
+	hd.open()
+	got := waitState(t, h, j.ID, jobs.Done)
+	want := []string{`{"generation":1}`, `{"generation":2}`, `{"generation":3}`, `{"generation":4}`, `{"generation":5}`}
+	if seq := h.progressOf(j.ID); !slices.Equal(seq, want) {
+		t.Errorf("committed progress %v, want %v", seq, want)
+	}
+	if string(got.Checkpoint) != `{"cp":5}` || string(got.Progress) != `{"generation":5}` {
+		t.Errorf("finished job keeps checkpoint %s, progress %s; want the 5th", got.Checkpoint, got.Progress)
+	}
+	if cs := h.coord.Stats(); cs.Checkpoints != 5 {
+		t.Errorf("coordinator committed %d updates, want 5", cs.Checkpoints)
+	}
+}
+
+// TestCloseDeliversQueuedUpdates: a worker drained while updates sit in
+// its job's outbox releases the job with its newest checkpoint, and the
+// next claimant resumes from it.
+func TestCloseDeliversQueuedUpdates(t *testing.T) {
+	hd := newHold("/v1/fleet/checkpoint")
+	h := newHarness(t, time.Hour, hd)
+	queued := make(chan struct{})
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		upd(update(1))
+		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
+		upd(update(2))
+		upd(update(3))
+		close(queued)
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	})
+	a.Start()
+
+	j, _ := h.store.Create("search", nil)
+	waitFor(t, queued, "the runner queued updates behind a held request")
+	closed := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), eventDeadline)
+		defer cancel()
+		closed <- a.Close(ctx)
+	}()
+	hd.open()
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	got, _ := h.store.Get(j.ID)
+	if got.State != jobs.Queued || got.Lease != nil || string(got.Checkpoint) != `{"cp":3}` {
+		t.Fatalf("drained job %s (lease %v) with checkpoint %s; want queued with the 3rd", got.State, got.Lease, got.Checkpoint)
+	}
+	if ws, cs := a.Stats(), h.coord.Stats(); ws.CheckpointsShipped != 3 || cs.Checkpoints != 3 || cs.Releases != 1 {
+		t.Errorf("worker shipped %d updates; coordinator committed %d, released %d; want 3, 3, 1",
+			ws.CheckpointsShipped, cs.Checkpoints, cs.Releases)
+	}
+
+	claimed := make(chan *jobs.Job, 1)
+	b := h.newWorker(t, "b", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		claimed <- j
+		return json.RawMessage(`{}`), nil
+	})
+	b.Start()
+	defer b.Kill()
+	if next := <-claimed; string(next.Checkpoint) != `{"cp":3}` || next.Attempts != 2 {
+		t.Errorf("next claimant got checkpoint %s on attempt %d; want the 3rd on attempt 2", next.Checkpoint, next.Attempts)
+	}
+	waitState(t, h, j.ID, jobs.Done)
+}
+
+// TestKillAbandonsHeldRequest: Kill returns while the coordinator still
+// holds the worker's checkpoint request, without waiting for an answer,
+// and the killed worker commits nothing: neither the held update, nor the
+// ones queued behind it, nor a completion.
+func TestKillAbandonsHeldRequest(t *testing.T) {
+	hd := newHold("/v1/fleet/checkpoint")
+	h := newHarness(t, time.Hour, hd)
+	queued := make(chan struct{})
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		upd(update(1))
+		waitFor(t, hd.arrived, "the checkpoint request reached the coordinator")
+		upd(update(2))
+		close(queued)
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	})
+	a.Start()
+
+	j, _ := h.store.Create("search", nil)
+	waitFor(t, queued, "the runner queued an update behind a held request")
+	killed := make(chan struct{})
+	go func() { a.Kill(); close(killed) }()
+	waitFor(t, killed, "Kill returned while a checkpoint request was held")
+
+	got, _ := h.store.Get(j.ID)
+	if got.State != jobs.Running || got.Lease.Owner != "a" || got.Progress != nil || got.Checkpoint != nil {
+		t.Errorf("job after kill %+v; want running under a's lease with nothing committed", got)
+	}
+	for _, r := range h.requestsFor(j.ID, got.Lease.Token) {
+		if r.Path == "/v1/fleet/complete" || (r.Path == "/v1/fleet/checkpoint" && len(r.Updates) != 1) {
+			t.Errorf("killed worker sent %s with %d updates", r.Path, len(r.Updates))
+		}
+	}
+	if cs, ws := h.coord.Stats(), a.Stats(); cs.Checkpoints != 0 || cs.Completes != 0 || ws.StaleLosses != 1 {
+		t.Errorf("coordinator committed %d updates, %d completions; worker lost %d leases; want 0, 0, 1",
+			cs.Checkpoints, cs.Completes, ws.StaleLosses)
+	}
+}
+
+// TestStaleAnswerEndsShipping: once the coordinator answers a checkpoint
+// request stale_lease, the worker sends nothing more under that lease —
+// no later checkpoint, no completion carrying the queued updates, no
+// renew — and the job's next claim runs it afresh.
+func TestStaleAnswerEndsShipping(t *testing.T) {
+	hd := newHold("/v1/fleet/checkpoint")
+	h := newHarness(t, time.Minute, hd)
+	queued := make(chan struct{})
+	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		if j.Attempts > 1 {
+			return json.RawMessage(`{}`), nil
+		}
+		upd(update(1))
+		waitFor(t, hd.arrived, "the checkpoint request reached the coordinator")
+		upd(update(2))
+		upd(update(3))
+		close(queued)
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	}
+	// An hour-long heartbeat leaves the checkpoint answer as the only way
+	// the worker learns its lease is gone.
+	a, err := NewWorker(WorkerConfig{
+		Coordinator: h.srv.URL, Node: "a", Poll: 5 * time.Millisecond,
+		Heartbeat: time.Hour, Clock: h.clk.Now, Runner: runner,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	defer a.Kill()
+
+	j, _ := h.store.Create("search", nil)
+	waitFor(t, queued, "the runner queued updates behind a held request")
+	// The worker's one slot is busy: forget the claims that led here.
+	for len(h.claimed) > 0 {
+		<-h.claimed
+	}
+	first, _ := h.store.Get(j.ID)
+	h.clk.Advance(2 * time.Minute)
+	if rq, _, _ := h.coord.Sweep(); rq != 1 {
+		t.Fatalf("sweep re-queued %d jobs, want 1", rq)
+	}
+	hd.open()
+	// The worker claims again only after its first run has ended, so
+	// every request under the first lease has been sent by then.
+	waitClaimFrom(t, h, "a")
+	if reqs := h.requestsFor(j.ID, first.Lease.Token); len(reqs) != 1 || reqs[0].Path != "/v1/fleet/checkpoint" {
+		t.Errorf("requests under the lost lease %+v; want only the held checkpoint", reqs)
+	}
+	got := waitState(t, h, j.ID, jobs.Done)
+	if got.Attempts != 2 || got.Checkpoint != nil {
+		t.Errorf("job finished on attempt %d with checkpoint %s; want attempt 2, none", got.Attempts, got.Checkpoint)
+	}
+	if st := a.Stats(); st.StaleLosses != 1 || st.CheckpointsShipped != 0 {
+		t.Errorf("worker stats %+v; want one stale loss, nothing shipped", st)
 	}
 }

@@ -43,7 +43,14 @@ type WorkerConfig struct {
 	// inside one TTL loses its jobs to the sweep.
 	Heartbeat time.Duration
 	// Runner executes claimed jobs; required. It must honor ctx exactly as
-	// the in-process manager's runner does.
+	// the in-process manager's runner does. Its update callback never
+	// waits on the network: each (progress, checkpoint) pair joins the
+	// job's outbox, a per-job queue that a shipper goroutine sends to the
+	// coordinator in order, as many entries per request as have queued
+	// since the last one. Whatever is still queued when the runner returns
+	// rides on the job's completion (or release). The payloads are kept
+	// until sent, so the runner must hand over fresh ones, as the Runner
+	// contract already asks.
 	Runner jobs.Runner
 	// Clock is the injected time source (tests); nil means the wall clock.
 	Clock func() time.Time
@@ -53,9 +60,10 @@ type WorkerConfig struct {
 
 // Worker claims jobs from a coordinator and runs them under a heartbeated
 // lease. Start launches the slot loops; Close drains gracefully (jobs are
-// released back with their checkpoints); Kill abandons everything without
-// contacting the coordinator, simulating a crash — the lease sweep then
-// re-queues the work.
+// released back with their queued updates and so their newest
+// checkpoints); Kill abandons everything without contacting the
+// coordinator, simulating a crash — the lease sweep then re-queues the
+// work from the last checkpoint the coordinator committed.
 type Worker struct {
 	cfg    WorkerConfig
 	now    func() time.Time
@@ -69,6 +77,11 @@ type Worker struct {
 	halt    context.CancelFunc
 	stopped bool
 	wg      sync.WaitGroup
+	// peers is the context of every renew, checkpoint and complete
+	// request; Kill cancels it, abandoning those in flight as a crash
+	// would. Close leaves it alone, so a drain delivers what is queued.
+	peers context.Context
+	crash context.CancelFunc
 
 	claims      atomic.Uint64
 	emptyClaims atomic.Uint64
@@ -93,8 +106,11 @@ type WorkerStats struct {
 	// renew round-trip as measured by the injected clock.
 	Renews       uint64
 	RenewLatency time.Duration
-	// CheckpointsShipped counts checkpoint payloads accepted by the
-	// coordinator; Completes, finalizations (or releases) it accepted.
+	// CheckpointsShipped counts progress + checkpoint updates the
+	// coordinator accepted, whether a checkpoint request carried them or
+	// they rode on a completion; Completes, finalizations (or releases) it
+	// accepted. An update the runner reported is durable only once
+	// counted here: a crash drops whatever was still queued.
 	CheckpointsShipped uint64
 	Completes          uint64
 	// StaleLosses counts jobs abandoned because the lease was lost.
@@ -136,6 +152,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		running: map[string]context.CancelCauseFunc{},
 	}
 	w.stop, w.halt = context.WithCancel(context.Background())
+	w.peers, w.crash = context.WithCancel(context.Background())
 	return w, nil
 }
 
@@ -168,8 +185,8 @@ func (w *Worker) Stats() WorkerStats {
 // Close drains the worker: no new claims (a parked one is abandoned),
 // running jobs are cancelled with the draining cause (their runners
 // checkpoint), and each job is released back to the coordinator's queue
-// with its checkpoint intact. Blocks until every slot exits or ctx
-// expires.
+// together with the updates still in its outbox, so it resumes from its
+// newest checkpoint. Blocks until every slot exits or ctx expires.
 func (w *Worker) Close(ctx context.Context) error {
 	w.shutdown(jobs.ErrDraining)
 	done := make(chan struct{})
@@ -182,11 +199,13 @@ func (w *Worker) Close(ctx context.Context) error {
 	}
 }
 
-// Kill abandons the worker as a crash would: runners are cancelled with the
-// lease-lost cause and nothing is reported to the coordinator. The jobs
-// stay Running in the store until their leases expire and the sweep hands
-// them to another worker — the failover path under test.
+// Kill abandons the worker as a crash would: in-flight peer requests are
+// cancelled, runners are cancelled with the lease-lost cause, their
+// outboxes are dropped, and nothing more is reported to the coordinator.
+// The jobs stay Running in the store until their leases expire and the
+// sweep hands them to another worker — the failover path under test.
 func (w *Worker) Kill() {
+	w.crash()
 	w.shutdown(ErrLeaseLost)
 	w.wg.Wait()
 }
@@ -229,9 +248,10 @@ func (w *Worker) slot() {
 }
 
 // runJob executes one claimed job under its lease: a heartbeat goroutine
-// renews on a ticker while the runner works, checkpoints ship through upd,
-// and the outcome is reported under the fencing token — unless the lease
-// was lost, in which case the worker walks away silently.
+// renews on a ticker while the runner works, a shipper goroutine sends the
+// runner's queued updates, and the outcome is reported under the fencing
+// token with the updates still queued — unless the lease was lost, in
+// which case the worker walks away silently.
 func (w *Worker) runJob(j *jobs.Job) {
 	token := j.Lease.Token
 	expires := j.Lease.Expires
@@ -242,7 +262,7 @@ func (w *Worker) runJob(j *jobs.Job) {
 		// Shutdown raced the claim: release the job right back.
 		w.mu.Unlock()
 		cancel(jobs.ErrDraining)
-		w.complete(j.ID, token, jobs.Queued, nil, "")
+		w.complete(j.ID, token, jobs.Queued, nil, nil, "")
 		return
 	}
 	w.running[j.ID] = cancel
@@ -252,26 +272,22 @@ func (w *Worker) runJob(j *jobs.Job) {
 	hbDone := make(chan struct{})
 	go w.heartbeat(ctx, cancel, j.ID, token, expires, hbStop, hbDone)
 
-	upd := func(progress, checkpoint json.RawMessage) {
-		var lease leaseResponse
-		err := w.post("/v1/fleet/checkpoint",
-			&checkpointRequest{ID: j.ID, Token: token, Progress: progress, Checkpoint: checkpoint}, &lease)
-		if err != nil {
-			if isLeaseFatal(err) {
-				cancel(ErrLeaseLost)
-			}
-			return // transient: the next checkpoint or renew retries
-		}
-		w.checkpoints.Add(1)
-		if lease.CancelRequested {
-			cancel(jobs.ErrCancelled)
-		}
-	}
+	box := &outbox{ready: make(chan struct{}, 1)}
+	runDone := make(chan struct{})
+	shipDone := make(chan struct{})
+	go w.ship(ctx, cancel, j.ID, token, box, runDone, shipDone)
 
-	result, err := w.runProtected(ctx, j, upd)
+	result, err := w.runProtected(ctx, j, box.put)
 
+	// The shipper finishes the request it has in flight before the
+	// completion goes out, so the coordinator commits updates in the order
+	// the runner reported them; the heartbeat keeps the lease alive until
+	// then.
+	close(runDone)
+	<-shipDone
 	close(hbStop)
 	<-hbDone
+	updates := box.take()
 	w.mu.Lock()
 	delete(w.running, j.ID)
 	w.mu.Unlock()
@@ -284,13 +300,84 @@ func (w *Worker) runJob(j *jobs.Job) {
 		// earn a stale-lease rejection.
 		w.staleLosses.Add(1)
 	case err == nil:
-		w.complete(j.ID, token, jobs.Done, result, "")
+		w.complete(j.ID, token, jobs.Done, updates, result, "")
 	case errors.Is(cause, jobs.ErrDraining) || errors.Is(err, jobs.ErrDraining):
-		w.complete(j.ID, token, jobs.Queued, nil, "")
+		w.complete(j.ID, token, jobs.Queued, updates, nil, "")
 	case errors.Is(cause, jobs.ErrCancelled) || errors.Is(err, jobs.ErrCancelled):
-		w.complete(j.ID, token, jobs.Cancelled, nil, jobs.ErrCancelled.Error())
+		w.complete(j.ID, token, jobs.Cancelled, updates, nil, jobs.ErrCancelled.Error())
 	default:
-		w.complete(j.ID, token, jobs.Failed, nil, err.Error())
+		w.complete(j.ID, token, jobs.Failed, updates, nil, err.Error())
+	}
+}
+
+// outbox is one running job's ordered queue of updates not yet sent. put
+// is the runner's update callback: it never touches the network.
+type outbox struct {
+	mu      sync.Mutex
+	updates []jobUpdate
+	// ready holds a token while updates may be non-empty.
+	ready chan struct{}
+}
+
+func (o *outbox) put(progress, checkpoint json.RawMessage) {
+	o.mu.Lock()
+	o.updates = append(o.updates, jobUpdate{Progress: progress, Checkpoint: checkpoint})
+	o.mu.Unlock()
+	select {
+	case o.ready <- struct{}{}:
+	default: // a token is already pending
+	}
+}
+
+// take empties the outbox, returning its updates oldest first.
+func (o *outbox) take() []jobUpdate {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	u := o.updates
+	o.updates = nil
+	return u
+}
+
+// ship sends a job's queued updates until its runner returns (runDone),
+// everything queued so far in one checkpoint request, then waits for more.
+// A transient error drops that batch: the next one carries newer state. A
+// lease-fatal answer cancels the job with ErrLeaseLost and ends shipping,
+// and so does a lease lost to the heartbeat. What is queued when ship
+// returns is left for the completion.
+func (w *Worker) ship(ctx context.Context, cancel context.CancelCauseFunc,
+	id string, token uint64, box *outbox, runDone, done chan struct{}) {
+	defer close(done)
+	for {
+		select {
+		case <-runDone:
+			return
+		case <-box.ready:
+		}
+		select {
+		case <-runDone:
+			return // the completion carries the rest
+		default:
+		}
+		if errors.Is(context.Cause(ctx), ErrLeaseLost) {
+			return
+		}
+		updates := box.take()
+		if len(updates) == 0 {
+			continue
+		}
+		var lease leaseResponse
+		err := w.post("/v1/fleet/checkpoint", &checkpointRequest{ID: id, Token: token, Updates: updates}, &lease)
+		if err != nil {
+			if isLeaseFatal(err) {
+				cancel(ErrLeaseLost)
+				return
+			}
+			continue
+		}
+		w.checkpoints.Add(uint64(len(updates)))
+		if lease.CancelRequested {
+			cancel(jobs.ErrCancelled)
+		}
 	}
 }
 
@@ -312,6 +399,9 @@ func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelCauseFunc,
 		case <-ctx.Done():
 			return
 		case <-tk.C:
+			if ctx.Err() != nil {
+				return // the ticker and the cancel fired together
+			}
 			start := w.now()
 			var lease leaseResponse
 			err := w.post("/v1/fleet/renew", &renewRequest{ID: id, Token: token}, &lease)
@@ -371,16 +461,19 @@ func (w *Worker) claim() (*jobs.Job, error) {
 	return resp.Job, nil
 }
 
-func (w *Worker) complete(id string, token uint64, state jobs.State, result json.RawMessage, errMsg string) {
+// complete reports the job's outcome under its lease, carrying the
+// updates still queued in its outbox.
+func (w *Worker) complete(id string, token uint64, state jobs.State, updates []jobUpdate, result json.RawMessage, errMsg string) {
 	var resp completeResponse
 	err := w.post("/v1/fleet/complete",
-		&completeRequest{ID: id, Token: token, State: state, Result: result, Error: errMsg}, &resp)
+		&completeRequest{ID: id, Token: token, State: state, Updates: updates, Result: result, Error: errMsg}, &resp)
 	if err != nil {
 		if isLeaseFatal(err) {
 			w.staleLosses.Add(1)
 		}
 		return
 	}
+	w.checkpoints.Add(uint64(len(updates)))
 	w.completes.Add(1)
 }
 
@@ -403,8 +496,9 @@ func isLeaseFatal(err error) bool {
 	return errors.As(err, &we) && (we.Code == CodeStaleLease || we.Code == CodeUnknownJob)
 }
 
+// post sends a lease-guarded request; Kill cancels it.
 func (w *Worker) post(path string, body, into any) error {
-	_, err := w.postStatus(context.Background(), path, body, into)
+	_, err := w.postStatus(w.peers, path, body, into)
 	return err
 }
 

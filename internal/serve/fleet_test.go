@@ -10,10 +10,14 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // fleetClock is a manually advanced clock shared by every node in a test
@@ -115,6 +119,88 @@ func progressSequence(evs []JobJSON) []string {
 	return seq
 }
 
+// peerGate wraps a coordinator's handler for the tests that kill a worker
+// mid-job. While shut, it takes each /v1/fleet/complete and holds it
+// unanswered until the sender hangs up (Kill cancels a worker's in-flight
+// requests), so a worker the test is about to kill cannot finish the job
+// first; the updates riding on it are lost with the worker, as in a crash.
+// Every request the coordinator answered, and every complete the gate
+// took, ticks changed.
+type peerGate struct {
+	next    http.Handler
+	shut    atomic.Bool
+	changed chan struct{}
+	// stop ends every hold; close it before the test server closes.
+	stop chan struct{}
+
+	mu sync.Mutex
+	// took holds the fencing tokens of the completions the gate took.
+	took map[uint64]bool
+}
+
+func newPeerGate(next http.Handler) *peerGate {
+	g := &peerGate{next: next, changed: make(chan struct{}, 1), stop: make(chan struct{}), took: map[uint64]bool{}}
+	g.shut.Store(true)
+	return g
+}
+
+func (g *peerGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	defer g.tick()
+	if r.URL.Path == "/v1/fleet/complete" && g.shut.Load() {
+		// Reading the body to EOF lets the server notice the hang-up.
+		body, _ := io.ReadAll(r.Body)
+		var req struct {
+			Token uint64 `json:"token"`
+		}
+		json.Unmarshal(body, &req)
+		g.mu.Lock()
+		g.took[req.Token] = true
+		g.mu.Unlock()
+		g.tick()
+		select {
+		case <-r.Context().Done():
+		case <-g.stop:
+		}
+		return
+	}
+	g.next.ServeHTTP(w, r)
+}
+
+func (g *peerGate) tick() {
+	select {
+	case g.changed <- struct{}{}:
+	default: // a tick is already pending
+	}
+}
+
+// holds reports whether the gate took a completion sent under the lease.
+func (g *peerGate) holds(l *jobs.Lease) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return l != nil && g.took[l.Token]
+}
+
+// waitCommitted waits until the coordinator's store holds a snapshot of
+// the job satisfying pred, re-reading it at each gate tick. It returns
+// early once the gate has taken the completion of the job's current lease
+// holder: the runner finished before pred was committed, and the test
+// kills that worker then.
+func waitCommitted(t *testing.T, coord *Server, g *peerGate, id string, pred func(*jobs.Job) bool) *jobs.Job {
+	t.Helper()
+	deadline := time.After(60 * time.Second)
+	for {
+		j, _ := coord.store.Get(id)
+		if j != nil && (pred(j) || g.holds(j.Lease)) {
+			return j
+		}
+		select {
+		case <-g.changed:
+		case <-deadline:
+			t.Fatalf("job %s never satisfied the predicate; last %+v", id, j)
+		}
+	}
+}
+
 // TestFleetMigrationEquivalence is the PR's acceptance gate: a search job
 // killed at every generation boundary — each time on a different worker
 // process, with failover through lease expiry and the checkpoint handed to
@@ -152,8 +238,10 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeNode(t, coord)
-	coordHS := httptest.NewServer(coord.Handler())
+	gate := newPeerGate(coord.Handler())
+	coordHS := httptest.NewServer(gate)
 	defer coordHS.Close()
+	defer close(gate.stop)
 
 	j := submitJob(t, coordHS.URL, &req)
 	terminal := func(s string) bool { return s == "done" || s == "failed" || s == "cancelled" }
@@ -165,26 +253,29 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	}
 	w := spawn()
 	for boundary := 1; boundary < req.Generations; boundary++ {
-		// Wait for the running worker to commit the checkpoint at this
-		// generation boundary (it may already be past it).
-		var prog SearchProgress
-		last := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool {
-			if terminal(j.State) {
+		// Wait for the coordinator to commit the running worker's
+		// checkpoint at this generation boundary (it may already be past
+		// it). The gate keeps the worker from finishing the job; if its
+		// runner returns first, the worker is killed with the rest of its
+		// updates unsent and the next one resumes from the last commit.
+		last := waitCommitted(t, coord, gate, j.ID, func(j *jobs.Job) bool {
+			if j.State.Terminal() {
 				return true
 			}
-			if len(j.Progress) == 0 {
+			var prog SearchProgress
+			if len(j.Progress) == 0 || j.Checkpoint == nil {
 				return false
 			}
 			if err := json.Unmarshal(j.Progress, &prog); err != nil {
 				t.Fatalf("bad progress: %v", err)
 			}
-			return prog.Generation >= boundary && j.HasCheckpoint
+			return prog.Generation >= boundary
 		})
-		if terminal(last.State) {
-			t.Fatalf("search finished (%s) before boundary %d; enlarge the request", last.State, boundary)
+		if last.State.Terminal() {
+			t.Fatalf("search finished (%s) before boundary %d", last.State, boundary)
 		}
-		if last.Worker != fmt.Sprintf("w%d", workers) {
-			t.Fatalf("job leased to %q at boundary %d; want w%d", last.Worker, boundary, workers)
+		if last.Lease == nil || last.Lease.Owner != fmt.Sprintf("w%d", workers) {
+			t.Fatalf("job leased under %+v at boundary %d; want w%d", last.Lease, boundary, workers)
 		}
 
 		// Crash the worker: no release, no complete — its lease just stops
@@ -199,6 +290,7 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		}
 		w = spawn()
 	}
+	gate.shut.Store(false) // the last worker finishes the job
 	got := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool { return terminal(j.State) })
 	closeNode(t, w)
 
@@ -239,22 +331,30 @@ func TestFleetFailoverTwoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeNode(t, coord)
-	coordHS := httptest.NewServer(coord.Handler())
+	gate := newPeerGate(coord.Handler())
+	coordHS := httptest.NewServer(gate)
 	defer coordHS.Close()
+	defer close(gate.stop)
 
 	w1 := newWorkerNode(t, clk, coordHS.URL, "w1")
 	w2 := newWorkerNode(t, clk, coordHS.URL, "w2")
 
+	// Kill the lease holder once the coordinator has committed one of its
+	// checkpoints, or once the gate has taken its completion.
 	j := submitJob(t, coordHS.URL, &req)
-	running := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool {
-		return j.State == "running" && j.HasCheckpoint && j.Worker != ""
+	running := waitCommitted(t, coord, gate, j.ID, func(j *jobs.Job) bool {
+		return j.State == jobs.Running && j.Checkpoint != nil
 	})
+	if running.State != jobs.Running || running.Lease == nil {
+		t.Fatalf("job %s under lease %+v; want running", running.State, running.Lease)
+	}
 	owner, survivor := w1, w2
-	if running.Worker == "w2" {
+	if running.Lease.Owner == "w2" {
 		owner, survivor = w2, w1
 	}
 	owner.worker.Kill()
 	closeNode(t, owner)
+	gate.shut.Store(false)
 	clk.Advance(2 * time.Minute)
 	coord.SweepFleet()
 
@@ -358,7 +458,9 @@ func TestFleetProtocolMounted(t *testing.T) {
 // against its own node's cache, so the only peer traffic is the lease
 // protocol: claim polls, heartbeats, checkpoints and the completion. No
 // fitness lookup or write crosses the wire, and the coordinator serves no
-// memo endpoint at all.
+// memo endpoint at all. However the worker batches its updates, every
+// generation's progress reaches the coordinator's event log, and the
+// stored checkpoint is the last one the runner reported.
 func TestFleetPeerRequestMix(t *testing.T) {
 	clk := newFleetClock()
 	coord, err := Open(Config{Clock: clk.Now, JobWorkers: -1, LeaseTTL: time.Minute})
@@ -368,10 +470,26 @@ func TestFleetPeerRequestMix(t *testing.T) {
 	defer closeNode(t, coord)
 	var mu sync.Mutex
 	seen := map[string]int{}
+	// lastCP is the newest checkpoint the worker sent, read off the wire:
+	// updates travel in the order the runner reported them.
+	var lastCP json.RawMessage
 	coordHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/fleet/") {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			var sent struct {
+				Updates []struct {
+					Checkpoint json.RawMessage `json:"checkpoint"`
+				} `json:"updates"`
+			}
+			json.Unmarshal(body, &sent)
 			mu.Lock()
 			seen[r.Method+" "+r.URL.Path]++
+			for _, u := range sent.Updates {
+				if u.Checkpoint != nil {
+					lastCP = u.Checkpoint
+				}
+			}
 			mu.Unlock()
 		}
 		coord.Handler().ServeHTTP(w, r)
@@ -404,10 +522,32 @@ func TestFleetPeerRequestMix(t *testing.T) {
 			t.Errorf("worker sent %d × %s; want only claim/renew/checkpoint/complete", n, path)
 		}
 	}
-	for _, path := range []string{"POST /v1/fleet/claim", "POST /v1/fleet/checkpoint", "POST /v1/fleet/complete"} {
+	for _, path := range []string{"POST /v1/fleet/claim", "POST /v1/fleet/complete"} {
 		if mix[path] == 0 {
 			t.Errorf("no %s reached the coordinator (saw %v)", path, mix)
 		}
+	}
+	var gens []int
+	for _, p := range progressSequence(readJobEvents(t, coordHS.URL, j.ID)) {
+		var prog SearchProgress
+		if err := json.Unmarshal([]byte(p), &prog); err != nil {
+			t.Fatalf("bad progress %s: %v", p, err)
+		}
+		gens = append(gens, prog.Generation)
+	}
+	want := make([]int, req.Generations)
+	for i := range want {
+		want[i] = i + 1
+	}
+	if !slices.Equal(gens, want) {
+		t.Errorf("progress reached the coordinator for generations %v; want 1..%d", gens, req.Generations)
+	}
+	stored, _ := coord.store.Get(j.ID)
+	mu.Lock()
+	sentCP := lastCP
+	mu.Unlock()
+	if sentCP == nil || !bytes.Equal(sentCP, stored.Checkpoint) {
+		t.Errorf("stored checkpoint (%d bytes) is not the runner's last (%d bytes)", len(stored.Checkpoint), len(sentCP))
 	}
 
 	resp, err := http.Post(coordHS.URL+"/v1/fleet/memo/get", "application/json", strings.NewReader(`{"key":"k"}`))

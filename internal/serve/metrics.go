@@ -224,7 +224,7 @@ func (m *Metrics) writeFleet(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP tileflow_fleet_stale_rejections_total Writes refused because the sender's fencing token was superseded.\n")
 	fmt.Fprintf(w, "# TYPE tileflow_fleet_stale_rejections_total counter\n")
 	fmt.Fprintf(w, "tileflow_fleet_stale_rejections_total %d\n", cs.StaleRejections)
-	fmt.Fprintf(w, "# HELP tileflow_fleet_checkpoints_total Checkpoint payloads applied from workers.\n")
+	fmt.Fprintf(w, "# HELP tileflow_fleet_checkpoints_total Progress and checkpoint updates committed from workers, including those that rode on a completion.\n")
 	fmt.Fprintf(w, "# TYPE tileflow_fleet_checkpoints_total counter\n")
 	fmt.Fprintf(w, "tileflow_fleet_checkpoints_total %d\n", cs.Checkpoints)
 	fmt.Fprintf(w, "# HELP tileflow_fleet_completes_total Jobs finalized by fleet workers.\n")
@@ -266,7 +266,7 @@ func (m *Metrics) writeFleet(w io.Writer, s *Server) {
 	fmt.Fprintf(w, "# HELP tileflow_fleet_worker_claims_total Jobs this node claimed from the coordinator.\n")
 	fmt.Fprintf(w, "# TYPE tileflow_fleet_worker_claims_total counter\n")
 	fmt.Fprintf(w, "tileflow_fleet_worker_claims_total{node=%q} %d\n", ws.Node, ws.Claims)
-	fmt.Fprintf(w, "# HELP tileflow_fleet_worker_checkpoints_shipped_total Checkpoints this node shipped to the coordinator.\n")
+	fmt.Fprintf(w, "# HELP tileflow_fleet_worker_checkpoints_shipped_total Progress and checkpoint updates the coordinator accepted from this node, including those that rode on a completion.\n")
 	fmt.Fprintf(w, "# TYPE tileflow_fleet_worker_checkpoints_shipped_total counter\n")
 	fmt.Fprintf(w, "tileflow_fleet_worker_checkpoints_shipped_total{node=%q} %d\n", ws.Node, ws.CheckpointsShipped)
 	fmt.Fprintf(w, "# HELP tileflow_fleet_worker_renew_latency_seconds Most recent lease renewal round-trip.\n")
