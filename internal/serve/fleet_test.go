@@ -253,17 +253,19 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	}
 	w := spawn()
 	for boundary := 1; boundary < req.Generations; boundary++ {
-		// Wait for the coordinator to commit the running worker's
-		// checkpoint at this generation boundary (it may already be past
-		// it). The gate keeps the worker from finishing the job; if its
-		// runner returns first, the worker is killed with the rest of its
+		// Wait until the job runs under the newest worker and the
+		// coordinator holds a checkpoint at this generation boundary (the
+		// job may already be past it, even before the worker's claim).
+		// The gate keeps the worker from finishing the job; if its runner
+		// returns first, the worker is killed with the rest of its
 		// updates unsent and the next one resumes from the last commit.
+		owner := fmt.Sprintf("w%d", workers)
 		last := waitCommitted(t, coord, gate, j.ID, func(j *jobs.Job) bool {
 			if j.State.Terminal() {
 				return true
 			}
 			var prog SearchProgress
-			if len(j.Progress) == 0 || j.Checkpoint == nil {
+			if j.Lease == nil || j.Lease.Owner != owner || len(j.Progress) == 0 || j.Checkpoint == nil {
 				return false
 			}
 			if err := json.Unmarshal(j.Progress, &prog); err != nil {
@@ -274,8 +276,8 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		if last.State.Terminal() {
 			t.Fatalf("search finished (%s) before boundary %d", last.State, boundary)
 		}
-		if last.Lease == nil || last.Lease.Owner != fmt.Sprintf("w%d", workers) {
-			t.Fatalf("job leased under %+v at boundary %d; want w%d", last.Lease, boundary, workers)
+		if last.Lease == nil || last.Lease.Owner != owner {
+			t.Fatalf("job leased under %+v at boundary %d; want %s", last.Lease, boundary, owner)
 		}
 
 		// Crash the worker: no release, no complete — its lease just stops
