@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -950,5 +951,107 @@ func TestStaleAnswerEndsShipping(t *testing.T) {
 	}
 	if st := a.Stats(); st.StaleLosses != 1 || st.CheckpointsShipped != 0 {
 		t.Errorf("worker stats %+v; want one stale loss, nothing shipped", st)
+	}
+}
+
+// TestFullOutboxHoldsRunner: while the coordinator holds a checkpoint
+// request, a runner that reports more than maxQueued updates waits for
+// room instead of queueing without bound. Once the hold is released every
+// update is committed in order, and no request carries more than
+// maxQueued of them.
+func TestFullOutboxHoldsRunner(t *testing.T) {
+	hd := newHold("/v1/fleet/checkpoint")
+	h := newHarness(t, time.Hour, hd)
+	const n = 2*maxQueued + 3
+	full := make(chan struct{})
+	returned := make(chan struct{})
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		upd(update(1))
+		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
+		for i := 2; i <= n; i++ {
+			if i == maxQueued+2 {
+				close(full) // updates 2..maxQueued+1 fill the outbox
+			}
+			upd(update(i))
+		}
+		close(returned)
+		return json.RawMessage(`{"ok":true}`), nil
+	})
+	w.Start()
+	defer w.Kill()
+
+	j, _ := h.store.Create("search", nil)
+	waitFor(t, full, "the runner filled its outbox behind a held request")
+	// A negative check: nothing can take from the outbox while the request
+	// is held, so the runner must not get past its next update.
+	select {
+	case <-returned:
+		t.Fatalf("the runner returned with more than %d updates queued", maxQueued)
+	case <-time.After(20 * time.Millisecond):
+	}
+	hd.open()
+	got := waitState(t, h, j.ID, jobs.Done)
+	seq := h.progressOf(j.ID)
+	if len(seq) != n {
+		t.Fatalf("committed %d progress payloads, want %d", len(seq), n)
+	}
+	for i, p := range seq {
+		if want, _ := update(i + 1); p != string(want) {
+			t.Fatalf("progress %d committed as %s, want %s", i, p, want)
+		}
+	}
+	if want, _ := update(n); string(got.Progress) != string(want) {
+		t.Errorf("finished job keeps progress %s, want %s", got.Progress, want)
+	}
+	running := waitState(t, h, j.ID, jobs.Running)
+	for _, r := range h.requestsFor(j.ID, running.Lease.Token) {
+		if len(r.Updates) > maxQueued {
+			t.Errorf("%s carried %d updates, want at most %d", r.Path, len(r.Updates), maxQueued)
+		}
+	}
+}
+
+// TestRefusedCompletionFailsJob: a completion the coordinator refuses as
+// malformed (here standing in for a body past its size limit) is re-sent
+// as a failure that carries the refusal, instead of being dropped for the
+// job to rerun into the same refusal once its lease expires.
+func TestRefusedCompletionFailsJob(t *testing.T) {
+	h := newHarness(t, time.Hour)
+	handler := h.coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/fleet/complete" {
+			body, _ := io.ReadAll(r.Body)
+			var req completeRequest
+			json.Unmarshal(body, &req)
+			if req.Result != nil {
+				writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("request body too large"))
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: srv.URL, Node: "w1", Poll: 5 * time.Millisecond,
+		Heartbeat: 10 * time.Millisecond, Clock: h.clk.Now,
+		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+			upd(update(1))
+			return json.RawMessage(`{"big":true}`), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Start()
+	defer w.Kill()
+
+	j, _ := h.store.Create("search", nil)
+	got := waitState(t, h, j.ID, jobs.Failed)
+	if !strings.Contains(got.Error, "refused the done completion") || !strings.Contains(got.Error, "request body too large") {
+		t.Errorf("failed job error %q; want the refusal", got.Error)
+	}
+	if got.Attempts != 1 || got.Result != nil {
+		t.Errorf("failed job on attempt %d with result %s; want attempt 1, none", got.Attempts, got.Result)
 	}
 }

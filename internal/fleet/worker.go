@@ -43,14 +43,15 @@ type WorkerConfig struct {
 	// inside one TTL loses its jobs to the sweep.
 	Heartbeat time.Duration
 	// Runner executes claimed jobs; required. It must honor ctx exactly as
-	// the in-process manager's runner does. Its update callback never
-	// waits on the network: each (progress, checkpoint) pair joins the
-	// job's outbox, a per-job queue that a shipper goroutine sends to the
-	// coordinator in order, as many entries per request as have queued
-	// since the last one. Whatever is still queued when the runner returns
-	// rides on the job's completion (or release). The payloads are kept
-	// until sent, so the runner must hand over fresh ones, as the Runner
-	// contract already asks.
+	// the in-process manager's runner does. Its update callback does not
+	// wait on the network: each (progress, checkpoint) pair joins the
+	// job's outbox, a per-job queue that the job's lease goroutine sends
+	// to the coordinator in order between heartbeats, as many entries per
+	// request as have queued since the last one. The callback waits only
+	// while maxQueued updates are already queued. Whatever is still queued
+	// when the runner returns rides on the job's completion (or release).
+	// The payloads are kept until sent, so the runner must hand over fresh
+	// ones, as the Runner contract already asks.
 	Runner jobs.Runner
 	// Clock is the injected time source (tests); nil means the wall clock.
 	Clock func() time.Time
@@ -247,14 +248,13 @@ func (w *Worker) slot() {
 	}
 }
 
-// runJob executes one claimed job under its lease: a heartbeat goroutine
-// renews on a ticker while the runner works, a shipper goroutine sends the
-// runner's queued updates, and the outcome is reported under the fencing
-// token with the updates still queued — unless the lease was lost, in
-// which case the worker walks away silently.
+// runJob executes one claimed job under its lease: a lease goroutine
+// renews it on a ticker and sends the runner's queued updates while the
+// runner works, and once both have stopped the outcome is reported under
+// the fencing token with the updates still queued — unless the lease was
+// lost, in which case the worker walks away silently.
 func (w *Worker) runJob(j *jobs.Job) {
 	token := j.Lease.Token
-	expires := j.Lease.Expires
 
 	ctx, cancel := context.WithCancelCause(context.Background())
 	w.mu.Lock()
@@ -268,25 +268,21 @@ func (w *Worker) runJob(j *jobs.Job) {
 	w.running[j.ID] = cancel
 	w.mu.Unlock()
 
-	hbStop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go w.heartbeat(ctx, cancel, j.ID, token, expires, hbStop, hbDone)
-
-	box := &outbox{ready: make(chan struct{}, 1)}
+	box := newOutbox()
 	runDone := make(chan struct{})
-	shipDone := make(chan struct{})
-	go w.ship(ctx, cancel, j.ID, token, box, runDone, shipDone)
+	leaseDone := make(chan struct{})
+	go func() {
+		defer close(leaseDone)
+		w.holdLease(ctx, cancel, j.ID, token, j.Lease.Expires, box, runDone)
+	}()
 
 	result, err := w.runProtected(ctx, j, box.put)
 
-	// The shipper finishes the request it has in flight before the
+	// The lease goroutine finishes the request it has in flight before the
 	// completion goes out, so the coordinator commits updates in the order
-	// the runner reported them; the heartbeat keeps the lease alive until
-	// then.
+	// the runner reported them.
 	close(runDone)
-	<-shipDone
-	close(hbStop)
-	<-hbDone
+	<-leaseDone
 	updates := box.take()
 	w.mu.Lock()
 	delete(w.running, j.ID)
@@ -310,17 +306,41 @@ func (w *Worker) runJob(j *jobs.Job) {
 	}
 }
 
+// maxQueued bounds a job's outbox. The runner's update callback blocks
+// while this many updates wait unsent, so a slow coordinator holds back
+// the search instead of letting checkpoints pile up in memory, and no
+// request carries more than maxQueued of them.
+const maxQueued = 32
+
 // outbox is one running job's ordered queue of updates not yet sent. put
-// is the runner's update callback: it never touches the network.
+// is the runner's update callback: it never touches the network, and
+// waits only while the outbox is full.
 type outbox struct {
 	mu      sync.Mutex
 	updates []jobUpdate
+	// room is signalled when take empties the queue or close ends it.
+	room sync.Cond
+	// closed is set once nothing more will be sent; put then drops.
+	closed bool
 	// ready holds a token while updates may be non-empty.
 	ready chan struct{}
 }
 
+func newOutbox() *outbox {
+	o := &outbox{ready: make(chan struct{}, 1)}
+	o.room.L = &o.mu
+	return o
+}
+
 func (o *outbox) put(progress, checkpoint json.RawMessage) {
 	o.mu.Lock()
+	for len(o.updates) >= maxQueued && !o.closed {
+		o.room.Wait()
+	}
+	if o.closed {
+		o.mu.Unlock()
+		return
+	}
 	o.updates = append(o.updates, jobUpdate{Progress: progress, Checkpoint: checkpoint})
 	o.mu.Unlock()
 	select {
@@ -335,97 +355,89 @@ func (o *outbox) take() []jobUpdate {
 	defer o.mu.Unlock()
 	u := o.updates
 	o.updates = nil
+	o.room.Broadcast()
 	return u
 }
 
-// ship sends a job's queued updates until its runner returns (runDone),
-// everything queued so far in one checkpoint request, then waits for more.
-// A transient error drops that batch: the next one carries newer state. A
-// lease-fatal answer cancels the job with ErrLeaseLost and ends shipping,
-// and so does a lease lost to the heartbeat. What is queued when ship
+// close releases a put waiting for room and makes later ones drop; take
+// still returns what was queued.
+func (o *outbox) close() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.closed = true
+	o.room.Broadcast()
+}
+
+// holdLease keeps one job's lease until its runner returns (runDone): it
+// renews the lease on the Heartbeat ticker and sends the queued updates,
+// everything queued so far in one checkpoint request, in between. A
+// transient error drops that request (a dropped batch's successor carries
+// newer state); once the coordinator has been unreachable past the lease
+// expiry (by this worker's own clock), the worker assumes the sweep took
+// the job — the partitioned-worker half of lease safety. That, a
+// lease-fatal answer, and Kill cancel the job with ErrLeaseLost and end
+// the goroutine, which then sends nothing more for the job. A cancel
+// request rides back on either answer. What is queued when holdLease
 // returns is left for the completion.
-func (w *Worker) ship(ctx context.Context, cancel context.CancelCauseFunc,
-	id string, token uint64, box *outbox, runDone, done chan struct{}) {
-	defer close(done)
+func (w *Worker) holdLease(ctx context.Context, cancel context.CancelCauseFunc,
+	id string, token uint64, expires time.Time, box *outbox, runDone chan struct{}) {
+	defer box.close()
+	tk := time.NewTicker(w.cfg.Heartbeat)
+	defer tk.Stop()
+	cancelled := ctx.Done()
 	for {
+		var (
+			lease   leaseResponse
+			err     error
+			shipped int
+		)
 		select {
 		case <-runDone:
 			return
+		case <-cancelled:
+			if errors.Is(context.Cause(ctx), ErrLeaseLost) {
+				return
+			}
+			// Draining or cancelled: keep the lease while the runner winds
+			// down, so it stays ours until the completion commits.
+			cancelled = nil
+			continue
 		case <-box.ready:
-		}
-		select {
-		case <-runDone:
-			return // the completion carries the rest
-		default:
+			select {
+			case <-runDone:
+				return // the completion carries the rest
+			default:
+			}
+			updates := box.take()
+			if len(updates) == 0 {
+				continue
+			}
+			err = w.post("/v1/fleet/checkpoint", &checkpointRequest{ID: id, Token: token, Updates: updates}, &lease)
+			shipped = len(updates)
+		case <-tk.C:
+			start := w.now()
+			err = w.post("/v1/fleet/renew", &renewRequest{ID: id, Token: token}, &lease)
+			if err == nil {
+				w.renews.Add(1)
+				w.renewNanos.Store(int64(w.now().Sub(start)))
+			}
 		}
 		if errors.Is(context.Cause(ctx), ErrLeaseLost) {
-			return
+			return // killed while the request was in flight
 		}
-		updates := box.take()
-		if len(updates) == 0 {
-			continue
-		}
-		var lease leaseResponse
-		err := w.post("/v1/fleet/checkpoint", &checkpointRequest{ID: id, Token: token, Updates: updates}, &lease)
 		if err != nil {
-			if isLeaseFatal(err) {
+			if isLeaseFatal(err) || (!expires.IsZero() && w.now().After(expires)) {
 				cancel(ErrLeaseLost)
 				return
 			}
 			continue
 		}
-		w.checkpoints.Add(uint64(len(updates)))
+		w.checkpoints.Add(uint64(shipped))
+		if !lease.Expires.IsZero() {
+			expires = lease.Expires
+		}
 		if lease.CancelRequested {
 			cancel(jobs.ErrCancelled)
-		}
-	}
-}
-
-// heartbeat renews the lease on a ticker until the job ends. A stale
-// rejection cancels the runner with ErrLeaseLost; a cancel request rides
-// back on the renew response; and when the coordinator is unreachable past
-// the lease expiry (by this worker's own clock), the worker assumes the
-// sweep took the job and abandons it — the partitioned-worker half of lease
-// safety.
-func (w *Worker) heartbeat(ctx context.Context, cancel context.CancelCauseFunc,
-	id string, token uint64, expires time.Time, stop, done chan struct{}) {
-	defer close(done)
-	tk := time.NewTicker(w.cfg.Heartbeat)
-	defer tk.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ctx.Done():
-			return
-		case <-tk.C:
-			if ctx.Err() != nil {
-				return // the ticker and the cancel fired together
-			}
-			start := w.now()
-			var lease leaseResponse
-			err := w.post("/v1/fleet/renew", &renewRequest{ID: id, Token: token}, &lease)
-			if err != nil {
-				if isLeaseFatal(err) {
-					cancel(ErrLeaseLost)
-					return
-				}
-				if !expires.IsZero() && w.now().After(expires) {
-					cancel(ErrLeaseLost)
-					return
-				}
-				continue
-			}
-			w.renews.Add(1)
-			w.renewNanos.Store(int64(w.now().Sub(start)))
-			if !lease.Expires.IsZero() {
-				expires = lease.Expires
-			}
-			if lease.CancelRequested {
-				// Keep renewing while the runner winds down, so the lease
-				// stays ours until the Cancelled completion commits.
-				cancel(jobs.ErrCancelled)
-			}
 		}
 	}
 }
@@ -462,19 +474,24 @@ func (w *Worker) claim() (*jobs.Job, error) {
 }
 
 // complete reports the job's outcome under its lease, carrying the
-// updates still queued in its outbox.
+// updates still queued in its outbox. A request the coordinator refuses as
+// malformed (400: a body past its size limit, say) would be refused again
+// after the lease expires and the job reruns, so the job is failed with
+// the refusal instead.
 func (w *Worker) complete(id string, token uint64, state jobs.State, updates []jobUpdate, result json.RawMessage, errMsg string) {
 	var resp completeResponse
 	err := w.post("/v1/fleet/complete",
 		&completeRequest{ID: id, Token: token, State: state, Updates: updates, Result: result, Error: errMsg}, &resp)
-	if err != nil {
-		if isLeaseFatal(err) {
-			w.staleLosses.Add(1)
-		}
-		return
+	var we *wireError
+	switch {
+	case err == nil:
+		w.checkpoints.Add(uint64(len(updates)))
+		w.completes.Add(1)
+	case isLeaseFatal(err):
+		w.staleLosses.Add(1)
+	case errors.As(err, &we) && we.Status == http.StatusBadRequest && (state != jobs.Failed || len(updates) > 0 || result != nil):
+		w.complete(id, token, jobs.Failed, nil, nil, fmt.Sprintf("fleet: coordinator refused the %s completion: %s", state, we.Msg))
 	}
-	w.checkpoints.Add(uint64(len(updates)))
-	w.completes.Add(1)
 }
 
 // wireError is a decoded protocol error response.
