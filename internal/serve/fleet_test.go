@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -120,50 +121,71 @@ func progressSequence(evs []JobJSON) []string {
 }
 
 // peerGate wraps a coordinator's handler for the tests that kill a worker
-// mid-job. While shut, it takes each /v1/fleet/complete and holds it
-// unanswered until the sender hangs up (Kill cancels a worker's in-flight
-// requests), so a worker the test is about to kill cannot finish the job
-// first; the updates riding on it are lost with the worker, as in a crash.
-// Every request the coordinator answered, and every complete the gate
-// took, ticks changed.
+// mid-job. It lets updates through up to the search generation in limit
+// and no further: a checkpoint or complete request carrying a later update
+// has the updates before it committed, as one checkpoint request, and is
+// then held unanswered until its sender hangs up (Kill cancels a worker's
+// in-flight requests). A worker the test is about to kill has therefore
+// committed exactly through limit, with a checkpoint the next claimant
+// resumes from, and cannot finish the job first; the updates past limit
+// are lost with the worker, as in a crash. Every request the gate answered
+// or held ticks changed.
 type peerGate struct {
 	next    http.Handler
-	shut    atomic.Bool
+	limit   atomic.Int64
 	changed chan struct{}
 	// stop ends every hold; close it before the test server closes.
 	stop chan struct{}
-
-	mu sync.Mutex
-	// took holds the fencing tokens of the completions the gate took.
-	took map[uint64]bool
 }
 
-func newPeerGate(next http.Handler) *peerGate {
-	g := &peerGate{next: next, changed: make(chan struct{}, 1), stop: make(chan struct{}), took: map[uint64]bool{}}
-	g.shut.Store(true)
+func newPeerGate(next http.Handler, limit int) *peerGate {
+	g := &peerGate{next: next, changed: make(chan struct{}, 1), stop: make(chan struct{})}
+	g.limit.Store(int64(limit))
 	return g
 }
 
+// open lets every update through.
+func (g *peerGate) open() { g.limit.Store(math.MaxInt64) }
+
 func (g *peerGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer g.tick()
-	if r.URL.Path == "/v1/fleet/complete" && g.shut.Load() {
-		// Reading the body to EOF lets the server notice the hang-up.
-		body, _ := io.ReadAll(r.Body)
-		var req struct {
-			Token uint64 `json:"token"`
-		}
-		json.Unmarshal(body, &req)
-		g.mu.Lock()
-		g.took[req.Token] = true
-		g.mu.Unlock()
-		g.tick()
-		select {
-		case <-r.Context().Done():
-		case <-g.stop:
-		}
+	if r.URL.Path != "/v1/fleet/checkpoint" && r.URL.Path != "/v1/fleet/complete" {
+		g.next.ServeHTTP(w, r)
 		return
 	}
-	g.next.ServeHTTP(w, r)
+	// Reading the body to EOF also lets the server notice a hang-up.
+	body, _ := io.ReadAll(r.Body)
+	var req struct {
+		ID      string            `json:"id"`
+		Token   uint64            `json:"token"`
+		Updates []json.RawMessage `json:"updates"`
+	}
+	json.Unmarshal(body, &req)
+	pass := len(req.Updates)
+	for i, u := range req.Updates {
+		var up struct {
+			Progress SearchProgress `json:"progress"`
+		}
+		json.Unmarshal(u, &up)
+		if int64(up.Progress.Generation) > g.limit.Load() {
+			pass = i
+			break
+		}
+	}
+	if pass == len(req.Updates) {
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		g.next.ServeHTTP(w, r)
+		return
+	}
+	if pass > 0 {
+		prefix, _ := json.Marshal(map[string]any{"id": req.ID, "token": req.Token, "updates": req.Updates[:pass]})
+		g.next.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/fleet/checkpoint", bytes.NewReader(prefix)))
+	}
+	g.tick()
+	select {
+	case <-r.Context().Done():
+	case <-g.stop:
+	}
 }
 
 func (g *peerGate) tick() {
@@ -173,24 +195,14 @@ func (g *peerGate) tick() {
 	}
 }
 
-// holds reports whether the gate took a completion sent under the lease.
-func (g *peerGate) holds(l *jobs.Lease) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return l != nil && g.took[l.Token]
-}
-
 // waitCommitted waits until the coordinator's store holds a snapshot of
-// the job satisfying pred, re-reading it at each gate tick. It returns
-// early once the gate has taken the completion of the job's current lease
-// holder: the runner finished before pred was committed, and the test
-// kills that worker then.
+// the job satisfying pred, re-reading it at each gate tick.
 func waitCommitted(t *testing.T, coord *Server, g *peerGate, id string, pred func(*jobs.Job) bool) *jobs.Job {
 	t.Helper()
 	deadline := time.After(60 * time.Second)
 	for {
 		j, _ := coord.store.Get(id)
-		if j != nil && (pred(j) || g.holds(j.Lease)) {
+		if j != nil && pred(j) {
 			return j
 		}
 		select {
@@ -199,6 +211,20 @@ func waitCommitted(t *testing.T, coord *Server, g *peerGate, id string, pred fun
 			t.Fatalf("job %s never satisfied the predicate; last %+v", id, j)
 		}
 	}
+}
+
+// generationOf decodes the search generation of a job's progress, 0 if it
+// has none.
+func generationOf(t *testing.T, progress json.RawMessage) int {
+	t.Helper()
+	if len(progress) == 0 {
+		return 0
+	}
+	var prog SearchProgress
+	if err := json.Unmarshal(progress, &prog); err != nil {
+		t.Fatalf("bad progress %s: %v", progress, err)
+	}
+	return prog.Generation
 }
 
 // TestFleetMigrationEquivalence is the PR's acceptance gate: a search job
@@ -238,7 +264,8 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeNode(t, coord)
-	gate := newPeerGate(coord.Handler())
+	// The first worker may commit no further than generation 1.
+	gate := newPeerGate(coord.Handler(), 1)
 	coordHS := httptest.NewServer(gate)
 	defer coordHS.Close()
 	defer close(gate.stop)
@@ -253,31 +280,19 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	}
 	w := spawn()
 	for boundary := 1; boundary < req.Generations; boundary++ {
-		// Wait until the job runs under the newest worker and the
-		// coordinator holds a checkpoint at this generation boundary (the
-		// job may already be past it, even before the worker's claim).
-		// The gate keeps the worker from finishing the job; if its runner
-		// returns first, the worker is killed with the rest of its
-		// updates unsent and the next one resumes from the last commit.
+		// Wait until the newest worker has committed the checkpoint at
+		// this generation boundary. The gate holds whatever it sends past
+		// it, so the worker can neither commit further nor finish the job.
 		owner := fmt.Sprintf("w%d", workers)
 		last := waitCommitted(t, coord, gate, j.ID, func(j *jobs.Job) bool {
-			if j.State.Terminal() {
-				return true
-			}
-			var prog SearchProgress
-			if j.Lease == nil || j.Lease.Owner != owner || len(j.Progress) == 0 || j.Checkpoint == nil {
-				return false
-			}
-			if err := json.Unmarshal(j.Progress, &prog); err != nil {
-				t.Fatalf("bad progress: %v", err)
-			}
-			return prog.Generation >= boundary
+			return j.State.Terminal() || j.Lease != nil && j.Lease.Owner == owner &&
+				j.Checkpoint != nil && generationOf(t, j.Progress) >= boundary
 		})
 		if last.State.Terminal() {
 			t.Fatalf("search finished (%s) before boundary %d", last.State, boundary)
 		}
-		if last.Lease == nil || last.Lease.Owner != owner {
-			t.Fatalf("job leased under %+v at boundary %d; want %s", last.Lease, boundary, owner)
+		if g := generationOf(t, last.Progress); g != boundary {
+			t.Fatalf("%s committed generation %d at boundary %d", owner, g, boundary)
 		}
 
 		// Crash the worker: no release, no complete — its lease just stops
@@ -287,12 +302,13 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		clk.Advance(2 * time.Minute)
 		coord.SweepFleet()
 		requeued := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool { return j.State == "queued" })
-		if !requeued.HasCheckpoint {
-			t.Fatal("failover dropped the checkpoint")
+		if !requeued.HasCheckpoint || generationOf(t, requeued.Progress) != boundary {
+			t.Fatalf("failover re-queued progress %s (checkpoint %v); want generation %d's", requeued.Progress, requeued.HasCheckpoint, boundary)
 		}
+		gate.limit.Store(int64(boundary + 1))
 		w = spawn()
 	}
-	gate.shut.Store(false) // the last worker finishes the job
+	gate.open() // the last worker finishes the job
 	got := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool { return terminal(j.State) })
 	closeNode(t, w)
 
@@ -304,6 +320,11 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	}
 	if fo := coord.coord.Stats().Failovers; fo != uint64(workers-1) {
 		t.Errorf("coordinator counted %d failovers; want %d", fo, workers-1)
+	}
+	// Each worker resumed where the last one stopped: every generation
+	// was committed exactly once.
+	if n := coord.coord.Stats().Checkpoints; n != uint64(req.Generations) {
+		t.Errorf("coordinator committed %d updates over %d generations", n, req.Generations)
 	}
 	if !bytes.Equal(got.Result, want.Result) {
 		t.Errorf("migrated result differs from uninterrupted run:\nwant %s\ngot  %s", want.Result, got.Result)
@@ -333,7 +354,8 @@ func TestFleetFailoverTwoWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeNode(t, coord)
-	gate := newPeerGate(coord.Handler())
+	// The lease holder may commit no further than generation 1.
+	gate := newPeerGate(coord.Handler(), 1)
 	coordHS := httptest.NewServer(gate)
 	defer coordHS.Close()
 	defer close(gate.stop)
@@ -341,14 +363,14 @@ func TestFleetFailoverTwoWorkers(t *testing.T) {
 	w1 := newWorkerNode(t, clk, coordHS.URL, "w1")
 	w2 := newWorkerNode(t, clk, coordHS.URL, "w2")
 
-	// Kill the lease holder once the coordinator has committed one of its
-	// checkpoints, or once the gate has taken its completion.
+	// Kill the lease holder once the coordinator has committed its
+	// generation-1 checkpoint.
 	j := submitJob(t, coordHS.URL, &req)
 	running := waitCommitted(t, coord, gate, j.ID, func(j *jobs.Job) bool {
 		return j.State == jobs.Running && j.Checkpoint != nil
 	})
-	if running.State != jobs.Running || running.Lease == nil {
-		t.Fatalf("job %s under lease %+v; want running", running.State, running.Lease)
+	if g := generationOf(t, running.Progress); running.Lease == nil || g != 1 {
+		t.Fatalf("job under lease %+v committed generation %d; want 1", running.Lease, g)
 	}
 	owner, survivor := w1, w2
 	if running.Lease.Owner == "w2" {
@@ -356,13 +378,21 @@ func TestFleetFailoverTwoWorkers(t *testing.T) {
 	}
 	owner.worker.Kill()
 	closeNode(t, owner)
-	gate.shut.Store(false)
+	gate.open()
 	clk.Advance(2 * time.Minute)
 	coord.SweepFleet()
+	if after, _ := coord.store.Get(j.ID); after.Checkpoint == nil {
+		t.Fatalf("failover lost the checkpoint: job %s under lease %+v", after.State, after.Lease)
+	}
 
 	got := waitJob(t, coordHS.URL, j.ID, func(j *JobJSON) bool { return j.State == "done" })
 	if got.Attempts != 2 {
 		t.Errorf("job ran %d attempts; want 2", got.Attempts)
+	}
+	// The survivor resumed after generation 1 instead of starting over:
+	// every generation was committed exactly once.
+	if n := coord.coord.Stats().Checkpoints; n != uint64(req.Generations) {
+		t.Errorf("coordinator committed %d updates over %d generations", n, req.Generations)
 	}
 
 	// The coordinator's /metrics shows the failover and the fleet counters.
