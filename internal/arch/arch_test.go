@@ -196,3 +196,13 @@ func TestParseSpecRejects(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkFormatSpec renders the Cloud accelerator, the architecture text
+// every serve and mapper cache key on it hashes.
+func BenchmarkFormatSpec(b *testing.B) {
+	s := Cloud()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		FormatSpec(s)
+	}
+}

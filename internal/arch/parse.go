@@ -157,30 +157,55 @@ func parseCapacity(src string) (int64, error) {
 
 // FormatSpec renders a spec back into the ParseSpec format.
 func FormatSpec(s *Spec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "arch %s\n", s.Name)
-	fmt.Fprintf(&b, "mesh %d %d\n", s.MeshX, s.MeshY)
-	fmt.Fprintf(&b, "freq %g\n", s.FreqGHz)
-	fmt.Fprintf(&b, "word %d\n", s.WordBytes)
-	fmt.Fprintf(&b, "macs-per-pe %d\n", s.MACsPerPE)
-	fmt.Fprintf(&b, "vector-lanes %d\n", s.VectorLanesPerSubcore)
-	for _, l := range s.Levels {
-		cap := "inf"
-		switch {
-		case l.CapacityBytes == 0:
-		case l.CapacityBytes%(1<<20) == 0:
-			cap = fmt.Sprintf("%dMB", l.CapacityBytes>>20)
-		case l.CapacityBytes%(1<<10) == 0:
-			cap = fmt.Sprintf("%dKB", l.CapacityBytes>>10)
-		default:
-			cap = fmt.Sprintf("%d", l.CapacityBytes)
+	return string(AppendSpec(make([]byte, 0, 128+48*len(s.Levels)), s))
+}
+
+// AppendSpec appends FormatSpec's text to dst, so a caller that hashes it
+// together with other text renders it straight into its own buffer.
+// Capacities print in the largest unit that divides them exactly (MB, KB,
+// plain bytes) and unbounded levels as "inf"; bandwidths and the clock as
+// the shortest decimal that reads back exactly.
+func AppendSpec(dst []byte, s *Spec) []byte {
+	line := func(key string, vals ...int) {
+		dst = append(dst, key...)
+		for _, v := range vals {
+			dst = append(dst, ' ')
+			dst = strconv.AppendInt(dst, int64(v), 10)
 		}
-		fmt.Fprintf(&b, "level %s %s %g %d\n", l.Name, cap, l.BandwidthGBs, l.Fanout)
+		dst = append(dst, '\n')
+	}
+	dst = append(dst, "arch "...)
+	dst = append(dst, s.Name...)
+	dst = append(dst, '\n')
+	line("mesh", s.MeshX, s.MeshY)
+	dst = append(dst, "freq "...)
+	dst = strconv.AppendFloat(dst, s.FreqGHz, 'g', -1, 64)
+	dst = append(dst, '\n')
+	line("word", s.WordBytes)
+	line("macs-per-pe", s.MACsPerPE)
+	line("vector-lanes", s.VectorLanesPerSubcore)
+	for _, l := range s.Levels {
+		dst = append(dst, "level "...)
+		dst = append(dst, l.Name...)
+		dst = append(dst, ' ')
+		switch c := l.CapacityBytes; {
+		case c == 0:
+			dst = append(dst, "inf"...)
+		case c%(1<<20) == 0:
+			dst = append(strconv.AppendInt(dst, c>>20, 10), "MB"...)
+		case c%(1<<10) == 0:
+			dst = append(strconv.AppendInt(dst, c>>10, 10), "KB"...)
+		default:
+			dst = strconv.AppendInt(dst, c, 10)
+		}
+		dst = append(dst, ' ')
+		dst = strconv.AppendFloat(dst, l.BandwidthGBs, 'g', -1, 64)
+		line("", l.Fanout)
 	}
 	for _, p := range s.DirectAccess {
-		fmt.Fprintf(&b, "direct %d %d\n", p[0], p[1])
+		line("direct", p[0], p[1])
 	}
-	return b.String()
+	return dst
 }
 
 // StructureSignature renders only the structural skeleton of an

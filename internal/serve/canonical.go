@@ -3,8 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -19,36 +18,48 @@ import (
 // template with explicit factors and the same point written directly in
 // the DSL hash to the same key and share one cache entry. The key is the
 // hex SHA-256 of that canonical text.
+//
+// The (arch, graph) half of the text is the same for every key flavour of
+// a design point, so it is rendered once (canonicalText) and each key
+// hashes it between its own header and trailer. The key bytes are pinned
+// by testdata/canonical_keys.golden.
+
+// canonicalText renders the "arch:\n…graph:\n…" text every key of one
+// (arch, graph) pair shares.
+func canonicalText(spec *arch.Spec, g *workload.Graph) string {
+	b := make([]byte, 0, 512+160*len(g.Ops)+64*len(g.Tensors))
+	b = append(b, "arch:\n"...)
+	b = arch.AppendSpec(b, spec)
+	b = append(b, "graph:\n"...)
+	b = workload.AppendCanonicalGraph(b, g)
+	return string(b)
+}
 
 // EvaluateKey is the canonical cache key for one fully specified design
 // point (a concrete analysis tree).
 func EvaluateKey(spec *arch.Spec, g *workload.Graph, root *core.Node, opts core.Options) string {
-	var b strings.Builder
-	b.WriteString("tileflow/v1/evaluate\n")
-	writeCommon(&b, spec, g, opts)
-	b.WriteString("mapping:\n")
-	b.WriteString(notation.Print(root))
-	return digest(b.String())
+	return evaluateKey(canonicalText(spec, g), root, opts)
+}
+
+// evaluateKey is EvaluateKey over an already rendered canonicalText.
+func evaluateKey(canon string, root *core.Node, opts core.Options) string {
+	return digest("tileflow/v1/evaluate\n", canon, optionsLine(opts), "mapping:\n", notation.Print(root))
 }
 
 // tunedKey is the canonical key for a template request whose factors are
 // chosen by the mapper: the mapping is determined by (template, budget,
 // seed) rather than a concrete tree.
-func tunedKey(spec *arch.Spec, g *workload.Graph, dfName string, tune int, seed int64, opts core.Options) string {
-	var b strings.Builder
-	b.WriteString("tileflow/v1/evaluate-tuned\n")
-	writeCommon(&b, spec, g, opts)
-	fmt.Fprintf(&b, "template: %s tune=%d seed=%d\n", dfName, tune, seed)
-	return digest(b.String())
+func tunedKey(canon, dfName string, tune int, seed int64, opts core.Options) string {
+	return digest("tileflow/v1/evaluate-tuned\n", canon, optionsLine(opts),
+		"template: ", dfName, " tune=", strconv.Itoa(tune), " seed=", strconv.FormatInt(seed, 10), "\n")
 }
 
 // searchKey is the canonical key for a 3D design-space search request.
 func searchKey(spec *arch.Spec, g *workload.Graph, req *SearchRequest) string {
-	var b strings.Builder
-	b.WriteString("tileflow/v1/search\n")
-	writeCommon(&b, spec, g, req.options())
-	fmt.Fprintf(&b, "search: pop=%d gens=%d tile=%d topk=%d seed=%d\n", req.Population, req.Generations, req.TileRounds, req.TopK, req.Seed)
-	return digest(b.String())
+	return digest("tileflow/v1/search\n", canonicalText(spec, g), optionsLine(req.options()),
+		"search: pop=", strconv.Itoa(req.Population), " gens=", strconv.Itoa(req.Generations),
+		" tile=", strconv.Itoa(req.TileRounds), " topk=", strconv.Itoa(req.TopK),
+		" seed=", strconv.FormatInt(req.Seed, 10), "\n")
 }
 
 // programKey is the canonical key of a compiled core.Program: the
@@ -56,29 +67,29 @@ func searchKey(spec *arch.Spec, g *workload.Graph, req *SearchRequest) string {
 // and the tree's structure signature, with no tiling factors and no
 // evaluation options (a Program is options-independent). Requests that
 // differ only in tiling or options share one compiled Program under it.
-func programKey(spec *arch.Spec, g *workload.Graph, root *core.Node) string {
-	var b strings.Builder
-	b.WriteString("tileflow/v1/program\n")
-	b.WriteString("arch:\n")
-	b.WriteString(arch.FormatSpec(spec))
-	b.WriteString("graph:\n")
-	b.WriteString(workload.CanonicalGraph(g))
-	b.WriteString("structure:\n")
-	b.WriteString(core.StructureSignature(root))
-	return digest(b.String())
+func programKey(canon string, root *core.Node) string {
+	return digest("tileflow/v1/program\n", canon, "structure:\n", core.StructureSignature(root))
 }
 
-func writeCommon(b *strings.Builder, spec *arch.Spec, g *workload.Graph, opts core.Options) {
-	b.WriteString("arch:\n")
-	b.WriteString(arch.FormatSpec(spec))
-	b.WriteString("graph:\n")
-	b.WriteString(workload.CanonicalGraph(g))
-	fmt.Fprintf(b, "options: skipcap=%v skippe=%v noretention=%v\n",
-		opts.SkipCapacityCheck, opts.SkipPECheck, opts.DisableRetention)
+// optionsLine renders the evaluation options every evaluate, tuned and
+// search key carries after the canonical text.
+func optionsLine(opts core.Options) string {
+	return "options: skipcap=" + strconv.FormatBool(opts.SkipCapacityCheck) +
+		" skippe=" + strconv.FormatBool(opts.SkipPECheck) +
+		" noretention=" + strconv.FormatBool(opts.DisableRetention) + "\n"
 }
 
-func digest(s string) string {
-	sum := sha256.Sum256([]byte(s))
+// digest is the hex SHA-256 of the concatenated parts.
+func digest(parts ...string) string {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	b := make([]byte, 0, n)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -92,11 +103,7 @@ func digest(s string) string {
 // deliberately excluded: only encodings are transferred under this key,
 // never fitness values.
 func warmKey(spec *arch.Spec, g *workload.Graph) string {
-	var b strings.Builder
-	b.WriteString("tileflow/v1/warmstart\n")
-	b.WriteString("arch-structure:\n")
-	b.WriteString(arch.StructureSignature(spec))
-	b.WriteString("graph-structure:\n")
-	b.WriteString(workload.StructureSignature(g))
-	return digest(b.String())
+	return digest("tileflow/v1/warmstart\n",
+		"arch-structure:\n", arch.StructureSignature(spec),
+		"graph-structure:\n", workload.StructureSignature(g))
 }

@@ -244,3 +244,40 @@ func TestCanonicalKeysGolden(t *testing.T) {
 		t.Errorf("canonical key dump has %d lines, %s has %d", len(gl), canonicalKeysGoldenPath, len(wl))
 	}
 }
+
+// fewestAllocs is the fewest allocations any of 20 single calls of fn
+// makes. Under the race detector sync.Pool drops pooled objects at random,
+// so one call can allocate more than the next; the minimum is stable, and
+// a rendering that gains an allocation still raises it.
+func fewestAllocs(fn func()) float64 {
+	least := math.Inf(1)
+	for range 20 {
+		least = min(least, testing.AllocsPerRun(1, fn))
+	}
+	return least
+}
+
+// TestCanonicalRenderAllocs gates the canonical renderings every key
+// hashes: for every catalog graph, CanonicalGraph allocates its sorted
+// tensor-name list, its buffer and the returned string, and FormatSpec its
+// buffer and the string for every catalog architecture (rendered through
+// fmt they took 362 and 23 on T5 attention and Cloud).
+func TestCanonicalRenderAllocs(t *testing.T) {
+	var graphs []*workload.Graph
+	for _, s := range workload.AttentionShapes {
+		graphs = append(graphs, workload.Attention(s))
+	}
+	for _, s := range workload.ConvChainShapes {
+		graphs = append(graphs, workload.ConvChain(s))
+	}
+	for _, g := range graphs {
+		if n := fewestAllocs(func() { workload.CanonicalGraph(g) }); n > 3 {
+			t.Errorf("CanonicalGraph(%s) allocates %v objects, want <= 3", g.Name, n)
+		}
+	}
+	for _, s := range []*arch.Spec{arch.Edge(), arch.Cloud(), arch.Validation(), arch.A100Like()} {
+		if n := fewestAllocs(func() { arch.FormatSpec(s) }); n > 2 {
+			t.Errorf("FormatSpec(%s) allocates %v objects, want <= 2", s.Name, n)
+		}
+	}
+}

@@ -258,6 +258,10 @@ type designPoint struct {
 	g      *workload.Graph
 	opts   core.Options
 	dfName string
+	// canon is canonicalText(spec, g), rendered once by resolve and
+	// hashed by every key of the point. It is set eagerly, not on first
+	// use, because the batch path hands the point to other goroutines.
+	canon string
 
 	// Exactly one of the two mapping forms is set: a concrete tree, or a
 	// template plus a tuning budget.
@@ -345,6 +349,7 @@ func resolve(req *EvaluateRequest) (*designPoint, error) {
 		}
 		dp.spec, dp.g, dp.root = cfg.Spec, cfg.Graph, cfg.Root
 		dp.dfName = "config"
+		dp.canon = canonicalText(dp.spec, dp.g)
 		return dp, nil
 	}
 	if dp.spec, err = pickSpec(req.Arch, req.ArchSpec); err != nil {
@@ -366,6 +371,7 @@ func resolve(req *EvaluateRequest) (*designPoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	dp.canon = canonicalText(dp.spec, dp.g)
 	return dp, nil
 }
 

@@ -38,7 +38,7 @@ func ResolveKeys(req *EvaluateRequest, tune int, seed int64, sreq *SearchRequest
 	}
 	k := &DesignPointKeys{Spec: dp.spec, Graph: dp.g, Root: dp.root, Opts: dp.opts, Search: searchKey(dp.spec, dp.g, sreq)}
 	if dp.root != nil {
-		k.Key, k.Program = dp.key(), programKey(dp.spec, dp.g, dp.root)
+		k.Key, k.Program = dp.key(), programKey(dp.canon, dp.root)
 	}
 	tuned := *dp
 	tuned.root, tuned.tune, tuned.seed = nil, tune, seed

@@ -454,7 +454,7 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 			return nil, err
 		}
 	}
-	res, err := evaluateWithPrograms(ctx, programs, root, dp.g, dp.spec, dp.opts)
+	res, err := dp.evaluateWithPrograms(ctx, programs, root)
 	if err != nil {
 		return nil, err
 	}
@@ -462,38 +462,39 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 	return out, nil
 }
 
-// evaluateWithPrograms evaluates a tree, sharing the compile half of the
-// Compile → Evaluate pipeline across requests: a Program cached under the
-// structure-only key is re-bound to this request's tiling, and only the
-// tiling-dependent analysis runs. Program re-binding matches operators by
-// name, so a cached Program serves trees built over any canonically equal
-// instance of the graph (the key includes the canonical graph dump).
-func evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *core.Node, g *workload.Graph, spec *arch.Spec, opts core.Options) (*core.Result, error) {
+// evaluateWithPrograms evaluates a tree over the design point's graph and
+// architecture, sharing the compile half of the Compile → Evaluate
+// pipeline across requests: a Program cached under the structure-only key
+// is re-bound to this request's tiling, and only the tiling-dependent
+// analysis runs. Program re-binding matches operators by name, so a
+// cached Program serves trees built over any canonically equal instance
+// of the graph (the key includes the canonical graph dump).
+func (dp *designPoint) evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *core.Node) (*core.Result, error) {
 	if programs == nil {
-		return core.EvaluateContext(ctx, root, g, spec, opts)
+		return core.EvaluateContext(ctx, root, dp.g, dp.spec, dp.opts)
 	}
-	key := programKey(spec, g, root)
+	key := programKey(dp.canon, root)
 	if v, ok := programs.Get(key); ok {
 		if p, err := v.(*core.Program).WithTiling(root); err == nil {
-			return p.Evaluate(ctx, opts)
+			return p.Evaluate(ctx, dp.opts)
 		}
 		// Re-bind refused the tree: fall through to a fresh compile, which
 		// also refreshes the cached entry.
 	}
-	p, err := core.Compile(root, g, spec)
+	p, err := core.Compile(root, dp.g, dp.spec)
 	if err != nil {
 		return nil, err
 	}
 	programs.Put(key, p)
-	return p.Evaluate(ctx, opts)
+	return p.Evaluate(ctx, dp.opts)
 }
 
 // key is the canonical cache key of the design point.
 func (dp *designPoint) key() string {
 	if dp.root == nil {
-		return tunedKey(dp.spec, dp.g, dp.dfName, dp.tune, dp.seed, dp.opts)
+		return tunedKey(dp.canon, dp.dfName, dp.tune, dp.seed, dp.opts)
 	}
-	return EvaluateKey(dp.spec, dp.g, dp.root, dp.opts)
+	return evaluateKey(dp.canon, dp.root, dp.opts)
 }
 
 // requestTimeout clamps a request's timeout_ms to the server deadline.
@@ -701,7 +702,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if !rok {
 			rk = ""
 		}
-		gk := batchGroupKey{pk: programKey(dp.spec, dp.g, dp.root), opts: dp.opts}
+		gk := batchGroupKey{pk: programKey(dp.canon, dp.root), opts: dp.opts}
 		groups[gk] = append(groups[gk], &batchPoint{idx: i, dp: dp, key: key, rk: rk})
 	}
 

@@ -1,9 +1,8 @@
 package workload
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // CanonicalGraph dumps everything about a workload graph that affects the
@@ -13,35 +12,42 @@ import (
 // mapper's fitness memoization) hash this text so that equal graphs share
 // entries regardless of how a request spelled them.
 func CanonicalGraph(g *Graph) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "name %s\n", g.Name)
-	for _, op := range g.Ops {
-		fmt.Fprintf(&b, "op %s kind=%s dims=", op.Name, op.Kind)
-		for i, d := range op.Dims {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			fmt.Fprintf(&b, "%s:%d", d.Name, d.Size)
-		}
-		b.WriteString(" reads=")
-		for i, r := range op.Reads {
-			if i > 0 {
-				b.WriteString(";")
-			}
-			b.WriteString(r.String())
-		}
-		fmt.Fprintf(&b, " write=%s\n", op.Write.String())
-	}
-	names := make([]string, 0, len(g.Tensors))
-	for name := range g.Tensors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	return string(AppendCanonicalGraph(make([]byte, 0, canonicalSizeHint(g)), g))
+}
+
+// AppendCanonicalGraph appends CanonicalGraph's text to dst, so a caller
+// that hashes it together with other text renders it straight into its
+// own buffer.
+func AppendCanonicalGraph(dst []byte, g *Graph) []byte {
+	dst = append(dst, "name "...)
+	dst = append(dst, g.Name...)
+	dst = append(dst, '\n')
+	dst = appendOps(dst, g, true)
+	for _, name := range sortedTensorNames(g) {
 		t := g.Tensors[name]
-		fmt.Fprintf(&b, "tensor %s dims=%v elem=%d density=%g\n", t.Name, t.Dims, t.ElemBytes, t.EffDensity())
+		dst = append(dst, "tensor "...)
+		dst = append(dst, t.Name...)
+		dst = append(dst, " dims=["...)
+		for i, d := range t.Dims {
+			if i > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = strconv.AppendInt(dst, int64(d), 10)
+		}
+		dst = append(dst, "] elem="...)
+		dst = strconv.AppendInt(dst, int64(t.ElemBytes), 10)
+		dst = append(dst, " density="...)
+		dst = strconv.AppendFloat(dst, t.EffDensity(), 'g', -1, 64)
+		dst = append(dst, '\n')
 	}
-	return b.String()
+	return dst
+}
+
+// canonicalSizeHint is a capacity that holds a graph's canonical text
+// without regrowing in the common case: the catalog's operators render
+// to under 150 bytes each, tensors to under 60.
+func canonicalSizeHint(g *Graph) int {
+	return 32 + len(g.Name) + 160*len(g.Ops) + 64*len(g.Tensors)
 }
 
 // StructureSignature renders only the SHAPE-FREE structure of a graph:
@@ -54,32 +60,59 @@ func CanonicalGraph(g *Graph) string {
 // population from a structurally identical design point without ever
 // conflating the shape-specific caches, which keep using CanonicalGraph.
 func StructureSignature(g *Graph) string {
-	var b strings.Builder
+	dst := appendOps(make([]byte, 0, canonicalSizeHint(g)), g, false)
+	for _, name := range sortedTensorNames(g) {
+		t := g.Tensors[name]
+		dst = append(dst, "tensor "...)
+		dst = append(dst, t.Name...)
+		dst = append(dst, " rank="...)
+		dst = strconv.AppendInt(dst, int64(len(t.Dims)), 10)
+		dst = append(dst, " elem="...)
+		dst = strconv.AppendInt(dst, int64(t.ElemBytes), 10)
+		dst = append(dst, '\n')
+	}
+	return string(dst)
+}
+
+// appendOps appends one line per operator, in graph order:
+// "op <name> kind=<kind> dims=<d>[:<size>],... reads=<access>;... write=<access>".
+func appendOps(dst []byte, g *Graph, sizes bool) []byte {
 	for _, op := range g.Ops {
-		fmt.Fprintf(&b, "op %s kind=%s dims=", op.Name, op.Kind)
+		dst = append(dst, "op "...)
+		dst = append(dst, op.Name...)
+		dst = append(dst, " kind="...)
+		dst = append(dst, op.Kind.String()...)
+		dst = append(dst, " dims="...)
 		for i, d := range op.Dims {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(d.Name)
+			dst = append(dst, d.Name...)
+			if sizes {
+				dst = append(dst, ':')
+				dst = strconv.AppendInt(dst, int64(d.Size), 10)
+			}
 		}
-		b.WriteString(" reads=")
+		dst = append(dst, " reads="...)
 		for i, r := range op.Reads {
 			if i > 0 {
-				b.WriteString(";")
+				dst = append(dst, ';')
 			}
-			b.WriteString(r.String())
+			dst = r.appendTo(dst)
 		}
-		fmt.Fprintf(&b, " write=%s\n", op.Write.String())
+		dst = append(dst, " write="...)
+		dst = op.Write.appendTo(dst)
+		dst = append(dst, '\n')
 	}
+	return dst
+}
+
+// sortedTensorNames lists the graph's tensor names in sorted order.
+func sortedTensorNames(g *Graph) []string {
 	names := make([]string, 0, len(g.Tensors))
 	for name := range g.Tensors {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := g.Tensors[name]
-		fmt.Fprintf(&b, "tensor %s rank=%d elem=%d\n", t.Name, len(t.Dims), t.ElemBytes)
-	}
-	return b.String()
+	slices.Sort(names)
+	return names
 }

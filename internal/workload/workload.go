@@ -18,6 +18,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -68,25 +69,30 @@ func I(dim string) Index { return Index{Terms: []Term{{Dim: dim, Coef: 1}}} }
 
 // String renders the index expression in a compact human form such as
 // "h+2*r" or "i".
-func (ix Index) String() string {
+func (ix Index) String() string { return string(ix.appendTo(nil)) }
+
+// appendTo appends the String rendering to dst: unit coefficients print
+// as the bare dim, others as "2*h", and a non-zero offset as a "+" term
+// even when negative ("h+-1"), which parseIndexExpr reads back.
+func (ix Index) appendTo(dst []byte) []byte {
 	if len(ix.Terms) == 0 {
-		return fmt.Sprintf("%d", ix.Offset)
+		return strconv.AppendInt(dst, int64(ix.Offset), 10)
 	}
-	var b strings.Builder
 	for i, t := range ix.Terms {
 		if i > 0 {
-			b.WriteString("+")
+			dst = append(dst, '+')
 		}
-		if t.Coef == 1 {
-			b.WriteString(t.Dim)
-		} else {
-			fmt.Fprintf(&b, "%d*%s", t.Coef, t.Dim)
+		if t.Coef != 1 {
+			dst = strconv.AppendInt(dst, int64(t.Coef), 10)
+			dst = append(dst, '*')
 		}
+		dst = append(dst, t.Dim...)
 	}
 	if ix.Offset != 0 {
-		fmt.Fprintf(&b, "+%d", ix.Offset)
+		dst = append(dst, '+')
+		dst = strconv.AppendInt(dst, int64(ix.Offset), 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Dims reports the set of iteration dimensions the expression refers to.
@@ -106,12 +112,19 @@ type Access struct {
 }
 
 // String renders an access like "Q[m, k]".
-func (a Access) String() string {
-	parts := make([]string, len(a.Index))
+func (a Access) String() string { return string(a.appendTo(nil)) }
+
+// appendTo appends the String rendering to dst.
+func (a Access) appendTo(dst []byte) []byte {
+	dst = append(dst, a.Tensor...)
+	dst = append(dst, '[')
 	for i, ix := range a.Index {
-		parts[i] = ix.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = ix.appendTo(dst)
 	}
-	return fmt.Sprintf("%s[%s]", a.Tensor, strings.Join(parts, ", "))
+	return append(dst, ']')
 }
 
 // Dims reports every iteration dimension the access refers to.

@@ -272,3 +272,14 @@ func TestAttentionCoarse(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCanonicalGraph renders the 7-op attention graph of the T5 shape,
+// the text every serve and mapper cache key over that workload hashes.
+func BenchmarkCanonicalGraph(b *testing.B) {
+	s, _ := AttentionShapeByName("T5")
+	g := Attention(s)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CanonicalGraph(g)
+	}
+}
