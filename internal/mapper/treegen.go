@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -37,20 +36,30 @@ func (e *Encoding) Clone() *Encoding {
 	}
 }
 
-// String renders the encoding as a Fig 7b style table row.
+// String renders the encoding as a Fig 7b style table row, one
+// "op<i>->op<target>@L<mem>:<binding>" or "op<i>:top" column per operator.
+// The GA keys its seen set and fitness cache by this text and hashes it
+// into encodingSeed, so it runs several times per individual.
 func (e *Encoding) String() string {
-	var b strings.Builder
+	b := make([]byte, 0, 20*len(e.Target))
 	for i := range e.Target {
 		if i > 0 {
-			b.WriteString(" ")
+			b = append(b, ' ')
 		}
+		b = append(b, "op"...)
+		b = strconv.AppendInt(b, int64(i), 10)
 		if e.Target[i] < 0 {
-			fmt.Fprintf(&b, "op%d:top", i)
-		} else {
-			fmt.Fprintf(&b, "op%d->op%d@L%d:%s", i, e.Target[i], e.Mem[i], e.Binding[i])
+			b = append(b, ":top"...)
+			continue
 		}
+		b = append(b, "->op"...)
+		b = strconv.AppendInt(b, int64(e.Target[i]), 10)
+		b = append(b, "@L"...)
+		b = strconv.AppendInt(b, int64(e.Mem[i]), 10)
+		b = append(b, ':')
+		b = append(b, e.Binding[i].String()...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // LayerwiseEncoding maps every operator at the top level (the no-fusion

@@ -94,6 +94,12 @@ func TestEncodingStringStable(t *testing.T) {
 	if a.String() == b.String() {
 		t.Error("different encodings render identically")
 	}
+	// encodingSeed hashes this text, so its bytes are part of every
+	// search trajectory.
+	b.Target[1], b.Mem[1], b.Binding[1] = 12, 3, core.Binding(7)
+	if got, want := b.String(), "op0->op2@L1:Pipe op1->op12@L3:Binding(7) op2:top"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 	c := b.Clone()
 	if c.String() != b.String() {
 		t.Error("clone differs")
