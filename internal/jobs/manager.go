@@ -455,10 +455,22 @@ func (m *Manager) eventLogLocked(id string) *eventLog {
 // job reaches a terminal state or the subscriber falls too far behind
 // (re-subscribe with the last seq to continue). The returned stop function
 // must be called when done.
+//
+// A job that was already terminal when this process first needed its
+// event log (it finished before a restart) has nothing left to stream:
+// its log is the stored snapshot as event 1, closed.
 func (m *Manager) Subscribe(id string, after int) (<-chan Event, func()) {
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
-	log := m.eventLogLocked(id)
+	log, ok := m.events[id]
+	if !ok {
+		log = m.eventLogLocked(id)
+		if j, found := m.store.Get(id); found && j.State.Terminal() {
+			log.seq = 1
+			log.hist = []Event{{Seq: 1, Job: j}}
+			log.closed = true
+		}
+	}
 	ch := make(chan Event, len(log.hist)+64)
 	for _, ev := range log.hist {
 		if ev.Seq > after {

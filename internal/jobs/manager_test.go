@@ -240,6 +240,57 @@ func TestManagerDrainRequeuesWithCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSubscribeTerminalAfterRestart: a job that finished before a restart
+// has no events in the new process; subscribing to it yields its stored
+// snapshot and a closed channel instead of an open, empty stream.
+func TestSubscribeTerminalAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		return json.RawMessage(`{"ok":true}`), nil
+	}
+	m, err := NewManager(s, Config{Workers: 1, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := m.Submit("search", nil)
+	waitState(t, m, j.ID, Done)
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	m2, err := NewManager(s2, Config{Workers: -1, Runner: runner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Drain(context.Background())
+	ch, stop := m2.Subscribe(j.ID, 0)
+	defer stop()
+	ev, open := <-ch
+	if !open || ev.Seq != 1 || ev.Job.State != Done || string(ev.Job.Result) != `{"ok":true}` {
+		t.Fatalf("first event %+v (open %v), want the stored done snapshot as seq 1", ev, open)
+	}
+	if _, open := <-ch; open {
+		t.Fatal("stream of a job finished before the restart stayed open")
+	}
+	// A resubscription after the snapshot replays nothing and is closed.
+	ch2, stop2 := m2.Subscribe(j.ID, 1)
+	defer stop2()
+	if _, open := <-ch2; open {
+		t.Error("subscribe after the snapshot replayed something")
+	}
+}
+
 func TestManagerEventsReplayAndLive(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	release := make(chan struct{})

@@ -87,6 +87,9 @@ func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progr
 			}
 			lastCP = cb
 			upd(pb, cb)
+			if s.afterUpdate != nil {
+				s.afterUpdate(ctx, p.Generation)
+			}
 		}
 	})
 	if err != nil {
@@ -317,7 +320,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	for {
+	for final := false; ; {
 		ch, stop := s.jobs.Subscribe(id, after)
 		streaming := true
 		for streaming {
@@ -329,7 +332,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				if !open {
 					// Terminal job, or this client fell behind and was
 					// dropped; re-subscribing after the last seq resolves
-					// both (the loop ends below if the job is finished).
+					// both.
 					streaming = false
 					break
 				}
@@ -343,8 +346,17 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		stop()
-		if j, ok := s.jobs.Get(id); !ok || j.State.Terminal() {
+		if final {
 			return
 		}
+		// The store turns a job terminal before its last events are
+		// emitted, and a client dropped for falling behind may not have
+		// seen them: once the job is terminal, one more subscription
+		// replays the rest and ends when the manager closes the log.
+		j, ok := s.jobs.Get(id)
+		if !ok {
+			return
+		}
+		final = j.State.Terminal()
 	}
 }

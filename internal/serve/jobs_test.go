@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -185,6 +186,80 @@ func TestAsyncSearchMatchesSync(t *testing.T) {
 	}
 }
 
+// stalledStream is an SSE response writer whose body writes wait until
+// gate closes: an events client that stops reading.
+type stalledStream struct {
+	header  http.Header
+	gate    chan struct{}
+	blocked chan struct{} // closed at the first body write
+	once    sync.Once
+	body    bytes.Buffer
+}
+
+func (w *stalledStream) Header() http.Header { return w.header }
+func (w *stalledStream) WriteHeader(int)     {}
+func (w *stalledStream) Flush()              {}
+func (w *stalledStream) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.blocked) })
+	<-w.gate
+	return w.body.Write(p)
+}
+
+// TestJobEventsReplayAfterDrop: a client the manager dropped for falling
+// behind still receives every event up to the terminal one, even when the
+// job turned terminal while it was behind.
+func TestJobEventsReplayAfterDrop(t *testing.T) {
+	req := smallSearch()
+	s, hs := newTestServer(t, Config{JobWorkers: -1}) // the job stays queued
+	j := submitJob(t, hs.URL, &req)
+
+	w := &stalledStream{header: http.Header{}, gate: make(chan struct{}), blocked: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/events", nil))
+	}()
+	<-w.blocked // the handler holds event 1 and waits on the client
+	// Overflow the subscriber's buffer so the manager drops it, then end
+	// the job while the client is still behind.
+	const published = 80
+	for range published {
+		snap, _ := s.jobs.Get(j.ID)
+		s.jobs.Publish(snap)
+	}
+	if _, err := s.jobs.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(w.gate)
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("event stream of a cancelled job never ended")
+	}
+
+	var seqs []int
+	var last JobJSON
+	sc := bufio.NewScanner(&w.body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+			n, _ := strconv.Atoi(v)
+			seqs = append(seqs, n)
+		}
+		if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+			if err := json.Unmarshal([]byte(data), &last); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := 1 + published + 1 // submit, the published snapshots, cancel
+	if len(seqs) != want || seqs[0] != 1 || seqs[len(seqs)-1] != want {
+		t.Fatalf("stream carried %d events (first %v, last %v), want seqs 1..%d", len(seqs), seqs[:min(1, len(seqs))], seqs[max(0, len(seqs)-1):], want)
+	}
+	if last.State != "cancelled" {
+		t.Errorf("last event state %q, want cancelled", last.State)
+	}
+}
+
 // TestJobEventsSSE: the events endpoint streams the job's history as SSE
 // with increasing ids, ending at a terminal state, and honors ?after=.
 func TestJobEventsSSE(t *testing.T) {
@@ -348,12 +423,12 @@ func TestJobMetricsScrape(t *testing.T) {
 func TestServerRestartRecovery(t *testing.T) {
 	req := SearchRequest{
 		Arch: "edge", Workload: "attention:Bert-S",
-		// Sized so the search runs long past its first per-generation
-		// checkpoint: the batched/delta evaluator clears ~50k evals/sec,
-		// so a small request would finish between two 5ms polls and the
-		// test could never interrupt it.
-		Population: 16, Generations: 96, TileRounds: 120, TopK: 2, Seed: 17,
+		Population: 8, Generations: 6, TileRounds: 30, TopK: 2, Seed: 17,
 	}
+	// The first server's runner is held once it has committed this
+	// generation, until the drain cancels it, so the drain interrupts the
+	// search mid-way however fast it runs.
+	const holdAt = 2
 
 	// Control: the same job on an undisturbed server.
 	ctl := New(Config{})
@@ -368,16 +443,20 @@ func TestServerRestartRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.afterUpdate = func(ctx context.Context, generation int) {
+		if generation == holdAt {
+			<-ctx.Done()
+		}
+	}
 	hs1 := httptest.NewServer(s1.Handler())
 	j := submitJob(t, hs1.URL, &req)
-	terminal := func(state string) bool {
-		return state == "done" || state == "failed" || state == "cancelled"
-	}
 	interrupted := waitJob(t, hs1.URL, j.ID, func(j *JobJSON) bool {
-		return terminal(j.State) || j.HasCheckpoint
+		var p SearchProgress
+		held := j.State == "running" && json.Unmarshal(j.Progress, &p) == nil && p.Generation == holdAt
+		return held || j.State == "done" || j.State == "failed" || j.State == "cancelled"
 	})
-	if terminal(interrupted.State) {
-		t.Fatalf("search finished before it could be interrupted (%s); enlarge the request", interrupted.State)
+	if interrupted.State != "running" || !interrupted.HasCheckpoint {
+		t.Fatalf("job not held at generation %d: state %s, checkpoint %v", holdAt, interrupted.State, interrupted.HasCheckpoint)
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

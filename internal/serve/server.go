@@ -125,6 +125,12 @@ type Server struct {
 	sweepDone chan struct{}
 	closeOnce sync.Once
 	closeErr  error
+
+	// afterUpdate, when set, runs on a search job's runner after each
+	// generation's progress and checkpoint were handed to the job store.
+	// It is nil outside tests, which set it before submitting a job to
+	// hold the runner at a generation.
+	afterUpdate func(ctx context.Context, generation int)
 }
 
 // New builds a Server with the config's defaults applied. It panics when
