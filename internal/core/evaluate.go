@@ -144,9 +144,6 @@ func (r *Result) OnChipTraffic() float64 {
 	return v
 }
 
-// LevelTraffic is the total data movement at one level.
-func (r *Result) LevelTraffic(level int) float64 { return r.DM[level].Total() }
-
 // EnergyPJ is the total modeled energy.
 func (r *Result) EnergyPJ() float64 { return r.Energy.TotalPJ() }
 

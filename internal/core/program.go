@@ -191,11 +191,6 @@ func (p *Program) Graph() *workload.Graph { return p.g }
 // Spec returns the architecture the Program was compiled against.
 func (p *Program) Spec() *arch.Spec { return p.spec }
 
-// Signature returns the tree's structure signature (StructureSignature of
-// the root): the canonical key under which the Program may be cached and
-// re-bound to other tilings.
-func (p *Program) Signature() string { return StructureSignature(p.root) }
-
 // Evaluate runs the tiling-dependent half of the analysis on the
 // Program's bound tree: loop-nest validation, data movement, resource and
 // capacity checks, latency, energy and bandwidth. The heavy lifting runs

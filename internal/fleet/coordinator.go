@@ -398,16 +398,14 @@ func leaseOf(j *jobs.Job) *leaseResponse {
 }
 
 // writeStoreError maps the store's coded errors onto wire statuses: stale
-// leases are 409 (the caller's claim is gone), unknown jobs 404, claim
-// races 409, anything else a 500.
+// leases are 409 (the caller's claim is gone), unknown jobs 404, anything
+// else a 500.
 func writeStoreError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, jobs.ErrStaleLease):
 		writeError(w, http.StatusConflict, CodeStaleLease, err)
 	case errors.Is(err, jobs.ErrUnknownJob):
 		writeError(w, http.StatusNotFound, CodeUnknownJob, err)
-	case errors.Is(err, jobs.ErrNotQueued):
-		writeError(w, http.StatusConflict, CodeNotQueued, err)
 	default:
 		writeError(w, http.StatusInternalServerError, CodeStoreFailed, err)
 	}

@@ -50,7 +50,6 @@ import (
 const (
 	CodeStaleLease  = "stale_lease"
 	CodeUnknownJob  = "unknown_job"
-	CodeNotQueued   = "not_queued"
 	CodeBadRequest  = "bad_request"
 	CodeBadState    = "bad_state"
 	CodeStoreFailed = "store_failed"

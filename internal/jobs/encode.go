@@ -25,11 +25,8 @@ func canonicalRaw(name string, p json.RawMessage) (json.RawMessage, error) {
 	if len(p) == 0 {
 		return nil, nil
 	}
-	if isCanonical(p) {
-		return append(json.RawMessage(nil), p...), nil
-	}
 	// Marshaling a RawMessage validates, compacts and escapes it, which
-	// defines the canonical form.
+	// defines the canonical form, and always returns a fresh slice.
 	b, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: invalid %s JSON: %w", name, err)
@@ -50,182 +47,6 @@ func canonicalPayloads(j *Job) (err error) {
 	}
 	j.Result, err = canonicalRaw("result", j.Result)
 	return err
-}
-
-// isCanonical reports, in one pass, whether p is a single valid JSON value
-// already in canonical form: no whitespace outside strings, and none of
-// the bytes json.Marshal escapes in a raw payload (<, >, & and
-// U+2028/U+2029). Payloads the runner made with json.Marshal are; for
-// them this replaces encoding/json's slower validating scan. It may
-// answer false for a canonical payload (one nested deeper than
-// maxFastDepth), which only sends that payload down the json.Marshal path.
-func isCanonical(p []byte) bool {
-	i, ok := scanValue(p, 0, 0)
-	return ok && i == len(p)
-}
-
-// maxFastDepth bounds isCanonical's recursion; encoding/json itself
-// refuses nesting past 10000.
-const maxFastDepth = 1000
-
-// scanValue scans one canonical JSON value starting at p[i] and returns
-// the index just past it.
-func scanValue(p []byte, i, depth int) (int, bool) {
-	if i >= len(p) {
-		return i, false
-	}
-	var ok bool
-	switch p[i] {
-	case '{':
-		if depth >= maxFastDepth {
-			return i, false
-		}
-		if i++; i < len(p) && p[i] == '}' {
-			return i + 1, true
-		}
-		for {
-			if i >= len(p) || p[i] != '"' {
-				return i, false
-			}
-			if i, ok = scanString(p, i); !ok || i >= len(p) || p[i] != ':' {
-				return i, false
-			}
-			if i, ok = scanValue(p, i+1, depth+1); !ok || i >= len(p) {
-				return i, false
-			}
-			switch p[i] {
-			case '}':
-				return i + 1, true
-			case ',':
-				i++
-			default:
-				return i, false
-			}
-		}
-	case '[':
-		if depth >= maxFastDepth {
-			return i, false
-		}
-		if i++; i < len(p) && p[i] == ']' {
-			return i + 1, true
-		}
-		for {
-			if i, ok = scanValue(p, i, depth+1); !ok || i >= len(p) {
-				return i, false
-			}
-			switch p[i] {
-			case ']':
-				return i + 1, true
-			case ',':
-				i++
-			default:
-				return i, false
-			}
-		}
-	case '"':
-		return scanString(p, i)
-	case 't':
-		return scanLiteral(p, i, "true")
-	case 'f':
-		return scanLiteral(p, i, "false")
-	case 'n':
-		return scanLiteral(p, i, "null")
-	}
-	return scanNumber(p, i)
-}
-
-// plainString marks the bytes a canonical string holds unescaped and
-// isCanonical need not look at twice: everything from 0x20 up except the
-// quote, the backslash, <, >, & and 0xE2 (which may start U+2028/U+2029).
-var plainString = func() (t [256]bool) {
-	for c := 0x20; c < 256; c++ {
-		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' && c != 0xE2
-	}
-	return t
-}()
-
-// scanString scans a string whose opening quote is p[i]. Any byte from
-// 0x20 up may appear unescaped, invalid UTF-8 included, as encoding/json
-// accepts.
-func scanString(p []byte, i int) (int, bool) {
-	for i++; i < len(p); i++ {
-		c := p[i]
-		if plainString[c] {
-			continue
-		}
-		switch {
-		case c == '"':
-			return i + 1, true
-		case c == '\\':
-			if i++; i >= len(p) {
-				return i, false
-			}
-			switch p[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				if i+4 >= len(p) {
-					return i, false
-				}
-				for _, h := range p[i+1 : i+5] {
-					if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
-						return i, false
-					}
-				}
-				i += 4
-			default:
-				return i, false
-			}
-		case c == 0xE2:
-			if i+2 < len(p) && p[i+1] == 0x80 && p[i+2]&^1 == 0xA8 {
-				return i, false
-			}
-		default: // a control byte, <, > or &
-			return i, false
-		}
-	}
-	return i, false
-}
-
-func scanLiteral(p []byte, i int, lit string) (int, bool) {
-	if len(p)-i < len(lit) || string(p[i:i+len(lit)]) != lit {
-		return i, false
-	}
-	return i + len(lit), true
-}
-
-// scanNumber scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func scanNumber(p []byte, i int) (int, bool) {
-	if i < len(p) && p[i] == '-' {
-		i++
-	}
-	var ok bool
-	if i < len(p) && p[i] == '0' {
-		i++
-	} else if i, ok = scanDigits(p, i); !ok {
-		return i, false
-	}
-	if i < len(p) && p[i] == '.' {
-		if i, ok = scanDigits(p, i+1); !ok {
-			return i, false
-		}
-	}
-	if i < len(p) && (p[i] == 'e' || p[i] == 'E') {
-		i++
-		if i < len(p) && (p[i] == '+' || p[i] == '-') {
-			i++
-		}
-		return scanDigits(p, i)
-	}
-	return i, true
-}
-
-// scanDigits scans one or more decimal digits.
-func scanDigits(p []byte, i int) (int, bool) {
-	j := i
-	for j < len(p) && '0' <= p[j] && p[j] <= '9' {
-		j++
-	}
-	return j, j > i
 }
 
 // appendJob appends json.Marshal(j)'s bytes to dst. Its raw payloads must

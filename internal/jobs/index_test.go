@@ -453,30 +453,6 @@ func runStoreModel(t *testing.T, seed int64, picker bool, steps int) {
 		case r < 44:
 			op = "claim-remote"
 			m.checkClaim(step, time.Duration(1+m.rng.Intn(10))*time.Second)
-		case r < 48:
-			op = "claim-id"
-			id := "j0"
-			if j := m.choose(func(*Job) bool { return true }); j != nil {
-				id = j.ID
-			}
-			prev, known := m.s.jobs[id]
-			var was State
-			if known {
-				was = prev.State
-			}
-			_, err := m.s.ClaimID(id, "w", 0)
-			switch {
-			case !known:
-				if !errors.Is(err, ErrUnknownJob) {
-					t.Fatalf("step %d: ClaimID unknown: %v", step, err)
-				}
-			case was != Queued:
-				if !errors.Is(err, ErrNotQueued) {
-					t.Fatalf("step %d: ClaimID of %s job: %v", step, was, err)
-				}
-			case err != nil:
-				t.Fatalf("step %d: ClaimID: %v", step, err)
-			}
 		case r < 54:
 			op = "commit"
 			m.checkLeaseWrite(step, op, func(id string, tok uint64) error {

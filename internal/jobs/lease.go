@@ -43,9 +43,6 @@ var (
 	ErrStaleLease = errors.New("jobs: stale lease")
 	// ErrNoQueuedJob means ClaimNext found nothing to hand out.
 	ErrNoQueuedJob = errors.New("jobs: no queued job")
-	// ErrNotQueued means ClaimID lost the race: the job is running under
-	// someone else's claim, finished, or was cancelled while queued.
-	ErrNotQueued = errors.New("jobs: job not queued")
 	// ErrUnknownJob names a job the store has never seen (or has evicted).
 	ErrUnknownJob = errors.New("jobs: unknown job")
 )
@@ -158,22 +155,6 @@ func (s *Store) LeasesHeld() map[string]int {
 		}
 	}
 	return held
-}
-
-// ClaimID claims one specific queued job (the in-process manager's path:
-// its queue already names the job). Returns ErrNotQueued when the job is
-// no longer claimable and ErrUnknownJob when it does not exist.
-func (s *Store) ClaimID(id, owner string, ttl time.Duration) (*Job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
-	}
-	if j.State != Queued {
-		return nil, fmt.Errorf("%w: %s is %s", ErrNotQueued, id, j.State)
-	}
-	return s.claimLocked(j, owner, ttl)
 }
 
 // claimLocked moves a queued job to Running under a fresh lease. If the

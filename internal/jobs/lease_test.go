@@ -65,55 +65,44 @@ func TestLeaseLifecycle(t *testing.T) {
 // TestFailedClaimAppendRollsBack: a claim whose log append fails leaves
 // the job queued and unchanged (state, lease, attempts, start time, the
 // fencing-token counter and the active index), so a later claim with a
-// working log hands it out as its first attempt. Both claim paths are
-// checked.
+// working log hands it out as its first attempt.
 func TestFailedClaimAppendRollsBack(t *testing.T) {
-	for _, path := range []string{"ClaimNext", "ClaimID"} {
-		t.Run(path, func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(dir, newFakeClock().Now)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			created, err := s.Create("search", json.RawMessage(`{"x":1}`))
-			if err != nil {
-				t.Fatal(err)
-			}
-			claim := func() (*Job, error) {
-				if path == "ClaimID" {
-					return s.ClaimID(created.ID, "w1", 0)
-				}
-				return s.ClaimNext("w1", 0)
-			}
+	dir := t.TempDir()
+	s, err := Open(dir, newFakeClock().Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	created, err := s.Create("search", json.RawMessage(`{"x":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			if err := s.log.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if j, err := claim(); err == nil {
-				t.Fatalf("claim with a closed log succeeded: %+v", j)
-			}
-			got, _ := s.Get(created.ID)
-			if !reflect.DeepEqual(got, created) {
-				t.Errorf("failed claim changed the job:\n got %+v\nwant %+v", got, created)
-			}
-			if s.leaseSeq != 0 || s.active[created.ID] == nil {
-				t.Errorf("failed claim left lease counter %d, active entry %v", s.leaseSeq, s.active[created.ID])
-			}
+	if err := s.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := s.ClaimNext("w1", 0); err == nil {
+		t.Fatalf("claim with a closed log succeeded: %+v", j)
+	}
+	got, _ := s.Get(created.ID)
+	if !reflect.DeepEqual(got, created) {
+		t.Errorf("failed claim changed the job:\n got %+v\nwant %+v", got, created)
+	}
+	if s.leaseSeq != 0 || s.active[created.ID] == nil {
+		t.Errorf("failed claim left lease counter %d, active entry %v", s.leaseSeq, s.active[created.ID])
+	}
 
-			f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.log = f
-			j, err := claim()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if j.ID != created.ID || j.State != Running || j.Attempts != 1 || j.Lease.Token != 1 {
-				t.Errorf("claim after the log recovered: %+v (lease %+v); want attempt 1 under token 1", j, j.Lease)
-			}
-		})
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.log = f
+	j, err := s.ClaimNext("w1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != created.ID || j.State != Running || j.Attempts != 1 || j.Lease.Token != 1 {
+		t.Errorf("claim after the log recovered: %+v (lease %+v); want attempt 1 under token 1", j, j.Lease)
 	}
 }
 
@@ -253,7 +242,7 @@ func TestReleaseKeepsCheckpointForNextClaimant(t *testing.T) {
 		t.Errorf("attempts %d after release, want 1", rel.Attempts)
 	}
 
-	j2, err := s.ClaimID(j.ID, "w2", time.Hour)
+	j2, err := s.ClaimNext("w2", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +324,7 @@ func TestRetentionSweepEvictsOldestTerminalJobs(t *testing.T) {
 	}
 	finish := func() string {
 		j, _ := s.Create("search", nil)
-		c, _ := s.ClaimID(j.ID, "w", time.Hour)
+		c, _ := s.ClaimNext("w", time.Hour)
 		s.Complete(j.ID, c.Lease.Token, Done, nil, "")
 		return j.ID
 	}
@@ -344,7 +333,7 @@ func TestRetentionSweepEvictsOldestTerminalJobs(t *testing.T) {
 	clk.Advance(3 * time.Hour)
 	fresh := finish()
 	running, _ := s.Create("search", nil)
-	s.ClaimID(running.ID, "w", time.Hour)
+	s.ClaimNext("w", time.Hour)
 
 	removed := s.SweepRetention(time.Hour)
 	if len(removed) != 2 || removed[0] != old1 || removed[1] != old2 {
@@ -389,7 +378,7 @@ func TestRetentionTombstoneSurvivesRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim, _ := s.Create("search", nil)
-	c, _ := s.ClaimID(victim.ID, "w", time.Hour)
+	c, _ := s.ClaimNext("w", time.Hour)
 	s.Complete(victim.ID, c.Lease.Token, Done, nil, "")
 	keeper, _ := s.Create("search", nil)
 

@@ -74,7 +74,7 @@ func TestPoisonOnCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ClaimID(j.ID, localOwner, 0); err != nil {
+	if _, err := s.ClaimNext(localOwner, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil { // process "crashes" holding a local lease

@@ -226,7 +226,7 @@ func TestStoreSnapshotsAmortised(t *testing.T) {
 	}
 	for i := 0; i < lifecycles; i++ {
 		j := step(func() (*Job, error) { return s.Create("search", json.RawMessage(`{"seed":`+strconv.Itoa(i)+`}`)) })
-		c := step(func() (*Job, error) { return s.ClaimID(j.ID, "w", time.Hour) })
+		c := step(func() (*Job, error) { return s.ClaimNext("w", time.Hour) })
 		for gen := 1; gen <= 2; gen++ {
 			progress := json.RawMessage(`{"generation":` + strconv.Itoa(gen) + `}`)
 			step(func() (*Job, error) { return s.CommitUpdate(j.ID, c.Lease.Token, progress, checkpoint) })

@@ -37,8 +37,6 @@ type TileSearch struct {
 	Rounds int
 	// Seed makes the search deterministic.
 	Seed int64
-	// Explore is the UCB exploration constant (default √2).
-	Explore float64
 	// Domains, when set, restricts each factor's candidate list to the
 	// given values before the search starts — the narrowed per-factor
 	// domains of the search-space analyzer (spaceck.Report.AllowedMap),
@@ -116,10 +114,6 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 	if rounds <= 0 {
 		rounds = 200
 	}
-	explore := s.Explore
-	if explore == 0 {
-		explore = math.Sqrt2
-	}
 	rng := rngPool.Get().(*rand.Rand)
 	defer rngPool.Put(rng)
 	rng.Seed(s.Seed)
@@ -171,7 +165,7 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 		assign := s.assign[:0]
 		depth := 0
 		for depth < len(specs) {
-			ci := s.selectChild(node, choices[depth], explore, rng)
+			ci := s.selectChild(node, choices[depth], rng)
 			child := node.children[ci]
 			if child == nil {
 				child = newMctsNode()
@@ -233,9 +227,9 @@ func (s *TileSearch) RunContext(ctx context.Context) (*Evaluation, []float64) {
 // that seed yields.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
-// selectChild applies UCB1 over the expanded children, preferring an
-// unexpanded choice when one exists.
-func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rng *rand.Rand) int {
+// selectChild applies UCB1, with exploration constant √2, over the
+// expanded children, preferring an unexpanded choice when one exists.
+func (s *TileSearch) selectChild(n *mctsNode, choices []int, rng *rand.Rand) int {
 	n.ensureChildren(len(choices))
 	unexpanded := s.selBuf[:0]
 	for i := range choices {
@@ -255,7 +249,7 @@ func (s *TileSearch) selectChild(n *mctsNode, choices []int, explore float64, rn
 			continue
 		}
 		score := c.total/float64(c.visits) +
-			explore*math.Sqrt(math.Log(float64(n.visits+1))/float64(c.visits))
+			math.Sqrt2*math.Sqrt(math.Log(float64(n.visits+1))/float64(c.visits))
 		if score > bestScore {
 			bestIdx, bestScore = i, score
 		}

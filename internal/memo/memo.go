@@ -24,15 +24,6 @@ type Stats struct {
 	Evictions uint64
 }
 
-// HitRate is hits / (hits + misses), or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache is the memoization interface shared by the mapper and the serve
 // subsystem. Implementations must be safe for concurrent use.
 type Cache interface {

@@ -467,7 +467,7 @@ func TestFleetProtocolMounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.store.ClaimID(j.ID, "a", 0); err != nil {
+	if _, err := s.store.ClaimNext("a", 0); err != nil {
 		t.Fatal(err)
 	}
 	body := fmt.Sprintf(`{"id":%q,"token":99,"state":"done"}`, j.ID)

@@ -476,9 +476,6 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 // cached Program serves trees built over any canonically equal instance
 // of the graph (the key includes the canonical graph dump).
 func (dp *designPoint) evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *core.Node) (*core.Result, error) {
-	if programs == nil {
-		return core.EvaluateContext(ctx, root, dp.g, dp.spec, dp.opts)
-	}
 	key := programKey(dp.canon, root)
 	if v, ok := programs.Get(key); ok {
 		if p, err := v.(*core.Program).WithTiling(root); err == nil {

@@ -208,15 +208,6 @@ func (o *Operator) DimSize(name string) int {
 // HasDim reports whether the operator iterates over the named dimension.
 func (o *Operator) HasDim(name string) bool { return o.DimSize(name) > 0 }
 
-// DimNames lists the iteration dimension names in canonical order.
-func (o *Operator) DimNames() []string {
-	out := make([]string, len(o.Dims))
-	for i, d := range o.Dims {
-		out[i] = d.Name
-	}
-	return out
-}
-
 // ReductionDims reports the dimensions that are reduced away: iterated by the
 // operator but absent from the write access.
 func (o *Operator) ReductionDims() []string {
