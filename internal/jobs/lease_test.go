@@ -67,43 +67,45 @@ func TestLeaseLifecycle(t *testing.T) {
 // fencing-token counter and the active index), so a later claim with a
 // working log hands it out as its first attempt.
 func TestFailedClaimAppendRollsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, newFakeClock().Now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	created, err := s.Create("search", json.RawMessage(`{"x":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("ClaimNext", func(t *testing.T) {
+		dir := t.TempDir()
+		s, err := Open(dir, newFakeClock().Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		created, err := s.Create("search", json.RawMessage(`{"x":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	if err := s.log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if j, err := s.ClaimNext("w1", 0); err == nil {
-		t.Fatalf("claim with a closed log succeeded: %+v", j)
-	}
-	got, _ := s.Get(created.ID)
-	if !reflect.DeepEqual(got, created) {
-		t.Errorf("failed claim changed the job:\n got %+v\nwant %+v", got, created)
-	}
-	if s.leaseSeq != 0 || s.active[created.ID] == nil {
-		t.Errorf("failed claim left lease counter %d, active entry %v", s.leaseSeq, s.active[created.ID])
-	}
+		if err := s.log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if j, err := s.ClaimNext("w1", 0); err == nil {
+			t.Fatalf("claim with a closed log succeeded: %+v", j)
+		}
+		got, _ := s.Get(created.ID)
+		if !reflect.DeepEqual(got, created) {
+			t.Errorf("failed claim changed the job:\n got %+v\nwant %+v", got, created)
+		}
+		if s.leaseSeq != 0 || s.active[created.ID] == nil {
+			t.Errorf("failed claim left lease counter %d, active entry %v", s.leaseSeq, s.active[created.ID])
+		}
 
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.log = f
-	j, err := s.ClaimNext("w1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.ID != created.ID || j.State != Running || j.Attempts != 1 || j.Lease.Token != 1 {
-		t.Errorf("claim after the log recovered: %+v (lease %+v); want attempt 1 under token 1", j, j.Lease)
-	}
+		f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.log = f
+		j, err := s.ClaimNext("w1", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.ID != created.ID || j.State != Running || j.Attempts != 1 || j.Lease.Token != 1 {
+			t.Errorf("claim after the log recovered: %+v (lease %+v); want attempt 1 under token 1", j, j.Lease)
+		}
+	})
 }
 
 func TestCompleteRejectsNonTerminalState(t *testing.T) {
