@@ -30,23 +30,18 @@ type Coordinator struct {
 	Store *jobs.Store
 	// TTL is the lease duration granted on claim (DefaultLeaseTTL if zero).
 	TTL time.Duration
-	// OnEvent, when set, observes every job snapshot the protocol mutates —
-	// the composition root fans these into the job event streams so an SSE
-	// watcher on the coordinator follows a search executing on another node.
-	// (The store itself wakes the local manager and parked claims when a
-	// sweep or release re-queues a job.)
-	OnEvent func(*jobs.Job)
+	// OnDone, when set, sees each job a fleet worker completed as Done,
+	// after the store committed it and outside the store lock (the
+	// composition root indexes the search for warm starting). Job events
+	// need no hook: the store publishes every commit to the job manager.
+	OnDone func(*jobs.Job)
 
-	claims     atomic.Uint64
-	emptyClaim atomic.Uint64
-	renews     atomic.Uint64
-	stales     atomic.Uint64
-	checkps    atomic.Uint64
-	completes  atomic.Uint64
-	releases   atomic.Uint64
-	failovers  atomic.Uint64
-	sweepCanc  atomic.Uint64
-	sweepPois  atomic.Uint64
+	claims    atomic.Uint64
+	renews    atomic.Uint64
+	stales    atomic.Uint64
+	checkps   atomic.Uint64
+	completes atomic.Uint64
+	releases  atomic.Uint64
 
 	// nodes is the fleet inventory: last contact per worker node, fed by
 	// every protocol request that names its sender. An empty claim counts
@@ -73,10 +68,8 @@ type nodeState struct {
 // CoordinatorStats is a point-in-time snapshot of the protocol counters,
 // exported on /metrics.
 type CoordinatorStats struct {
-	// Claims counts leases granted; EmptyClaims, claim polls that found an
-	// empty queue.
-	Claims      uint64
-	EmptyClaims uint64
+	// Claims counts leases granted.
+	Claims uint64
 	// Renews counts successful heartbeats; StaleRejections, writes refused
 	// because the sender's fencing token was superseded.
 	Renews          uint64
@@ -89,26 +82,25 @@ type CoordinatorStats struct {
 	Completes   uint64
 	Releases    uint64
 	// Failovers counts jobs re-queued by the lease sweep after their worker
-	// went silent; SweepCancels, cancel-requested jobs the sweep finalized;
-	// SweepPoisons, jobs the sweep quarantined for exhausting max_attempts.
+	// went silent; SweepPoisons, jobs the sweep quarantined for exhausting
+	// max_attempts. The store counts both, so the sweeps claims run count
+	// too.
 	Failovers    uint64
-	SweepCancels uint64
 	SweepPoisons uint64
 }
 
 // Stats snapshots the coordinator counters.
 func (c *Coordinator) Stats() CoordinatorStats {
+	failovers, poisons := c.Store.SweepCounts()
 	return CoordinatorStats{
 		Claims:          c.claims.Load(),
-		EmptyClaims:     c.emptyClaim.Load(),
 		Renews:          c.renews.Load(),
 		StaleRejections: c.stales.Load(),
 		Checkpoints:     c.checkps.Load(),
 		Completes:       c.completes.Load(),
 		Releases:        c.releases.Load(),
-		Failovers:       c.failovers.Load(),
-		SweepCancels:    c.sweepCanc.Load(),
-		SweepPoisons:    c.sweepPois.Load(),
+		Failovers:       failovers,
+		SweepPoisons:    poisons,
 	}
 }
 
@@ -205,25 +197,7 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 // over even without the timer.
 func (c *Coordinator) Sweep() (requeued, cancelled, poisoned int) {
 	req, canc, pois := c.Store.SweepExpiredLeases()
-	for _, j := range req {
-		c.failovers.Add(1)
-		c.event(j)
-	}
-	for _, j := range canc {
-		c.sweepCanc.Add(1)
-		c.event(j)
-	}
-	for _, j := range pois {
-		c.sweepPois.Add(1)
-		c.event(j)
-	}
 	return len(req), len(canc), len(pois)
-}
-
-func (c *Coordinator) event(j *jobs.Job) {
-	if c.OnEvent != nil {
-		c.OnEvent(j)
-	}
 }
 
 // parkContext returns the context every parked claim derives from.
@@ -272,7 +246,6 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	if errors.Is(err, jobs.ErrNoQueuedJob) {
 		c.touchNode(req.Node, false)
-		c.emptyClaim.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -282,7 +255,6 @@ func (c *Coordinator) handleClaim(w http.ResponseWriter, r *http.Request) {
 	}
 	c.touchNode(req.Node, true)
 	c.claims.Add(1)
-	c.event(j)
 	writeJSON(w, http.StatusOK, &claimResponse{Job: j})
 }
 
@@ -305,9 +277,9 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 // commitUpdates applies a worker's queued updates in order, one
-// CommitUpdate and one job event each, so every generation's progress
-// reaches the event log. It stops at the first refused update and returns
-// the last committed snapshot (nil if none was).
+// CommitUpdate each, so every generation's progress reaches the event
+// log. It stops at the first refused update and returns the last
+// committed snapshot (nil if none was).
 func (c *Coordinator) commitUpdates(id string, token uint64, updates []jobUpdate) (*jobs.Job, error) {
 	var last *jobs.Job
 	for _, u := range updates {
@@ -316,7 +288,6 @@ func (c *Coordinator) commitUpdates(id string, token uint64, updates []jobUpdate
 			return last, err
 		}
 		c.checkps.Add(1)
-		c.event(j)
 		last = j
 	}
 	return last, nil
@@ -366,13 +337,14 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		j, err = c.Store.Release(req.ID, req.Token, false)
 		if err == nil {
 			c.releases.Add(1)
-			c.event(j)
 		}
 	default:
 		j, err = c.Store.Complete(req.ID, req.Token, req.State, req.Result, req.Error)
 		if err == nil {
 			c.completes.Add(1)
-			c.event(j)
+			if j.State == jobs.Done && c.OnDone != nil {
+				c.OnDone(j)
+			}
 		}
 	}
 	if err != nil {

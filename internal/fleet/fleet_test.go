@@ -44,20 +44,17 @@ func (c *testClock) Advance(d time.Duration) {
 type harness struct {
 	clk   *testClock
 	store *jobs.Store
+	// jobs is a manager that runs nothing itself (Workers: -1); the tests
+	// read each job's events from it, as the coordinator's SSE clients do.
+	jobs  *jobs.Manager
 	coord *Coordinator
 	srv   *httptest.Server
-	// changed holds a token after the coordinator announces a job
-	// snapshot; waitJob sleeps on it between scans of events.
-	changed chan struct{}
 	// claimed receives the node name of each claim as it reaches the
 	// coordinator, before the coordinator handles it; sends that find the
 	// buffer full are dropped.
 	claimed chan string
 
 	mu sync.Mutex
-	// events is every job snapshot the coordinator announced (OnEvent),
-	// in the order it announced them.
-	events []*jobs.Job
 	// requests is every peer request that reached the coordinator, in
 	// arrival order.
 	requests []peerRequest
@@ -97,16 +94,14 @@ func newHarness(t *testing.T, ttl time.Duration, holds ...*hold) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{clk: clk, store: store, changed: make(chan struct{}, 1), claimed: make(chan string, 64)}
-	h.coord = &Coordinator{Store: store, TTL: ttl, OnEvent: func(j *jobs.Job) {
-		h.mu.Lock()
-		h.events = append(h.events, j)
-		h.mu.Unlock()
-		select {
-		case h.changed <- struct{}{}:
-		default: // a token is already pending
-		}
-	}}
+	m, err := jobs.NewManager(store, jobs.Config{Workers: -1, Runner: func(context.Context, *jobs.Job, func(p, c json.RawMessage)) (json.RawMessage, error) {
+		return nil, fmt.Errorf("the coordinator runs no job itself")
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{clk: clk, store: store, jobs: m, claimed: make(chan string, 64)}
+	h.coord = &Coordinator{Store: store, TTL: ttl}
 	handler := h.coord.Handler()
 	h.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Reading the body to EOF also lets the server notice a sender
@@ -142,20 +137,36 @@ func newHarness(t *testing.T, ttl time.Duration, holds ...*hold) *harness {
 			hd.open()
 		}
 		h.srv.Close()
+		m.Drain(context.Background())
 		store.Close()
 	})
 	return h
 }
 
-// progressOf lists the progress payloads the coordinator announced for a
-// running job, in order. One job's updates arrive in sequential requests,
-// so this is the order they were committed in.
+// history returns the job's events so far, in commit order.
+func (h *harness) history(id string) []*jobs.Job {
+	ch, stop := h.jobs.Subscribe(id, 0)
+	defer stop()
+	var out []*jobs.Job
+	for {
+		select {
+		case ev, open := <-ch:
+			if !open {
+				return out
+			}
+			out = append(out, ev.Job)
+		default: // the replay is buffered; what is left is live
+			return out
+		}
+	}
+}
+
+// progressOf lists the progress payloads committed for a running job, in
+// commit order.
 func (h *harness) progressOf(id string) []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var seq []string
-	for _, j := range h.events {
-		if j.ID == id && j.State == jobs.Running && j.Progress != nil {
+	for _, j := range h.history(id) {
+		if j.State == jobs.Running && j.Progress != nil {
 			seq = append(seq, string(j.Progress))
 		}
 	}
@@ -200,38 +211,43 @@ func (h *harness) newWorkerPoll(t *testing.T, node string, poll time.Duration, r
 // sleeps.
 const eventDeadline = 10 * time.Second
 
-// announced returns the first snapshot of a job the coordinator
-// announced that satisfies pred, nil if none has. Announcements from
-// concurrent requests need not arrive in commit order, so pred should
-// describe a change that lasts (a terminal state, a first checkpoint).
-func (h *harness) announced(id string, pred func(*jobs.Job) bool) *jobs.Job {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, j := range h.events {
-		if j.ID == id && pred(j) {
-			return j
-		}
-	}
-	return nil
-}
-
-// waitJob waits until the coordinator announces a snapshot of the job
-// that satisfies pred, or the deadline passes. Every change the fleet
-// tests wait for is committed through the coordinator, which updates its
-// counters before it announces the change.
+// waitJob returns the first event of the job, in commit order, whose
+// snapshot satisfies pred, waiting for it until the deadline passes. The
+// store publishes each event as it commits the change, before the
+// coordinator's handler counts it or answers the worker.
 func waitJob(t *testing.T, h *harness, id, what string, pred func(*jobs.Job) bool) *jobs.Job {
 	t.Helper()
 	deadline := time.After(eventDeadline)
-	for {
-		if j := h.announced(id, pred); j != nil {
-			return j
+	after := 0
+	for final := false; ; {
+		ch, stop := h.jobs.Subscribe(id, after)
+		for open := true; open; {
+			var ev jobs.Event
+			select {
+			case ev, open = <-ch:
+			case <-deadline:
+				stop()
+				j, _ := h.store.Get(id)
+				t.Fatalf("job %s never %s (now %+v)", id, what, j)
+			}
+			if open {
+				after = ev.Seq
+				if pred(ev.Job) {
+					stop()
+					return ev.Job
+				}
+			}
 		}
-		select {
-		case <-deadline:
+		stop()
+		if final {
 			j, _ := h.store.Get(id)
-			t.Fatalf("job %s never %s (now %+v)", id, what, j)
-		case <-h.changed:
+			t.Fatalf("job %s never %s (ended %+v)", id, what, j)
 		}
+		// The stream ended: the job is terminal, or this wait fell behind
+		// and was dropped. One more subscription after a terminal read
+		// replays the rest.
+		j, ok := h.store.Get(id)
+		final = !ok || j.State.Terminal()
 	}
 }
 
@@ -271,17 +287,16 @@ func TestWorkerClaimsRunsCompletes(t *testing.T) {
 	if got.Attempts != 1 || string(got.Progress) != `{"generation":1}` || string(got.Checkpoint) != `{"cp":1}` {
 		t.Errorf("bookkeeping: %+v", got)
 	}
-	cs := h.coord.Stats()
-	if cs.Claims != 1 || cs.Checkpoints != 1 || cs.Completes != 1 {
-		t.Errorf("coordinator stats %+v", cs)
-	}
-	// The store turns Done inside the complete handler, a beat before the
-	// worker bumps its own counter, and no coordinator event follows that
-	// bump: drain the worker, which returns once its slot loop has exited.
+	// The store publishes Done as it commits it, a beat before the
+	// complete handler and then the worker bump their counters: drain the
+	// worker, which returns once its slot loop has exited.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := w.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+	if cs := h.coord.Stats(); cs.Claims != 1 || cs.Checkpoints != 1 || cs.Completes != 1 {
+		t.Errorf("coordinator stats %+v", cs)
 	}
 	if ws := w.Stats(); ws.Claims != 1 || ws.CheckpointsShipped != 1 || ws.Completes != 1 || ws.LeasesHeld != 0 {
 		t.Fatalf("worker stats %+v", ws)
@@ -347,6 +362,38 @@ func TestFailoverHandsCheckpointToNextWorker(t *testing.T) {
 		t.Errorf("attempts %d, want 2", claimed.Attempts)
 	}
 	waitState(t, h, j.ID, jobs.Done)
+}
+
+// TestClaimSweepCountsFailovers: the lease sweep a claim runs before it
+// grants a lease counts its re-queues and quarantines exactly as a
+// periodic Sweep would.
+func TestClaimSweepCountsFailovers(t *testing.T) {
+	h := newHarness(t, time.Minute)
+	retry, _ := h.store.Create("search", nil)
+	if _, err := h.store.CreateWith(jobs.CreateSpec{Kind: "search", MaxAttempts: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if _, err := h.store.ClaimNext("a", time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.clk.Advance(2 * time.Minute)
+	// b's claim sweeps both of a's expired leases: it re-queues retry,
+	// which it then claims, and quarantines the job allowed one attempt.
+	resp, err := http.Post(h.srv.URL+"/v1/fleet/claim", "application/json", strings.NewReader(`{"node":"b"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cr claimResponse
+	json.NewDecoder(resp.Body).Decode(&cr)
+	resp.Body.Close()
+	if cr.Job == nil || cr.Job.ID != retry.ID {
+		t.Fatalf("b claimed %+v, want %s", cr.Job, retry.ID)
+	}
+	if cs := h.coord.Stats(); cs.Failovers != 1 || cs.SweepPoisons != 1 {
+		t.Errorf("failovers %d, sweep poisons %d; want 1, 1", cs.Failovers, cs.SweepPoisons)
+	}
 }
 
 // TestStaleCompleteRejectedOnWire exercises lease safety over HTTP: a

@@ -55,8 +55,6 @@ type WorkerConfig struct {
 	Runner jobs.Runner
 	// Clock is the injected time source (tests); nil means the wall clock.
 	Clock func() time.Time
-	// Client is the HTTP client for peer calls (default http.DefaultClient).
-	Client *http.Client
 }
 
 // Worker claims jobs from a coordinator and runs them under a heartbeated
@@ -66,9 +64,8 @@ type WorkerConfig struct {
 // coordinator, simulating a crash — the lease sweep then re-queues the
 // work from the last checkpoint the coordinator committed.
 type Worker struct {
-	cfg    WorkerConfig
-	now    func() time.Time
-	client *http.Client
+	cfg WorkerConfig
+	now func() time.Time
 
 	mu      sync.Mutex
 	running map[string]context.CancelCauseFunc
@@ -85,7 +82,6 @@ type Worker struct {
 	crash context.CancelFunc
 
 	claims      atomic.Uint64
-	emptyClaims atomic.Uint64
 	renews      atomic.Uint64
 	renewNanos  atomic.Int64
 	checkpoints atomic.Uint64
@@ -99,10 +95,8 @@ type WorkerStats struct {
 	// LeasesHeld is the number of jobs currently running under this
 	// worker's leases.
 	LeasesHeld int
-	// Claims counts successful claims; EmptyClaims, claims answered empty
-	// (after parking on the coordinator).
-	Claims      uint64
-	EmptyClaims uint64
+	// Claims counts successful claims.
+	Claims uint64
 	// Renews counts successful heartbeats; RenewLatency is the most recent
 	// renew round-trip as measured by the injected clock.
 	Renews       uint64
@@ -142,14 +136,9 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if now == nil {
 		now = time.Now
 	}
-	client := cfg.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
 	w := &Worker{
 		cfg:     cfg,
 		now:     now,
-		client:  client,
 		running: map[string]context.CancelCauseFunc{},
 	}
 	w.stop, w.halt = context.WithCancel(context.Background())
@@ -174,7 +163,6 @@ func (w *Worker) Stats() WorkerStats {
 		Node:               w.cfg.Node,
 		LeasesHeld:         held,
 		Claims:             w.claims.Load(),
-		EmptyClaims:        w.emptyClaims.Load(),
 		Renews:             w.renews.Load(),
 		RenewLatency:       time.Duration(w.renewNanos.Load()),
 		CheckpointsShipped: w.checkpoints.Load(),
@@ -463,7 +451,6 @@ func (w *Worker) claim() (*jobs.Job, error) {
 		return nil, err
 	}
 	if status == http.StatusNoContent || resp.Job == nil {
-		w.emptyClaims.Add(1)
 		return nil, nil
 	}
 	if resp.Job.Lease == nil {
@@ -531,7 +518,7 @@ func (w *Worker) postStatus(ctx context.Context, path string, body, into any) (i
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}

@@ -399,11 +399,6 @@ func TestInvalidPayloadLeavesJobUnchanged(t *testing.T) {
 			_, err := s.Complete(j.ID, token, Done, bad, "")
 			return err
 		},
-		"update": func() error {
-			u, _ := s.Get(j.ID)
-			u.Error, u.Result = "changed", bad
-			return s.Update(u)
-		},
 	}
 	for name, write := range writes {
 		if err := write(); err == nil {

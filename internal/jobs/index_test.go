@@ -476,11 +476,7 @@ func runStoreModel(t *testing.T, seed int64, picker bool, steps int) {
 		case r < 72:
 			op = "cancel-queued"
 			if j := m.choose(func(j *Job) bool { return j.State == Queued }); j != nil {
-				c := j.Clone()
-				c.State = Cancelled
-				c.Error = ErrCancelled.Error()
-				c.FinishedAt = m.clk.Now()
-				if err := m.s.Update(c); err != nil {
+				if _, err := m.s.CancelQueued(j.ID); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -171,14 +171,15 @@ func (s *Store) claimLocked(j *Job, owner string, ttl time.Duration) (*Job, erro
 	j.Lease = l
 	j.Attempts++
 	j.StartedAt = s.now().UTC()
-	if err := s.appendLocked(j); err != nil {
+	c, err := s.commitLocked(j)
+	if err != nil {
 		// Queued and Running share the active index and entering Running
 		// woke no parked claim, so restoring the fields undoes the claim
 		// without waking anyone to retry a log that just failed.
 		s.leaseSeq, j.State, j.Lease, j.Attempts, j.StartedAt = seq, state, lease, attempts, started
 		return nil, err
 	}
-	return j.Clone(), nil
+	return c, nil
 }
 
 // leaseWriteLocked validates a lease-guarded write: the job must exist, be
@@ -201,6 +202,8 @@ func (s *Store) leaseWriteLocked(id string, token uint64) (*Job, error) {
 // protocol: a renewal that comes back ErrStaleLease tells the worker its
 // claim is gone and its job now belongs to someone else. The returned
 // snapshot carries CancelRequested, so cancellation rides the heartbeat.
+// A renewal is the one committed write that is not a job event: it moves
+// nothing a client sees but the lease expiry.
 func (s *Store) Renew(id string, token uint64, ttl time.Duration) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,10 +249,7 @@ func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.
 		j.Checkpoint = cp
 		j.CheckpointAt = s.now().UTC()
 	}
-	if err := s.appendLocked(j); err != nil {
-		return nil, err
-	}
-	return j.Clone(), nil
+	return s.commitLocked(j)
 }
 
 // Complete finalizes a running job under its lease: state must be Done,
@@ -275,10 +275,7 @@ func (s *Store) Complete(id string, token uint64, state State, result json.RawMe
 	j.Error = errMsg
 	j.FinishedAt = s.now().UTC()
 	j.Lease = nil
-	if err := s.appendLocked(j); err != nil {
-		return nil, err
-	}
-	return j.Clone(), nil
+	return s.commitLocked(j)
 }
 
 // Release hands a running job back to the queue under its lease — the
@@ -296,10 +293,7 @@ func (s *Store) Release(id string, token uint64, decAttempt bool) (*Job, error) 
 	if decAttempt {
 		j.Attempts--
 	}
-	if err := s.appendLocked(j); err != nil {
-		return nil, err
-	}
-	return j.Clone(), nil
+	return s.commitLocked(j)
 }
 
 // requeueLocked puts a running job back in the queue, keeping checkpoint
@@ -324,10 +318,27 @@ func (s *Store) RequestCancel(id string) (*Job, error) {
 		return j.Clone(), nil
 	}
 	j.CancelRequested = true
-	if err := s.appendLocked(j); err != nil {
-		return nil, err
+	return s.commitLocked(j)
+}
+
+// CancelQueued finalizes a queued job as Cancelled. A job in any other
+// state is left exactly as it is and its current snapshot returned, so a
+// cancel that lost the race to a claim sees Running and cancels the run
+// instead of rolling the claim back.
+func (s *Store) CancelQueued(id string) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownJob, id)
 	}
-	return j.Clone(), nil
+	if j.State != Queued {
+		return j.Clone(), nil
+	}
+	s.setStateLocked(j, Cancelled)
+	j.Error = ErrCancelled.Error()
+	j.FinishedAt = s.now().UTC()
+	return s.commitLocked(j)
 }
 
 // SweepExpiredLeases re-queues every running job whose lease TTL has
@@ -336,8 +347,9 @@ func (s *Store) RequestCancel(id string) (*Job, error) {
 // Cancelled instead of re-queued, and a job whose failover budget is
 // exhausted (Attempts >= MaxAttempts) is quarantined in state Poisoned
 // rather than handed to yet another worker. Returns the re-queued,
-// cancelled, and poisoned snapshots so the caller can emit events and
-// notify schedulers.
+// cancelled, and poisoned snapshots. Claims run the same sweep first, so
+// its changes reach the observer and the counters (SweepCounts) whichever
+// ran it.
 func (s *Store) SweepExpiredLeases() (requeued, cancelled, poisoned []*Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -359,22 +371,24 @@ func (s *Store) sweepLeasesLocked() (requeued, cancelled, poisoned []*Job) {
 			j.Error = ErrCancelled.Error()
 			j.FinishedAt = s.now().UTC()
 			j.Lease = nil
-			if s.appendLocked(j) == nil {
-				cancelled = append(cancelled, j.Clone())
+			if c, err := s.commitLocked(j); err == nil {
+				cancelled = append(cancelled, c)
 			}
 			continue
 		}
 		j.Trail = trailAppend(j.Trail, fmt.Sprintf("%s attempt %d (%s): lease expired; failing over", now.UTC().Format(time.RFC3339), j.Attempts, j.Lease.Owner))
 		if s.exhaustedLocked(j) {
 			s.poisonLocked(j)
-			if s.appendLocked(j) == nil {
-				poisoned = append(poisoned, j.Clone())
+			if c, err := s.commitLocked(j); err == nil {
+				s.sweepPoisons++
+				poisoned = append(poisoned, c)
 			}
 			continue
 		}
 		s.requeueLocked(j)
-		if s.appendLocked(j) == nil {
-			requeued = append(requeued, j.Clone())
+		if c, err := s.commitLocked(j); err == nil {
+			s.failovers++
+			requeued = append(requeued, c)
 		}
 	}
 	return requeued, cancelled, poisoned
@@ -414,8 +428,9 @@ func (s *Store) poisonLocked(j *Job) {
 // SweepRetention deletes terminal jobs whose FinishedAt lies past the
 // retention horizon, oldest first, so the store stops growing forever.
 // Deletions are durable (tombstones in the append log, absent from the
-// next snapshot). Returns the removed job IDs so callers can drop
-// associated state such as event logs. A horizon <= 0 keeps everything.
+// next snapshot), and each tombstone reaches the observer, which drops
+// the job's event log. Returns the removed job IDs. A horizon <= 0 keeps
+// everything.
 func (s *Store) SweepRetention(horizon time.Duration) []string {
 	if horizon <= 0 {
 		return nil
@@ -441,7 +456,7 @@ func (s *Store) SweepRetention(horizon time.Duration) []string {
 		// snapshot, and the snapshot must not contain the job the tombstone
 		// is deleting.
 		s.deleteLocked(j.ID)
-		if err := s.appendLocked(&Job{ID: j.ID, Tombstone: true}); err != nil {
+		if _, err := s.commitLocked(&Job{ID: j.ID, Tombstone: true}); err != nil {
 			break
 		}
 		removed = append(removed, j.ID)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -383,11 +384,12 @@ func TestRetentionTombstoneSurvivesRotation(t *testing.T) {
 	c, _ := s.ClaimNext("w", time.Hour)
 	s.Complete(victim.ID, c.Lease.Token, Done, nil, "")
 	keeper, _ := s.Create("search", nil)
+	kc, _ := s.ClaimNext("w", 0)
 
 	clk.Advance(3 * time.Hour)
 	// Park the log one append short of rotation.
 	for s.appends < snapshotEvery-1 {
-		if err := s.Update(keeper); err != nil {
+		if _, err := s.CommitUpdate(keeper.ID, kc.Lease.Token, json.RawMessage(`{}`), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,9 +414,9 @@ func TestRetentionTombstoneSurvivesRotation(t *testing.T) {
 	}
 }
 
-// TestStoreCompactionRacesInFlightAppends hammers Update from several
-// goroutines across multiple snapshot rotations (run under -race), then
-// reopens and checks every job kept its final write.
+// TestStoreCompactionRacesInFlightAppends hammers CommitUpdate from
+// several goroutines across multiple snapshot rotations (run under -race),
+// then reopens and checks every job kept its final write.
 func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -425,12 +427,16 @@ func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 	const writers = 4
 	const updates = 2 * snapshotEvery // ~8 rotations across all writers
 	ids := make([]string, writers)
+	tokens := make([]uint64, writers)
 	for i := range ids {
-		j, err := s.Create("search", nil)
+		if _, err := s.Create("search", nil); err != nil {
+			t.Fatal(err)
+		}
+		c, err := s.ClaimNext("local", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids[i] = j.ID
+		ids[i], tokens[i] = c.ID, c.Lease.Token
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
@@ -438,9 +444,8 @@ func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for n := 1; n <= updates; n++ {
-				j, _ := s.Get(ids[i])
-				j.Progress = json.RawMessage(fmt.Sprintf(`{"n":%d}`, n))
-				if err := s.Update(j); err != nil {
+				p := json.RawMessage(fmt.Sprintf(`{"n":%d}`, n))
+				if _, err := s.CommitUpdate(ids[i], tokens[i], p, nil); err != nil {
 					t.Errorf("update %s: %v", ids[i], err)
 					return
 				}
@@ -482,9 +487,9 @@ func TestManagerEventHistoryCompaction(t *testing.T) {
 	}
 	defer m.Drain(context.Background())
 
-	j, _ := s.Create("search", nil)
+	j, _ := s.Create("search", nil) // the create is event 1
 	total := maxEventHistory + 37
-	for i := 0; i < total; i++ {
+	for i := 1; i < total; i++ {
 		m.emit(j)
 	}
 
@@ -509,5 +514,94 @@ func TestManagerEventHistoryCompaction(t *testing.T) {
 	defer stop2()
 	if _, open := <-ch2; open {
 		t.Error("past-end subscription on closed log delivered an event")
+	}
+}
+
+// TestCancelQueuedLeavesClaimedJob: a cancel that reaches the store after
+// a claim leaves the claimed job's state, lease and attempts as they were
+// and returns that snapshot; a job still queued is cancelled.
+func TestCancelQueuedLeavesClaimedJob(t *testing.T) {
+	s, _ := Open("", newFakeClock().Now)
+	defer s.Close()
+	j, _ := s.Create("search", nil)
+	claimed, err := s.ClaimNext("w", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.CancelQueued(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := s.Get(j.ID)
+	for _, c := range []*Job{got, stored} {
+		if c.State != Running || c.Lease == nil || *c.Lease != *claimed.Lease || c.Attempts != 1 || c.Error != "" {
+			t.Fatalf("claimed job after cancel %+v (lease %+v); want running under %+v on attempt 1", c, c.Lease, claimed.Lease)
+		}
+	}
+
+	q, _ := s.Create("search", nil)
+	if c, err := s.CancelQueued(q.ID); err != nil || c.State != Cancelled || c.Error != ErrCancelled.Error() || c.FinishedAt.IsZero() {
+		t.Fatalf("queued job after cancel %+v, %v; want cancelled", c, err)
+	}
+	if _, err := s.CancelQueued("j99999999"); !errors.Is(err, ErrUnknownJob) {
+		t.Errorf("cancel of an unknown job: %v, want ErrUnknownJob", err)
+	}
+}
+
+// TestStoreCommitsAreEvents: every committed change to a job reaches its
+// event log in commit order, the claim-then-release path included, except
+// a lease renewal and a repeated cancel request, which commit nothing new
+// a client sees; the terminal commit closes the log and the retention
+// tombstone drops it.
+func TestStoreCommitsAreEvents(t *testing.T) {
+	clk := newFakeClock()
+	s, _ := Open("", clk.Now)
+	defer s.Close()
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+
+	j, _ := s.Create("search", nil)
+	c, _ := s.ClaimNext("w", time.Minute)
+	s.Renew(j.ID, c.Lease.Token, time.Minute)
+	s.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(`{"g":1}`), nil)
+	s.Release(j.ID, c.Lease.Token, true)
+	c, _ = s.ClaimNext("w", time.Minute)
+	s.Renew(j.ID, c.Lease.Token, time.Minute)
+	s.RequestCancel(j.ID)
+	s.RequestCancel(j.ID)
+	s.Complete(j.ID, c.Lease.Token, Cancelled, nil, ErrCancelled.Error())
+
+	var got []string
+	ch, stop := m.Subscribe(j.ID, 0)
+	for ev := range ch {
+		got = append(got, fmt.Sprintf("%d:%s/%d/%s/%v", ev.Seq, ev.Job.State, ev.Job.Attempts, ev.Job.Progress, ev.Job.CancelRequested))
+	}
+	stop()
+	want := []string{
+		"1:queued/0//false", "2:running/1//false", "3:running/1/{\"g\":1}/false", "4:queued/0/{\"g\":1}/false",
+		"5:running/1/{\"g\":1}/false", "6:running/1/{\"g\":1}/true", "7:cancelled/1/{\"g\":1}/true",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events\n%q\nwant\n%q", got, want)
+	}
+
+	clk.Advance(2 * time.Hour)
+	if removed := s.SweepRetention(time.Hour); len(removed) != 1 {
+		t.Fatalf("retention removed %v, want one job", removed)
+	}
+	m.evmu.Lock()
+	_, kept := m.events[j.ID]
+	m.evmu.Unlock()
+	if kept {
+		t.Error("the tombstone left the job's event log behind")
+	}
+	ch, _ = m.Subscribe(j.ID, 0)
+	if _, open := <-ch; open {
+		t.Error("a deleted job's stream delivered an event")
 	}
 }

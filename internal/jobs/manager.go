@@ -27,9 +27,10 @@ var (
 // result payload.
 type Runner func(ctx context.Context, job *Job, upd func(progress, checkpoint json.RawMessage)) (json.RawMessage, error)
 
-// Event is one observation of a job: a state change or a progress update.
-// Seq increases by 1 per job starting at 1, so clients resume streams with
-// "events after seq N".
+// Event is one committed change to a job: a state change, a progress
+// update or a cancel request. Seq increases by 1 per job starting at 1, in
+// the order the store committed the changes, so clients resume streams
+// with "events after seq N".
 type Event struct {
 	Seq int
 	Job *Job
@@ -112,6 +113,7 @@ func NewManager(store *Store, cfg Config) (*Manager, error) {
 		events:  map[string]*eventLog{},
 	}
 	m.parked, m.stopParks = context.WithCancel(context.Background())
+	store.setObserver(m.observe)
 	for i := 0; i < m.workers; i++ {
 		m.wg.Add(1)
 		go m.work()
@@ -136,12 +138,7 @@ func (m *Manager) SubmitWith(spec CreateSpec, admit func(active []*Job) error) (
 	}
 	m.mu.Unlock()
 
-	j, err := m.store.CreateWith(spec, admit)
-	if err != nil {
-		return nil, err
-	}
-	m.emit(j)
-	return j, nil
+	return m.store.CreateWith(spec, admit)
 }
 
 // Get returns a snapshot of one job.
@@ -159,66 +156,30 @@ func (m *Manager) List() []*Job { return m.store.List() }
 // show state Running for an in-flight cancellation; it may also be the
 // one the job's event stream holds, so callers must not mutate it.
 func (m *Manager) Cancel(id string) (*Job, error) {
-	m.mu.Lock()
-	cancel, isRunning := m.running[id]
-	m.mu.Unlock()
-	if isRunning {
-		cancel(ErrCancelled)
+	if m.cancelLocal(id) {
 		j, _ := m.store.Get(id)
 		return j, nil
 	}
-
-	j, ok := m.store.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("jobs: no job %s", id)
+	j, err := m.store.CancelQueued(id)
+	if err != nil || j.State != Running {
+		return j, err
 	}
-	if j.State.Terminal() {
-		return j, nil
-	}
-	if j.State == Running {
-		// Running somewhere else: a fleet worker holds the lease.
-		j2, err := m.store.RequestCancel(id)
-		if err != nil {
-			return nil, err
-		}
-		m.emit(j2)
-		return j2, nil
-	}
-	// Queued: finalize in place; workers skip non-queued entries.
-	j.State = Cancelled
-	j.Error = ErrCancelled.Error()
-	j.FinishedAt = m.store.Now().UTC()
-	if err := m.store.Update(j); err != nil {
-		return nil, err
-	}
-	m.emit(j)
-	m.closeEvents(id)
-	return j, nil
+	// Running somewhere else — a fleet worker holds the lease — or claimed
+	// here but not yet registered in m.running, which runOne and observe
+	// cover.
+	return m.store.RequestCancel(id)
 }
 
-// Publish fans a job snapshot mutated outside the manager — by the fleet
-// coordinator's claim/checkpoint/complete handlers — into the job's event
-// stream, closing it when the job reached a terminal state. This is what
-// lets an SSE watcher on the coordinator follow a search executing on a
-// different node. (The store change behind a terminal snapshot has
-// already woken the worker pool.) The event stream keeps j itself, so the
-// caller may read it afterwards but must not mutate it.
-func (m *Manager) Publish(j *Job) {
-	m.emit(j)
-	if j.State.Terminal() {
-		m.closeEvents(j.ID)
+// cancelLocal cancels the job's run on this manager's workers with
+// ErrCancelled, reporting whether it had one.
+func (m *Manager) cancelLocal(id string) bool {
+	m.mu.Lock()
+	cancel, ok := m.running[id]
+	m.mu.Unlock()
+	if ok {
+		cancel(ErrCancelled)
 	}
-}
-
-// SweepRetention deletes terminal jobs older than the horizon from the
-// store (oldest first) and drops their event logs. Returns how many jobs
-// were evicted.
-func (m *Manager) SweepRetention(horizon time.Duration) int {
-	removed := m.store.SweepRetention(horizon)
-	for _, id := range removed {
-		m.dropEvents(id)
-	}
-	return len(removed)
+	return ok
 }
 
 // dropEvents forgets a deleted job's event history entirely.
@@ -344,12 +305,15 @@ func (m *Manager) runOne(j *Job) {
 	}
 	m.running[id] = cancel
 	m.mu.Unlock()
-	m.emit(j)
+	// A cancel that landed between the claim and the registration above
+	// found no run to cancel and flagged the job instead; observe cancels
+	// the run for a flag committed from here on.
+	if cur, ok := m.store.Get(id); ok && cur.CancelRequested {
+		cancel(ErrCancelled)
+	}
 
 	upd := func(progress, checkpoint json.RawMessage) {
-		if j2, err := m.store.CommitUpdate(id, token, progress, checkpoint); err == nil {
-			m.emit(j2)
-		}
+		m.store.CommitUpdate(id, token, progress, checkpoint)
 	}
 
 	result, err := m.runProtected(ctx, j, upd)
@@ -359,29 +323,21 @@ func (m *Manager) runOne(j *Job) {
 	m.mu.Unlock()
 	cancel(nil)
 
+	// A refused write means the lease was lost mid-run; the current
+	// owner's writes stand.
 	cause := context.Cause(ctx)
-	var fin *Job
-	var ferr error
 	switch {
 	case err == nil:
-		fin, ferr = m.store.Complete(id, token, Done, result, "")
+		m.store.Complete(id, token, Done, result, "")
 	case errors.Is(cause, ErrDraining) || errors.Is(err, ErrDraining):
 		// Back to the queue with the latest checkpoint; the next start
 		// resumes it.
-		if rel, rerr := m.store.Release(id, token, false); rerr == nil {
-			m.emit(rel)
-		}
-		return
+		m.store.Release(id, token, false)
 	case errors.Is(cause, ErrCancelled) || errors.Is(err, ErrCancelled):
-		fin, ferr = m.store.Complete(id, token, Cancelled, nil, ErrCancelled.Error())
+		m.store.Complete(id, token, Cancelled, nil, ErrCancelled.Error())
 	default:
-		fin, ferr = m.store.Complete(id, token, Failed, nil, err.Error())
+		m.store.Complete(id, token, Failed, nil, err.Error())
 	}
-	if ferr != nil {
-		return // lease lost mid-run; the current owner's writes stand
-	}
-	m.emit(fin)
-	m.closeEvents(id)
 }
 
 // runProtected invokes the runner, converting a panic into a job failure
@@ -395,13 +351,32 @@ func (m *Manager) runProtected(ctx context.Context, j *Job, upd func(progress, c
 	return m.runner(ctx, j, upd)
 }
 
+// observe is the store's observer (see Store.observe): it runs under the
+// store lock, once per committed change and in commit order. A snapshot
+// joins the job's event log, which closes once the job is terminal; a
+// tombstone drops the log. A cancel request for a job running on this
+// manager's workers cancels the run.
+func (m *Manager) observe(j *Job) {
+	if j.Tombstone {
+		m.dropEvents(j.ID)
+		return
+	}
+	m.emit(j)
+	switch {
+	case j.State.Terminal():
+		m.closeEvents(j.ID)
+	case j.CancelRequested:
+		m.cancelLocal(j.ID)
+	}
+}
+
 // emit appends a job snapshot to its event log and fans it out. A
 // subscriber too slow to keep up has its channel closed; it can
 // re-subscribe from the last seq it saw.
 //
-// emit takes ownership of j: every caller passes a snapshot the store
-// has just cloned for it, and subscribers read that snapshot from other
-// goroutines, so nothing may mutate j after the call.
+// emit takes ownership of j: the store has just cloned it for this
+// commit, and subscribers read it from other goroutines, so nothing may
+// mutate j after the call.
 func (m *Manager) emit(j *Job) {
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
@@ -458,14 +433,23 @@ func (m *Manager) eventLogLocked(id string) *eventLog {
 //
 // A job that was already terminal when this process first needed its
 // event log (it finished before a restart) has nothing left to stream:
-// its log is the stored snapshot as event 1, closed.
+// its log is the stored snapshot as event 1, closed. A job the store does
+// not hold gets a closed, empty channel.
 func (m *Manager) Subscribe(id string, after int) (<-chan Event, func()) {
+	// Read the store before taking evmu: the store calls observe, which
+	// takes evmu, under its own lock, so the locks nest only that way.
+	j, found := m.store.Get(id)
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
 	log, ok := m.events[id]
-	if !ok {
+	switch {
+	case ok:
+	case !found:
+		// Never created, or deleted by retention: nothing will stream.
+		log = &eventLog{closed: true}
+	default:
 		log = m.eventLogLocked(id)
-		if j, found := m.store.Get(id); found && j.State.Terminal() {
+		if j.State.Terminal() {
 			log.seq = 1
 			log.hist = []Event{{Seq: 1, Job: j}}
 			log.closed = true

@@ -448,3 +448,52 @@ func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
 		t.Errorf("subscriber saw %d events", seen)
 	}
 }
+
+// TestCancelBetweenClaimAndRunEndsRun: the running event is published
+// when a worker's claim commits, before the worker registers the run, so
+// a client reacting to it can cancel in between and only flag the job.
+// The run must end cancelled whether the flag is committed before the
+// worker registers it (runOne reads the flag) or after (observe sees the
+// commit). The runner returns only when its context is cancelled.
+func TestCancelBetweenClaimAndRunEndsRun(t *testing.T) {
+	for _, flagFirst := range []bool{true, false} {
+		s, _ := Open("", newFakeClock().Now)
+		started := make(chan struct{}, 1)
+		m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, context.Cause(ctx)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := m.Submit("search", nil)
+		claimed, err := s.ClaimNext(localOwner, 0) // a worker's claim
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagFirst {
+			if c, err := m.Cancel(j.ID); err != nil || !c.CancelRequested {
+				t.Fatalf("cancel before the run registered: %+v, %v; want the job flagged", c, err)
+			}
+		}
+		ran := make(chan struct{})
+		go func() { m.runOne(claimed); close(ran) }()
+		if !flagFirst {
+			<-started
+			if _, err := s.RequestCancel(j.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("flag committed first %v: the run ignored the cancel request", flagFirst)
+		}
+		if got, _ := s.Get(j.ID); got.State != Cancelled {
+			t.Errorf("flag committed first %v: job ended %s, want cancelled", flagFirst, got.State)
+		}
+		m.Drain(context.Background())
+		s.Close()
+	}
+}

@@ -51,8 +51,17 @@ type Store struct {
 	// picker, when set, chooses which queued job ClaimNext hands out
 	// (the scheduler's dequeue hook). Nil keeps the FIFO default.
 	picker Picker
-	// poisonSeq counts quarantine transitions for metrics.
-	poisonSeq uint64
+	// poisonSeq counts quarantine transitions for metrics; failovers and
+	// sweepPoisons count the lease sweep's re-queues and quarantines,
+	// whether a claim or the periodic sweep ran it.
+	poisonSeq    uint64
+	failovers    uint64
+	sweepPoisons uint64
+	// observe, when set, is the one place a committed change becomes a
+	// job event: commitLocked hands it each committed snapshot (a
+	// tombstone for a retention delete) under the lock, in commit order.
+	// Lease renewals bypass it. The manager installs it (setObserver).
+	observe func(*Job)
 	// leaseSeq is the fencing-token counter: monotonic across the store's
 	// whole lifetime (persisted), so a token granted before a restart can
 	// never collide with one granted after.
@@ -310,10 +319,7 @@ func (s *Store) CreateWith(spec CreateSpec, admit func(active []*Job) error) (*J
 		CreatedAt:   s.now().UTC(),
 	}
 	s.putLocked(j)
-	if err := s.appendLocked(j); err != nil {
-		return nil, err
-	}
-	return j.Clone(), nil
+	return s.commitLocked(j)
 }
 
 // SetPicker installs the scheduler's dequeue hook (see Picker). Install
@@ -330,6 +336,23 @@ func (s *Store) PoisonCount() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.poisonSeq
+}
+
+// SweepCounts reports how many jobs the lease sweep re-queued
+// (failovers) and quarantined since open, counting the sweeps claims run
+// (metrics counters; not persisted).
+func (s *Store) SweepCounts() (failovers, poisoned uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failovers, s.sweepPoisons
+}
+
+// setObserver installs the observer every committed change is handed to
+// (see Store.observe).
+func (s *Store) setObserver(f func(*Job)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.observe = f
 }
 
 // Get returns a snapshot of one job.
@@ -355,24 +378,22 @@ func (s *Store) List() []*Job {
 	return out
 }
 
-// Update persists a new version of the job (whole-record, last-wins). An
-// invalid raw payload fails the update and leaves the stored job as it was.
-func (s *Store) Update(j *Job) error {
-	c := j.Clone()
-	if err := canonicalPayloads(c); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.jobs[j.ID]; !ok {
-		return fmt.Errorf("jobs: update unknown job %s", j.ID)
-	}
-	s.putLocked(c)
-	return s.appendLocked(c)
-}
-
 // Now returns the store's clock reading (the injected clock in tests).
 func (s *Store) Now() time.Time { return s.now() }
+
+// commitLocked appends j to the log and, once that succeeded, hands a
+// snapshot of it to the observer and returns the same snapshot, which
+// nobody may mutate: the observer's readers share it.
+func (s *Store) commitLocked(j *Job) (*Job, error) {
+	if err := s.appendLocked(j); err != nil {
+		return nil, err
+	}
+	c := j.Clone()
+	if s.observe != nil {
+		s.observe(c)
+	}
+	return c, nil
+}
 
 // appendLocked writes one log line and snapshots when the log has grown.
 func (s *Store) appendLocked(j *Job) error {

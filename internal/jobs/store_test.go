@@ -50,9 +50,11 @@ func TestStorePersistenceAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.State = Done
-	b.Result = json.RawMessage(`{"cycles":42}`)
-	if err := s.Update(b); err != nil {
+	c, err := s.ClaimNext("w", 0)
+	if err != nil || c.ID != a.ID {
+		t.Fatalf("claim %+v, %v; want %s", c, err, a.ID)
+	}
+	if _, err := s.Complete(a.ID, c.Lease.Token, Done, json.RawMessage(`{"cycles":42}`), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -68,19 +70,19 @@ func TestStorePersistenceAcrossReopen(t *testing.T) {
 	if len(jobs) != 2 {
 		t.Fatalf("got %d jobs after reopen, want 2", len(jobs))
 	}
-	if jobs[0].ID != a.ID || jobs[0].State != Queued {
-		t.Errorf("job %s state %s, want queued", jobs[0].ID, jobs[0].State)
+	if jobs[0].State != Done || string(jobs[0].Result) != `{"cycles":42}` {
+		t.Errorf("job %s lost its result: %+v", jobs[0].ID, jobs[0])
 	}
-	if jobs[1].State != Done || string(jobs[1].Result) != `{"cycles":42}` {
-		t.Errorf("job %s lost its result: %+v", jobs[1].ID, jobs[1])
+	if jobs[1].ID != b.ID || jobs[1].State != Queued {
+		t.Errorf("job %s state %s, want queued", jobs[1].ID, jobs[1].State)
 	}
 	// IDs keep increasing after reopen — no reuse.
-	c, err := s2.Create("search", nil)
+	n, err := s2.Create("search", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID <= b.ID {
-		t.Errorf("new id %s not after %s", c.ID, b.ID)
+	if n.ID <= b.ID {
+		t.Errorf("new id %s not after %s", n.ID, b.ID)
 	}
 }
 
@@ -92,12 +94,11 @@ func TestStoreRecoveryRequeuesRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := s.Create("search", nil)
-	j.State = Running
-	j.Attempts = 1
-	j.StartedAt = clk.Now()
-	j.Checkpoint = json.RawMessage(`{"next_gen":3}`)
-	j.CheckpointAt = clk.Now()
-	if err := s.Update(j); err != nil {
+	c, err := s.ClaimNext("local", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CommitUpdate(j.ID, c.Lease.Token, nil, json.RawMessage(`{"next_gen":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no Close, just reopen the directory.
@@ -161,9 +162,13 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	j, _ := s.Create("search", nil)
+	c, err := s.ClaimNext("local", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < snapshotEvery+5; i++ {
-		j.Progress = json.RawMessage(`{"generation":` + string(rune('0'+i%10)) + `}`)
-		if err := s.Update(j); err != nil {
+		p := json.RawMessage(`{"generation":` + string(rune('0'+i%10)) + `}`)
+		if _, err := s.CommitUpdate(j.ID, c.Lease.Token, p, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -63,12 +63,12 @@ type TreeSearch struct {
 	// job after a format change restarts the search rather than failing).
 	Checkpoint *Checkpoint
 
-	// SeedPopulation warm-starts a fresh search: these encodings fill the
-	// initial population after the layerwise anchor (slot 0), before any
-	// random individuals. Install via WarmStart, which orders and
-	// validates donor checkpoints. Ignored when a Checkpoint resume is in
+	// seeds warm-starts a fresh search: these encodings fill the initial
+	// population after the layerwise anchor (slot 0), before any random
+	// individuals. WarmStart installs them already ordered, width-checked,
+	// repaired and deduplicated. Ignored when a Checkpoint resume is in
 	// effect — a resumed population already embeds its seeds.
-	SeedPopulation []EncodingState
+	seeds []EncodingState
 
 	// Narrow, when set, is called once per candidate dataflow before its
 	// MCTS tuning and returns narrowed per-factor domains for
@@ -201,28 +201,17 @@ func (s *TreeSearch) RunContext(ctx context.Context) *TreeSearchResult {
 	} else {
 		individuals = make([]*individual, pop)
 		individuals[0] = &individual{enc: LayerwiseEncoding(n)} // always seed no-fusion
+		// Warm start: donor encodings (see WarmStart) fill the slots after
+		// the layerwise anchor. Only genotypes enter — every seed is
+		// re-evaluated under this search's own cache namespace, so no donor
+		// fitness can leak in.
 		next := 1
-		if len(s.SeedPopulation) > 0 {
-			// Warm start: donor encodings (see WarmStart) fill slots after
-			// the layerwise anchor, deduplicated post-repair. Only genotypes
-			// enter — every seed is re-evaluated under this search's own
-			// cache namespace, so no donor fitness can leak in.
-			seen := map[string]bool{individuals[0].enc.String(): true}
-			for _, es := range s.SeedPopulation {
-				if next >= pop {
-					break
-				}
-				if len(es.Target) != n || len(es.Mem) != n || len(es.Binding) != n {
-					continue
-				}
-				enc := es.encoding()
-				enc.Repair(s.Spec.NumLevels())
-				if key := enc.String(); !seen[key] {
-					seen[key] = true
-					individuals[next] = &individual{enc: enc}
-					next++
-				}
+		for _, es := range s.seeds {
+			if next >= pop {
+				break
 			}
+			individuals[next] = &individual{enc: es.encoding()}
+			next++
 		}
 		for ; next < pop; next++ {
 			individuals[next] = &individual{enc: s.randomEncoding(rng)}

@@ -77,6 +77,6 @@ func (s *TreeSearch) WarmStart(cp *Checkpoint) int {
 		seen[key] = true
 		seeds = append(seeds, encodingState(enc))
 	}
-	s.SeedPopulation = seeds
+	s.seeds = seeds
 	return len(seeds)
 }

@@ -51,8 +51,8 @@ func TestWarmStartSeedsPopulation(t *testing.T) {
 	if n == 0 || n > 5 { // capped at population-1
 		t.Fatalf("installed %d seeds", n)
 	}
-	if len(warm.SeedPopulation) != n {
-		t.Fatalf("SeedPopulation len %d != %d", len(warm.SeedPopulation), n)
+	if len(warm.seeds) != n {
+		t.Fatalf("seeds len %d != %d", len(warm.seeds), n)
 	}
 	// Best donor candidate leads the seed list.
 	if donor.Best == nil {
@@ -60,12 +60,12 @@ func TestWarmStartSeedsPopulation(t *testing.T) {
 	}
 	bestKey := donor.Best.Encoding.encoding().String()
 	lw := LayerwiseEncoding(len(warm.G.Ops)).String()
-	if got := warm.SeedPopulation[0].encoding().String(); got != bestKey && bestKey != lw {
+	if got := warm.seeds[0].encoding().String(); got != bestKey && bestKey != lw {
 		t.Fatalf("first seed %q is not the donor best %q", got, bestKey)
 	}
 	// No duplicates, and the layerwise anchor is never duplicated.
 	seen := map[string]bool{lw: true}
-	for _, es := range warm.SeedPopulation {
+	for _, es := range warm.seeds {
 		k := es.encoding().String()
 		if seen[k] {
 			t.Fatalf("duplicate seed %q", k)

@@ -14,10 +14,6 @@ const strideScale = 1 << 20
 
 // Config sizes a Scheduler.
 type Config struct {
-	// Weights maps each class to its share of contended dequeues.
-	// Classes absent from the map fall back to DefaultWeights; weights
-	// below 1 are clamped to 1.
-	Weights map[Class]int
 	// TenantMaxRunning caps one tenant's concurrently running jobs
 	// across the local pool and all fleet claims. Zero means unlimited.
 	TenantMaxRunning int
@@ -56,17 +52,6 @@ func New(cfg Config) *Scheduler {
 		pass:  map[Class]uint64{},
 		picks: map[Class]uint64{},
 	}
-}
-
-func (s *Scheduler) weight(c Class) int {
-	w, ok := s.cfg.Weights[c]
-	if !ok {
-		w = DefaultWeights[c]
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Pick implements jobs.Picker: stride scheduling over per-class virtual
@@ -139,7 +124,7 @@ func (s *Scheduler) Pick(queued, running []*jobs.Job) string {
 	}
 
 	s.vt = s.pass[best]
-	s.pass[best] += strideScale / uint64(s.weight(best))
+	s.pass[best] += strideScale / uint64(DefaultWeights[best])
 	s.picks[best]++
 	return head[best].ID
 }

@@ -602,18 +602,18 @@ func TestJobEventsReplayAfterCompaction(t *testing.T) {
 	s, hs := newTestServer(t, Config{JobWorkers: -1})
 	j := submitJob(t, hs.URL, func() *SearchRequest { r := smallSearch(); r.Seed = 29; return &r }())
 
-	// Publish far more snapshots than the window holds; no worker runs the
-	// job, so the history is exactly what we publish (after the submit
-	// event).
-	stored, ok := s.store.Get(j.ID)
-	if !ok {
-		t.Fatal("job vanished")
+	// Claim the job and commit far more updates than the window holds; no
+	// worker runs the job, so the history is exactly the submit, the claim
+	// and these commits.
+	c, err := s.store.ClaimNext("t", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	const extra = 140
 	for i := 0; i < window+extra; i++ {
-		snap := stored.Clone()
-		snap.Progress = json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
-		s.jobs.Publish(snap)
+		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Replay from before the window: the stream starts at the oldest
@@ -631,7 +631,7 @@ func TestJobEventsReplayAfterCompaction(t *testing.T) {
 	}
 	defer resp.Body.Close()
 
-	total := 1 + window + extra // submit event + published snapshots
+	total := 2 + window + extra // submit and claim events + committed updates
 	oldest := total - window + 1
 	firstID, n := 0, 0
 	sc := bufio.NewScanner(resp.Body)
@@ -660,7 +660,7 @@ func TestJobEventsReplayAfterCompaction(t *testing.T) {
 
 	// Finish the job, then ask for events past the end: immediate EOF, no
 	// data.
-	if _, err := s.jobs.Cancel(j.ID); err != nil {
+	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, nil, jobs.ErrCancelled.Error()); err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, hs.URL, j.ID, func(j *JobJSON) bool { return j.State == "cancelled" })

@@ -349,10 +349,11 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		if final {
 			return
 		}
-		// The store turns a job terminal before its last events are
-		// emitted, and a client dropped for falling behind may not have
-		// seen them: once the job is terminal, one more subscription
-		// replays the rest and ends when the manager closes the log.
+		// A client dropped for falling behind may not have seen the last
+		// events. The store publishes a job's terminal event and closes
+		// its log in the commit that makes it terminal, so once the job
+		// reads terminal, one more subscription replays the rest and
+		// ends.
 		j, ok := s.jobs.Get(id)
 		if !ok {
 			return

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // smallSearch is a search small enough for fast tests but with enough
@@ -220,14 +222,20 @@ func TestJobEventsReplayAfterDrop(t *testing.T) {
 		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.ID+"/events", nil))
 	}()
 	<-w.blocked // the handler holds event 1 and waits on the client
-	// Overflow the subscriber's buffer so the manager drops it, then end
+	// Overflow the subscriber's buffer with real commits (a claim, then
+	// progress updates under its lease) so the manager drops it, then end
 	// the job while the client is still behind.
-	const published = 80
-	for range published {
-		snap, _ := s.jobs.Get(j.ID)
-		s.jobs.Publish(snap)
+	c, err := s.store.ClaimNext("t", 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.jobs.Cancel(j.ID); err != nil {
+	const published = 80
+	for i := range published {
+		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(fmt.Sprintf(`{"generation":%d}`, i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, nil, jobs.ErrCancelled.Error()); err != nil {
 		t.Fatal(err)
 	}
 	close(w.gate)
@@ -251,7 +259,7 @@ func TestJobEventsReplayAfterDrop(t *testing.T) {
 			}
 		}
 	}
-	want := 1 + published + 1 // submit, the published snapshots, cancel
+	want := 1 + 1 + published + 1 // submit, claim, the committed updates, cancel
 	if len(seqs) != want || seqs[0] != 1 || seqs[len(seqs)-1] != want {
 		t.Fatalf("stream carried %d events (first %v, last %v), want seqs 1..%d", len(seqs), seqs[:min(1, len(seqs))], seqs[max(0, len(seqs)-1):], want)
 	}

@@ -62,9 +62,6 @@ type Config struct {
 	// JobRetention evicts terminal jobs older than this horizon from the
 	// store (oldest first). Zero keeps everything forever.
 	JobRetention time.Duration
-	// SweepEvery is the cadence of the background lease + retention sweep
-	// (default 1s).
-	SweepEvery time.Duration
 	// FleetPoll and FleetHeartbeat tune the worker's claim and lease
 	// renewal cadences (defaults 500ms and 3s; tests shrink them). An
 	// empty claim parks on the coordinator for up to FleetPoll and is
@@ -164,9 +161,6 @@ func Open(cfg Config) (*Server, error) {
 		// the core count rather than a flat constant.
 		cfg.JobWorkers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = time.Second
-	}
 	if cfg.FleetNode == "" {
 		host, _ := os.Hostname()
 		if host == "" {
@@ -214,21 +208,11 @@ func Open(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	// Every node can coordinate: the peer protocol leases out this node's
-	// own store. Job snapshots the protocol mutates flow into the local
-	// event streams, so SSE watchers here follow searches executing on
-	// other nodes.
-	s.coord = &fleet.Coordinator{
-		Store: store,
-		TTL:   cfg.LeaseTTL,
-		OnEvent: func(j *jobs.Job) {
-			s.jobs.Publish(j)
-			if j.State == jobs.Done {
-				// A fleet worker finished this search remotely; index its
-				// final checkpoint for warm starting.
-				s.registerWarm(j)
-			}
-		},
-	}
+	// own store. The store publishes every commit the protocol makes to
+	// the manager's event streams, so SSE watchers here follow searches
+	// executing on other nodes. A search a fleet worker finished remotely
+	// is indexed here for warm starting.
+	s.coord = &fleet.Coordinator{Store: store, TTL: cfg.LeaseTTL, OnDone: s.registerWarm}
 	if cfg.Coordinator != "" {
 		slots := cfg.JobWorkers
 		if slots < 1 {
@@ -251,7 +235,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	s.sweepStop = make(chan struct{})
 	s.sweepDone = make(chan struct{})
-	go s.sweepLoop(cfg.SweepEvery)
+	go s.sweepLoop()
 	s.mux.Handle("/v1/fleet/", s.coord.Handler())
 	s.mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	s.mux.HandleFunc("POST /v1/evaluate/batch", s.handleBatch)
@@ -281,12 +265,16 @@ func (s *Server) FleetHandler() http.Handler { return s.coord.Handler() }
 // Shutdown does not wait out a worker's park; Close calls it too.
 func (s *Server) StopParking() { s.coord.StopParking() }
 
+// sweepEvery is the cadence of the background lease + retention sweep.
+// Claims sweep expired leases too, so a busy fleet fails over sooner.
+const sweepEvery = time.Second
+
 // sweepLoop periodically fails over expired leases and evicts terminal
 // jobs past the retention horizon. Tests drive the same steps directly via
 // SweepFleet/SweepRetention with an injected clock.
-func (s *Server) sweepLoop(every time.Duration) {
+func (s *Server) sweepLoop() {
 	defer close(s.sweepDone)
-	tk := time.NewTicker(every)
+	tk := time.NewTicker(sweepEvery)
 	defer tk.Stop()
 	for {
 		select {
@@ -306,12 +294,7 @@ func (s *Server) SweepFleet() (requeued, cancelled, poisoned int) { return s.coo
 
 // SweepRetention evicts terminal jobs older than the configured retention
 // horizon, returning how many were removed. A zero horizon keeps all.
-func (s *Server) SweepRetention() int {
-	if s.cfg.JobRetention <= 0 {
-		return 0
-	}
-	return s.jobs.SweepRetention(s.cfg.JobRetention)
-}
+func (s *Server) SweepRetention() int { return len(s.store.SweepRetention(s.cfg.JobRetention)) }
 
 // Close shuts the node down: parked fleet claims are answered empty, the
 // sweeper stops, a fleet worker drains (its jobs are released back to the
