@@ -53,8 +53,8 @@ func resultBytes(res *core.Result, spec *arch.Spec) []byte {
 //     DeltaState (incremental re-evaluation in both directions),
 //  6. notation round-trip: Parse(Print(Root)) evaluated locally,
 //  7. the HTTP service: POST /v1/evaluate with arch_spec + workload_spec +
-//     notation, for both Root and Alt (the second request exercises the
-//     server-side program cache re-bind), byte-comparing served results,
+//     notation, for both Root and Alt (the second request is a retile of
+//     the first, a result-cache miss), byte-comparing served results,
 //  8. YAML config round-trip: yamlfe.Render(spec, graph, Root) loaded back
 //     and evaluated locally, then POST /v1/evaluate with config_yaml —
 //     the Timeloop-style frontend must name the same design point.

@@ -170,7 +170,7 @@ func TestWithTilingRejectsMismatch(t *testing.T) {
 }
 
 // TestProgramSignatureStableAcrossTilings: the structure signature — the
-// compiled-program cache key — ignores loop nests.
+// evaluation service's batch grouping key — ignores loop nests.
 func TestProgramSignatureStableAcrossTilings(t *testing.T) {
 	for name, df := range table5Library(t) {
 		var sig string

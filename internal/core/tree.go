@@ -649,9 +649,9 @@ func (t *tree) rebindWalk(nt *tree, n *Node) error {
 // StructureSignature renders the tiling-independent structure of a tree —
 // shape, node levels, bindings and operator names, but no loop nests — as a
 // canonical string. Two trees over canonically equal graphs with equal
-// signatures are mutually re-bindable via Program.WithTiling; caches keyed
-// by it (the evaluation service's compiled-program cache) share one Program
-// across all tilings of a structure.
+// signatures are mutually re-bindable via Program.WithTiling; a key built
+// on it (the evaluation service's batch grouping) lets one Program serve
+// all tilings of a structure.
 func StructureSignature(root *Node) string {
 	var b strings.Builder
 	writeSignature(&b, root)

@@ -280,8 +280,9 @@ func (s *Store) Complete(id string, token uint64, state State, result json.RawMe
 
 // Release hands a running job back to the queue under its lease — the
 // graceful half of failover, used by drains: the checkpoint stays, so the
-// next claimant resumes instead of restarting. decAttempt compensates the
-// claim's increment for a job that was claimed but never actually ran.
+// next claimant resumes instead of restarting. A job flagged for
+// cancellation is finalized as Cancelled instead. decAttempt compensates
+// the claim's increment for a job that was claimed but never actually ran.
 func (s *Store) Release(id string, token uint64, decAttempt bool) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -289,19 +290,32 @@ func (s *Store) Release(id string, token uint64, decAttempt bool) (*Job, error) 
 	if err != nil {
 		return nil, err
 	}
-	s.requeueLocked(j)
+	s.releaseLocked(j)
 	if decAttempt {
 		j.Attempts--
 	}
 	return s.commitLocked(j)
 }
 
-// requeueLocked puts a running job back in the queue, keeping checkpoint
-// and attempt count.
-func (s *Store) requeueLocked(j *Job) {
+// releaseLocked takes a running job off its lease without a result: back
+// to the queue, keeping checkpoint and attempt count — unless the job is
+// flagged CancelRequested, which finalizes it as Cancelled, since claims
+// skip flagged jobs and a queued one would never run or finish.
+func (s *Store) releaseLocked(j *Job) {
+	j.Lease = nil
+	if j.CancelRequested {
+		s.cancelLocked(j)
+		return
+	}
 	s.setStateLocked(j, Queued)
 	j.StartedAt = time.Time{}
-	j.Lease = nil
+}
+
+// cancelLocked finalizes a job as Cancelled.
+func (s *Store) cancelLocked(j *Job) {
+	s.setStateLocked(j, Cancelled)
+	j.Error = ErrCancelled.Error()
+	j.FinishedAt = s.now().UTC()
 }
 
 // RequestCancel flags a remotely-leased running job for cancellation. The
@@ -335,9 +349,7 @@ func (s *Store) CancelQueued(id string) (*Job, error) {
 	if j.State != Queued {
 		return j.Clone(), nil
 	}
-	s.setStateLocked(j, Cancelled)
-	j.Error = ErrCancelled.Error()
-	j.FinishedAt = s.now().UTC()
+	s.cancelLocked(j)
 	return s.commitLocked(j)
 }
 
@@ -367,10 +379,7 @@ func (s *Store) sweepLeasesLocked() (requeued, cancelled, poisoned []*Job) {
 	slices.SortFunc(expired, byCreation)
 	for _, j := range expired {
 		if j.CancelRequested {
-			s.setStateLocked(j, Cancelled)
-			j.Error = ErrCancelled.Error()
-			j.FinishedAt = s.now().UTC()
-			j.Lease = nil
+			s.releaseLocked(j) // finalizes the flagged job as Cancelled
 			if c, err := s.commitLocked(j); err == nil {
 				cancelled = append(cancelled, c)
 			}
@@ -385,7 +394,7 @@ func (s *Store) sweepLeasesLocked() (requeued, cancelled, poisoned []*Job) {
 			}
 			continue
 		}
-		s.requeueLocked(j)
+		s.releaseLocked(j)
 		if c, err := s.commitLocked(j); err == nil {
 			s.failovers++
 			requeued = append(requeued, c)

@@ -262,6 +262,53 @@ func TestReleaseKeepsCheckpointForNextClaimant(t *testing.T) {
 	}
 }
 
+// TestReleaseFinalizesCancelRequested: a job flagged for cancellation and
+// then released (a draining worker handing it back) is finalized as
+// Cancelled. Re-queued with its flag it would never be claimed again.
+func TestReleaseFinalizesCancelRequested(t *testing.T) {
+	s, _ := Open("", newFakeClock().Now)
+	defer s.Close()
+	s.Create("search", nil)
+	j, _ := s.ClaimNext("w1", time.Hour)
+	if _, err := s.RequestCancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := s.Release(j.ID, j.Lease.Token, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.State != Cancelled || rel.Lease != nil || rel.FinishedAt.IsZero() || rel.Error != ErrCancelled.Error() {
+		t.Errorf("released flagged job %+v, want it cancelled", rel)
+	}
+}
+
+// TestRecoveryFinalizesCancelRequested: a flagged job whose run died with
+// the process is finalized as Cancelled on reopen, not re-queued.
+func TestRecoveryFinalizesCancelRequested(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	s, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Create("search", nil)
+	j, _ := s.ClaimNext("local", 0)
+	if _, err := s.RequestCancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: reopen the same dir without Close.
+	s2, err := Open(dir, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	got, _ := s2.Get(j.ID)
+	if got.State != Cancelled || got.Lease != nil || got.FinishedAt.IsZero() {
+		t.Errorf("recovered flagged job %+v, want it cancelled", got)
+	}
+}
+
 // TestRecoveryRespectsLiveRemoteLeases pins the crash-recovery split: a
 // coordinator restart must not steal jobs from fleet workers that are
 // still out there heartbeating, while process-local (zero-expiry) leases

@@ -297,7 +297,8 @@ func (m *Manager) runOne(j *Job) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	m.mu.Lock()
 	if m.draining {
-		// Drain won the race: put the job back without running it.
+		// Drain won the race: put the job back without running it (a job
+		// a cancel flagged meanwhile is finalized instead).
 		m.mu.Unlock()
 		cancel(ErrDraining)
 		m.store.Release(id, token, true)

@@ -497,3 +497,32 @@ func TestCancelBetweenClaimAndRunEndsRun(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestDrainAfterCancelFlagFinalizesJob: a cancel that lands between a
+// worker's claim and its run only flags the job; if a drain then wins the
+// race in runOne, the released job must end Cancelled rather than sit in
+// the queue flagged, where no claim would take it again.
+func TestDrainAfterCancelFlagFinalizesJob(t *testing.T) {
+	s, _ := Open("", newFakeClock().Now)
+	defer s.Close()
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		t.Error("runner started during a drain")
+		return nil, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := m.Submit("search", nil)
+	claimed, err := s.ClaimNext(localOwner, 0) // a worker's claim
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := m.Cancel(j.ID); err != nil || !c.CancelRequested {
+		t.Fatalf("cancel before the run registered: %+v, %v; want the job flagged", c, err)
+	}
+	m.Drain(context.Background())
+	m.runOne(claimed)
+	if got, _ := s.Get(j.ID); got.State != Cancelled {
+		t.Errorf("job ended %s, want cancelled", got.State)
+	}
+}

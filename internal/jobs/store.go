@@ -189,7 +189,8 @@ func (s *Store) load() error {
 // checkpointing against the recovered store. Process-local leases (zero
 // expiry) died with the process, and expired remote leases are dead by
 // definition; both re-queue, checkpoint and attempts intact — unless the
-// job has exhausted its failover budget, in which case it is quarantined.
+// job was flagged for cancellation, which finalizes it as Cancelled, or
+// has exhausted its failover budget, in which case it is quarantined.
 func (s *Store) recover() {
 	now := s.now()
 	for _, j := range s.active {
@@ -198,6 +199,10 @@ func (s *Store) recover() {
 		}
 		if j.Lease != nil && !j.Lease.Expires.IsZero() && now.Before(j.Lease.Expires) {
 			continue // live remote lease: the worker is still out there
+		}
+		if j.CancelRequested {
+			s.releaseLocked(j) // finalizes the flagged job as Cancelled
+			continue
 		}
 		owner := "?"
 		if j.Lease != nil {
@@ -208,7 +213,7 @@ func (s *Store) recover() {
 			s.poisonLocked(j)
 			continue
 		}
-		s.requeueLocked(j)
+		s.releaseLocked(j)
 	}
 }
 

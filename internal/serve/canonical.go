@@ -62,11 +62,11 @@ func searchKey(spec *arch.Spec, g *workload.Graph, req *SearchRequest) string {
 		" seed=", strconv.FormatInt(req.Seed, 10), "\n")
 }
 
-// programKey is the canonical key of a compiled core.Program: the
-// structure-only prefix of a design point — architecture, workload graph
-// and the tree's structure signature, with no tiling factors and no
-// evaluation options (a Program is options-independent). Requests that
-// differ only in tiling or options share one compiled Program under it.
+// programKey is the structure-only key of a design point — architecture,
+// workload graph and the tree's structure signature, with no tiling
+// factors and no evaluation options (a Program is options-independent).
+// It groups the items of one batch request that can share a compiled
+// core.Program.
 func programKey(canon string, root *core.Node) string {
 	return digest("tileflow/v1/program\n", canon, "structure:\n", core.StructureSignature(root))
 }

@@ -16,8 +16,8 @@ type DesignPointKeys struct {
 	Root  *core.Node
 	Opts  core.Options
 
-	// Key is the design point's own cache key and Program its compiled-
-	// program key, both empty when the request's tree does not build;
+	// Key is the design point's own cache key and Program its batch
+	// grouping key, both empty when the request's tree does not build;
 	// Tuned is the key of the same point tuned under (tune, seed) and
 	// Search the key of sreq over the same (arch, graph).
 	Key, Program, Tuned, Search string

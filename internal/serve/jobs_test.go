@@ -332,16 +332,33 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 }
 
-// TestJobCancel: cancelling a running job finalizes it as cancelled and
-// keeps its checkpoint.
+// TestJobCancel: cancelling a running job finalizes it as cancelled,
+// with no result and its checkpoint kept. The runner is held once it has
+// committed generation 1 until the DELETE has been answered, so the
+// cancel meets a running job however fast the search runs.
 func TestJobCancel(t *testing.T) {
 	req := SearchRequest{
 		Arch: "edge", Workload: "attention:Bert-S",
-		Population: 10, Generations: 200, TileRounds: 150, TopK: 3, Seed: 11,
+		Population: 4, Generations: 3, TileRounds: 8, TopK: 2, Seed: 11,
 	}
-	_, hs := newTestServer(t, Config{})
+	s, hs := newTestServer(t, Config{})
+	accepted := make(chan struct{})
+	s.afterUpdate = func(ctx context.Context, generation int) {
+		if generation == 1 {
+			select {
+			case <-accepted:
+			case <-ctx.Done():
+			}
+		}
+	}
 	j := submitJob(t, hs.URL, &req)
-	waitJob(t, hs.URL, j.ID, func(j *JobJSON) bool { return j.State == "running" })
+	held := waitJob(t, hs.URL, j.ID, func(j *JobJSON) bool {
+		var p SearchProgress
+		return j.State == "running" && json.Unmarshal(j.Progress, &p) == nil && p.Generation == 1
+	})
+	if !held.HasCheckpoint {
+		t.Fatalf("job held at generation 1 without a checkpoint")
+	}
 
 	httpReq, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/"+j.ID, nil)
 	if err != nil {
@@ -352,12 +369,13 @@ func TestJobCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	close(accepted)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
 	got := waitJob(t, hs.URL, j.ID, func(j *JobJSON) bool { return j.State == "cancelled" })
-	if got.Result != nil {
-		t.Errorf("cancelled job has a result: %s", got.Result)
+	if got.Result != nil || !got.HasCheckpoint {
+		t.Errorf("cancelled job: result %s, checkpoint %v; want no result and the checkpoint kept", got.Result, got.HasCheckpoint)
 	}
 
 	del, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/jobs/nope", nil)

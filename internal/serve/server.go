@@ -97,17 +97,12 @@ type Server struct {
 	// hot request skips catalog resolution and canonical hashing entirely
 	// and a cache hit costs two lookups.
 	reqKeys *memo.ShardedLRU
-	// programs is the second-level cache of compiled core.Programs keyed
-	// by the structure-only prefix of the canonical key: requests that
-	// differ only in tiling factors (or evaluation options) re-bind a
-	// cached Program instead of recompiling the tree's structure.
-	programs *memo.ShardedLRU
-	pool     *Pool
-	metrics  *Metrics
-	mux      *http.ServeMux
-	started  time.Time
-	store    *jobs.Store
-	jobs     *jobs.Manager
+	pool    *Pool
+	metrics *Metrics
+	mux     *http.ServeMux
+	started time.Time
+	store   *jobs.Store
+	jobs    *jobs.Manager
 	// sched is the weighted-fair dequeue policy + tenant accounting; warm
 	// is the checkpoint library keyed by structure-only canonical prefix.
 	sched *sched.Scheduler
@@ -169,14 +164,13 @@ func Open(cfg Config) (*Server, error) {
 		cfg.FleetNode = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	s := &Server{
-		cfg:      cfg,
-		cache:    memo.NewFlightCache(nil, cfg.CacheEntries),
-		reqKeys:  memo.NewShardedLRU(cfg.CacheEntries),
-		programs: memo.NewShardedLRU(cfg.CacheEntries),
-		pool:     NewPool(cfg.Workers),
-		metrics:  NewMetrics(),
-		mux:      http.NewServeMux(),
-		started:  time.Now(),
+		cfg:     cfg,
+		cache:   memo.NewFlightCache(nil, cfg.CacheEntries),
+		reqKeys: memo.NewShardedLRU(cfg.CacheEntries),
+		pool:    NewPool(cfg.Workers),
+		metrics: NewMetrics(),
+		mux:     http.NewServeMux(),
+		started: time.Now(),
 	}
 	store, err := jobs.Open(cfg.DataDir, cfg.Clock)
 	if err != nil {
@@ -424,9 +418,8 @@ func requestKey(req *EvaluateRequest) (string, bool) {
 }
 
 // run executes the analysis for a resolved design point: tuning first when
-// the request asked for it, then the tree-based evaluation through the
-// compiled-program cache.
-func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*evalOutcome, error) {
+// the request asked for it, then the tree-based evaluation.
+func (dp *designPoint) run(ctx context.Context) (*evalOutcome, error) {
 	out := &evalOutcome{workload: dp.g.Name, dfName: dp.dfName, archName: dp.spec.Name}
 	root := dp.root
 	if root == nil {
@@ -443,36 +436,12 @@ func (dp *designPoint) run(ctx context.Context, programs *memo.ShardedLRU) (*eva
 			return nil, err
 		}
 	}
-	res, err := dp.evaluateWithPrograms(ctx, programs, root)
+	res, err := core.EvaluateContext(ctx, root, dp.g, dp.spec, dp.opts)
 	if err != nil {
 		return nil, err
 	}
 	out.result = NewResultJSON(res, dp.spec)
 	return out, nil
-}
-
-// evaluateWithPrograms evaluates a tree over the design point's graph and
-// architecture, sharing the compile half of the Compile → Evaluate
-// pipeline across requests: a Program cached under the structure-only key
-// is re-bound to this request's tiling, and only the tiling-dependent
-// analysis runs. Program re-binding matches operators by name, so a
-// cached Program serves trees built over any canonically equal instance
-// of the graph (the key includes the canonical graph dump).
-func (dp *designPoint) evaluateWithPrograms(ctx context.Context, programs *memo.ShardedLRU, root *core.Node) (*core.Result, error) {
-	key := programKey(dp.canon, root)
-	if v, ok := programs.Get(key); ok {
-		if p, err := v.(*core.Program).WithTiling(root); err == nil {
-			return p.Evaluate(ctx, dp.opts)
-		}
-		// Re-bind refused the tree: fall through to a fresh compile, which
-		// also refreshes the cached entry.
-	}
-	p, err := core.Compile(root, dp.g, dp.spec)
-	if err != nil {
-		return nil, err
-	}
-	programs.Put(key, p)
-	return p.Evaluate(ctx, dp.opts)
 }
 
 // key is the canonical cache key of the design point.
@@ -539,7 +508,7 @@ func (s *Server) evaluateOne(ctx context.Context, req *EvaluateRequest) (*Evalua
 		var out *evalOutcome
 		perr := s.pool.Do(ctx, func() error {
 			var rerr error
-			out, rerr = dp.run(ctx, s.programs)
+			out, rerr = dp.run(ctx)
 			return rerr
 		})
 		if perr != nil {
@@ -736,12 +705,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // evaluateGroup runs one structure-sharing group of batch items through
-// Program.EvaluateBatch under a single worker-pool slot: the compiled
-// Program is fetched from (or installed into) the program cache once, and
-// every tiling is re-bound into it instead of compiling per item. Each
-// item's result is bit-identical to the single-request route (pinned by
-// the conformance differentials), so outcomes enter the same response
-// cache.
+// Program.EvaluateBatch under a single worker-pool slot: the group compiles
+// once, from its first compilable tiling, and every tiling is re-bound into
+// that Program instead of compiling per item. Each item's result is
+// bit-identical to the single-request route (pinned by the conformance
+// differentials), so outcomes enter the same response cache.
 func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*batchPoint, items []BatchItem) {
 	start := time.Now()
 	defer func() {
@@ -761,38 +729,22 @@ func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*bat
 	var results []*core.Result
 	var errs []error
 	perr := s.pool.Do(ctx, func() error {
+		// Seed the Program from the first compilable tiling; items whose own
+		// tiling is invalid get their per-item error from the batch re-bind
+		// below, identical to what their own compile would say.
 		var p *core.Program
-		if v, ok := s.programs.Get(gk.pk); ok {
-			cp := v.(*core.Program)
-			if _, err := cp.WithTiling(roots[0]); !errors.Is(err, core.ErrStructureMismatch) {
-				// Re-bind accepts the structure (a tiling-validation error
-				// still means the shapes line up); reuse the compilation.
-				p = cp
+		cerrs := make([]error, len(roots))
+		for j, root := range roots {
+			if p, cerrs[j] = core.Compile(root, dp0.g, dp0.spec); cerrs[j] == nil {
+				break
 			}
 		}
 		if p == nil {
-			// Seed the Program from the first compilable tiling; items whose
-			// own tiling is invalid get their per-item error from the batch
-			// re-bind below, identical to what their own compile would say.
-			cerrs := make([]error, len(roots))
-			for j, root := range roots {
-				cp, cerr := core.Compile(root, dp0.g, dp0.spec)
-				if cerr == nil {
-					p = cp
-					s.programs.Put(gk.pk, p)
-					break
-				}
-				cerrs[j] = cerr
+			// Every tiling failed to compile: report each item's own error.
+			for j, pt := range pts {
+				items[pt.idx].Error = cerrs[j].Error()
 			}
-			if p == nil {
-				// Every tiling failed to compile: report each item's own error.
-				for j, pt := range pts {
-					if cerrs[j] != nil {
-						items[pt.idx].Error = cerrs[j].Error()
-					}
-				}
-				return nil
-			}
+			return nil
 		}
 		results, errs = p.EvaluateBatch(ctx, roots, gk.opts)
 		return nil
