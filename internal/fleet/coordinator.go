@@ -278,12 +278,21 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 // commitUpdates applies a worker's queued updates in order, one
 // CommitUpdate each, so every generation's progress reaches the event
-// log. It stops at the first refused update and returns the last
-// committed snapshot (nil if none was).
+// log. Each payload came over the wire, so it is canonicalised first
+// (jobs.ParsePayload). It stops at the first refused update and returns
+// the last committed snapshot (nil if none was).
 func (c *Coordinator) commitUpdates(id string, token uint64, updates []jobUpdate) (*jobs.Job, error) {
 	var last *jobs.Job
 	for _, u := range updates {
-		j, err := c.Store.CommitUpdate(id, token, u.Progress, u.Checkpoint)
+		prog, err := jobs.ParsePayload("progress", u.Progress)
+		if err != nil {
+			return last, err
+		}
+		cp, err := jobs.ParsePayload("checkpoint", u.Checkpoint)
+		if err != nil {
+			return last, err
+		}
+		j, err := c.Store.CommitUpdate(id, token, prog, cp)
 		if err != nil {
 			return last, err
 		}
@@ -339,7 +348,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.releases.Add(1)
 		}
 	default:
-		j, err = c.Store.Complete(req.ID, req.Token, req.State, req.Result, req.Error)
+		var res jobs.Payload
+		if res, err = jobs.ParsePayload("result", req.Result); err == nil {
+			j, err = c.Store.Complete(req.ID, req.Token, req.State, res, req.Error)
+		}
 		if err == nil {
 			c.completes.Add(1)
 			if j.State == jobs.Done && c.OnDone != nil {

@@ -94,8 +94,8 @@ func newHarness(t *testing.T, ttl time.Duration, holds ...*hold) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := jobs.NewManager(store, jobs.Config{Workers: -1, Runner: func(context.Context, *jobs.Job, func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return nil, fmt.Errorf("the coordinator runs no job itself")
+	m, err := jobs.NewManager(store, jobs.Config{Workers: -1, Runner: func(context.Context, *jobs.Job, func(p, c jobs.Payload)) (jobs.Payload, error) {
+		return jobs.Payload{}, fmt.Errorf("the coordinator runs no job itself")
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -269,9 +269,9 @@ func waitFor(t *testing.T, ch <-chan struct{}, what string) {
 
 func TestWorkerClaimsRunsCompletes(t *testing.T) {
 	h := newHarness(t, time.Hour)
-	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(json.RawMessage(`{"generation":1}`), json.RawMessage(`{"cp":1}`))
-		return json.RawMessage(`{"echo":` + string(j.Request) + `}`), nil
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
+		upd(payload(`{"generation":1}`), payload(`{"cp":1}`))
+		return payload(`{"echo":` + string(j.Request) + `}`), nil
 	})
 	w.Start()
 	defer w.Kill()
@@ -310,11 +310,11 @@ func TestFailoverHandsCheckpointToNextWorker(t *testing.T) {
 	h := newHarness(t, time.Minute)
 	checkpointed := make(chan struct{})
 	var once sync.Once
-	blockingRunner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(json.RawMessage(`{"generation":2}`), json.RawMessage(`{"next_gen":2}`))
+	blockingRunner := func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
+		upd(payload(`{"generation":2}`), payload(`{"next_gen":2}`))
 		once.Do(func() { close(checkpointed) })
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	}
 	a := h.newWorker(t, "a", blockingRunner)
 	a.Start()
@@ -347,9 +347,9 @@ func TestFailoverHandsCheckpointToNextWorker(t *testing.T) {
 	}
 
 	got := make(chan *jobs.Job, 1)
-	b := h.newWorker(t, "b", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	b := h.newWorker(t, "b", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		got <- j
-		return json.RawMessage(`{"done":true}`), nil
+		return payload(`{"done":true}`), nil
 	})
 	b.Start()
 	defer b.Kill()
@@ -461,10 +461,10 @@ func TestCancelRidesHeartbeat(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	started := make(chan struct{})
 	var once sync.Once
-	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		once.Do(func() { close(started) })
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	})
 	w.Start()
 	defer w.Kill()
@@ -486,11 +486,11 @@ func TestWorkerCloseReleasesJobs(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	started := make(chan struct{})
 	var once sync.Once
-	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(nil, json.RawMessage(`{"next_gen":5}`))
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
+		upd(jobs.Payload{}, payload(`{"next_gen":5}`))
 		once.Do(func() { close(started) })
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	})
 	w.Start()
 
@@ -520,11 +520,11 @@ func TestNoDoubleExecution(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	var mu sync.Mutex
 	runs := map[string]int{}
-	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		mu.Lock()
 		runs[j.ID]++
 		mu.Unlock()
-		return json.RawMessage(`{}`), nil
+		return payload(`{}`), nil
 	}
 	for i := 0; i < 3; i++ {
 		w := h.newWorker(t, fmt.Sprintf("w%d", i), runner)
@@ -560,13 +560,13 @@ func TestFleetLeasesConcurrently(t *testing.T) {
 	h := newHarness(t, time.Hour)
 	arrived := make(chan struct{}, nodes)
 	release := make(chan struct{})
-	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		arrived <- struct{}{}
 		select {
 		case <-release:
-			return json.RawMessage(`{}`), nil
+			return payload(`{}`), nil
 		case <-ctx.Done():
-			return nil, context.Cause(ctx)
+			return jobs.Payload{}, context.Cause(ctx)
 		}
 	}
 	for i := 0; i < nodes; i++ {
@@ -611,7 +611,7 @@ func TestNodesAllocsIndependentOfHistory(t *testing.T) {
 			if err != nil || c.ID != j.ID {
 				t.Fatalf("claim got %v (%v), want %s", c, err, j.ID)
 			}
-			if _, err := h.store.Complete(c.ID, c.Lease.Token, jobs.Done, json.RawMessage(`{}`), ""); err != nil {
+			if _, err := h.store.Complete(c.ID, c.Lease.Token, jobs.Done, payload(`{}`), ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -697,8 +697,8 @@ func waitClaimFrom(t *testing.T, h *harness, node string) {
 // Poll, so a job submitted after the claim arrived runs at once.
 func TestParkedClaimTakesLaterSubmit(t *testing.T) {
 	h := newHarness(t, time.Hour)
-	w := h.newWorkerPoll(t, "w1", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return json.RawMessage(`{"ok":true}`), nil
+	w := h.newWorkerPoll(t, "w1", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
+		return payload(`{"ok":true}`), nil
 	})
 	w.Start()
 	defer w.Kill()
@@ -721,10 +721,10 @@ func TestSweepRequeueWakesParkedClaim(t *testing.T) {
 	h := newHarness(t, time.Minute)
 	started := make(chan struct{})
 	var once sync.Once
-	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		once.Do(func() { close(started) })
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	})
 	a.Start()
 	j, err := h.store.Create("search", nil)
@@ -743,9 +743,9 @@ func TestSweepRequeueWakesParkedClaim(t *testing.T) {
 	}
 
 	got := make(chan *jobs.Job, 1)
-	b := h.newWorkerPoll(t, "b", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	b := h.newWorkerPoll(t, "b", time.Hour, func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		got <- j
-		return json.RawMessage(`{}`), nil
+		return payload(`{}`), nil
 	})
 	b.Start()
 	defer b.Kill()
@@ -784,8 +784,8 @@ func TestClaimNoFasterThanPoll(t *testing.T) {
 		Node:        "w1",
 		Slots:       2,
 		Poll:        time.Hour,
-		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-			return nil, fmt.Errorf("no job should run")
+		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
+			return jobs.Payload{}, fmt.Errorf("no job should run")
 		},
 	})
 	if err != nil {
@@ -811,8 +811,18 @@ func TestClaimNoFasterThanPoll(t *testing.T) {
 }
 
 // update returns the i'th update a test runner reports.
-func update(i int) (progress, checkpoint json.RawMessage) {
-	return json.RawMessage(fmt.Sprintf(`{"generation":%d}`, i)), json.RawMessage(fmt.Sprintf(`{"cp":%d}`, i))
+func update(i int) (progress, checkpoint jobs.Payload) {
+	return payload(fmt.Sprintf(`{"generation":%d}`, i)), payload(fmt.Sprintf(`{"cp":%d}`, i))
+}
+
+// payload parses a test's JSON text into a jobs.Payload, panicking on
+// invalid JSON (runners call it off the test goroutine).
+func payload(s string) jobs.Payload {
+	p, err := jobs.ParsePayload("test", json.RawMessage(s))
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // TestHeldCheckpointDoesNotStallRunner: while the coordinator holds a
@@ -823,14 +833,14 @@ func TestHeldCheckpointDoesNotStallRunner(t *testing.T) {
 	hd := newHold("/v1/fleet/checkpoint")
 	h := newHarness(t, time.Hour, hd)
 	returned := make(chan struct{})
-	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		upd(update(1))
 		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
 		for i := 2; i <= 5; i++ {
 			upd(update(i))
 		}
 		close(returned)
-		return json.RawMessage(`{"ok":true}`), nil
+		return payload(`{"ok":true}`), nil
 	})
 	w.Start()
 	defer w.Kill()
@@ -858,14 +868,14 @@ func TestCloseDeliversQueuedUpdates(t *testing.T) {
 	hd := newHold("/v1/fleet/checkpoint")
 	h := newHarness(t, time.Hour, hd)
 	queued := make(chan struct{})
-	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		upd(update(1))
 		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
 		upd(update(2))
 		upd(update(3))
 		close(queued)
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	})
 	a.Start()
 
@@ -891,9 +901,9 @@ func TestCloseDeliversQueuedUpdates(t *testing.T) {
 	}
 
 	claimed := make(chan *jobs.Job, 1)
-	b := h.newWorker(t, "b", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	b := h.newWorker(t, "b", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		claimed <- j
-		return json.RawMessage(`{}`), nil
+		return payload(`{}`), nil
 	})
 	b.Start()
 	defer b.Kill()
@@ -911,13 +921,13 @@ func TestKillAbandonsHeldRequest(t *testing.T) {
 	hd := newHold("/v1/fleet/checkpoint")
 	h := newHarness(t, time.Hour, hd)
 	queued := make(chan struct{})
-	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	a := h.newWorker(t, "a", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		upd(update(1))
 		waitFor(t, hd.arrived, "the checkpoint request reached the coordinator")
 		upd(update(2))
 		close(queued)
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	})
 	a.Start()
 
@@ -950,9 +960,9 @@ func TestStaleAnswerEndsShipping(t *testing.T) {
 	hd := newHold("/v1/fleet/checkpoint")
 	h := newHarness(t, time.Minute, hd)
 	queued := make(chan struct{})
-	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	runner := func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		if j.Attempts > 1 {
-			return json.RawMessage(`{}`), nil
+			return payload(`{}`), nil
 		}
 		upd(update(1))
 		waitFor(t, hd.arrived, "the checkpoint request reached the coordinator")
@@ -960,7 +970,7 @@ func TestStaleAnswerEndsShipping(t *testing.T) {
 		upd(update(3))
 		close(queued)
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	}
 	// An hour-long heartbeat leaves the checkpoint answer as the only way
 	// the worker learns its lease is gone.
@@ -1012,7 +1022,7 @@ func TestFullOutboxHoldsRunner(t *testing.T) {
 	const n = 2*maxQueued + 3
 	full := make(chan struct{})
 	returned := make(chan struct{})
-	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	w := h.newWorker(t, "w1", func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 		upd(update(1))
 		waitFor(t, hd.arrived, "the first checkpoint request reached the coordinator")
 		for i := 2; i <= n; i++ {
@@ -1022,7 +1032,7 @@ func TestFullOutboxHoldsRunner(t *testing.T) {
 			upd(update(i))
 		}
 		close(returned)
-		return json.RawMessage(`{"ok":true}`), nil
+		return payload(`{"ok":true}`), nil
 	})
 	w.Start()
 	defer w.Kill()
@@ -1043,12 +1053,12 @@ func TestFullOutboxHoldsRunner(t *testing.T) {
 		t.Fatalf("committed %d progress payloads, want %d", len(seq), n)
 	}
 	for i, p := range seq {
-		if want, _ := update(i + 1); p != string(want) {
-			t.Fatalf("progress %d committed as %s, want %s", i, p, want)
+		if want, _ := update(i + 1); p != string(want.Bytes()) {
+			t.Fatalf("progress %d committed as %s, want %s", i, p, want.Bytes())
 		}
 	}
-	if want, _ := update(n); string(got.Progress) != string(want) {
-		t.Errorf("finished job keeps progress %s, want %s", got.Progress, want)
+	if want, _ := update(n); string(got.Progress) != string(want.Bytes()) {
+		t.Errorf("finished job keeps progress %s, want %s", got.Progress, want.Bytes())
 	}
 	running := waitState(t, h, j.ID, jobs.Running)
 	for _, r := range h.requestsFor(j.ID, running.Lease.Token) {
@@ -1082,9 +1092,9 @@ func TestRefusedCompletionFailsJob(t *testing.T) {
 	w, err := NewWorker(WorkerConfig{
 		Coordinator: srv.URL, Node: "w1", Poll: 5 * time.Millisecond,
 		Heartbeat: 10 * time.Millisecond, Clock: h.clk.Now,
-		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		Runner: func(ctx context.Context, j *jobs.Job, upd func(p, c jobs.Payload)) (jobs.Payload, error) {
 			upd(update(1))
-			return json.RawMessage(`{"big":true}`), nil
+			return payload(`{"big":true}`), nil
 		},
 	})
 	if err != nil {

@@ -50,8 +50,8 @@ type WorkerConfig struct {
 	// request as have queued since the last one. The callback waits only
 	// while maxQueued updates are already queued. Whatever is still queued
 	// when the runner returns rides on the job's completion (or release).
-	// The payloads are kept until sent, so the runner must hand over fresh
-	// ones, as the Runner contract already asks.
+	// The payloads are kept until sent, which is safe because a
+	// jobs.Payload's bytes are immutable.
 	Runner jobs.Runner
 	// Clock is the injected time source (tests); nil means the wall clock.
 	Clock func() time.Time
@@ -284,7 +284,7 @@ func (w *Worker) runJob(j *jobs.Job) {
 		// earn a stale-lease rejection.
 		w.staleLosses.Add(1)
 	case err == nil:
-		w.complete(j.ID, token, jobs.Done, updates, result, "")
+		w.complete(j.ID, token, jobs.Done, updates, result.Bytes(), "")
 	case errors.Is(cause, jobs.ErrDraining) || errors.Is(err, jobs.ErrDraining):
 		w.complete(j.ID, token, jobs.Queued, updates, nil, "")
 	case errors.Is(cause, jobs.ErrCancelled) || errors.Is(err, jobs.ErrCancelled):
@@ -320,7 +320,7 @@ func newOutbox() *outbox {
 	return o
 }
 
-func (o *outbox) put(progress, checkpoint json.RawMessage) {
+func (o *outbox) put(progress, checkpoint jobs.Payload) {
 	o.mu.Lock()
 	for len(o.updates) >= maxQueued && !o.closed {
 		o.room.Wait()
@@ -329,7 +329,7 @@ func (o *outbox) put(progress, checkpoint json.RawMessage) {
 		o.mu.Unlock()
 		return
 	}
-	o.updates = append(o.updates, jobUpdate{Progress: progress, Checkpoint: checkpoint})
+	o.updates = append(o.updates, jobUpdate{Progress: progress.Bytes(), Checkpoint: checkpoint.Bytes()})
 	o.mu.Unlock()
 	select {
 	case o.ready <- struct{}{}:
@@ -431,7 +431,7 @@ func (w *Worker) holdLease(ctx context.Context, cancel context.CancelCauseFunc,
 }
 
 // runProtected converts a runner panic into a job failure.
-func (w *Worker) runProtected(ctx context.Context, j *jobs.Job, upd func(progress, checkpoint json.RawMessage)) (result json.RawMessage, err error) {
+func (w *Worker) runProtected(ctx context.Context, j *jobs.Job, upd func(progress, checkpoint jobs.Payload)) (result jobs.Payload, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("fleet: runner panicked: %v", r)

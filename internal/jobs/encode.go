@@ -13,9 +13,47 @@ import (
 // The store's only writer is appendJob: log lines and snapshot records
 // are the bytes json.Marshal(job) would produce, emitted without
 // reflection. The raw payloads (Request, Progress, Checkpoint, Result) are
-// spliced verbatim, which is sound because every entry point that accepts
-// one stores it in canonical form (see canonicalRaw): valid, compact and
-// HTML-escaped, exactly what json.Marshal makes of a json.RawMessage.
+// spliced verbatim, which is sound because every payload is canonical by
+// the time the store holds it: valid, compact and HTML-escaped, exactly
+// what json.Marshal makes of a json.RawMessage. Request and replayed
+// payloads pass through canonicalRaw; progress, checkpoints and results
+// arrive as a Payload, which is canonical by construction.
+
+// Payload is a progress, checkpoint or result payload in the store's
+// canonical form. Its bytes are immutable: the store keeps them as they
+// are and shares them with every snapshot and event of the job, so nobody
+// may write into them. The zero Payload is absent. A Payload has exactly
+// two constructors: Marshal, for values encoded in this process, and
+// ParsePayload, for raw JSON from outside it.
+type Payload struct{ raw json.RawMessage }
+
+// Marshal encodes v with json.Marshal and wraps the bytes unchanged:
+// json.Marshal's output is already canonical, so it is not scanned again.
+func Marshal(v any) (Payload, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return Payload{}, err
+	}
+	return Payload{raw: b}, nil
+}
+
+// ParsePayload validates raw JSON from outside the process (a fleet
+// peer's request body, say) and returns it canonicalised (canonicalRaw);
+// name labels the error. An empty p gives the zero Payload.
+func ParsePayload(name string, p json.RawMessage) (Payload, error) {
+	b, err := canonicalRaw(name, p)
+	return Payload{raw: b}, err
+}
+
+// Bytes returns the payload's bytes, nil for the zero Payload. They are
+// shared, not copied: read them, never write into them. Their capacity is
+// capped at their length, so an append copies instead of writing past them.
+func (p Payload) Bytes() json.RawMessage { return share(p.raw) }
+
+// share returns b capacity-capped at its length, so a holder's append
+// always copies and never writes into the bytes past b that the slice's
+// owner may hold or reuse.
+func share(b json.RawMessage) json.RawMessage { return b[:len(b):len(b)] }
 
 // canonicalRaw validates the raw JSON payload the store is given as field
 // name and returns a private copy in json.Marshal's canonical form. An

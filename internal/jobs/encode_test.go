@@ -318,10 +318,10 @@ func TestParentStoreReopensByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.CommitUpdate(j.ID, j.Lease.Token, json.RawMessage(`{"generation":1}`), json.RawMessage(`{"next_gen":1,"s":"<&>"}`)); err != nil {
+		if _, err := s.CommitUpdate(j.ID, j.Lease.Token, payload(`{"generation":1}`), payload(`{"next_gen":1,"s":"<&>"}`)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Complete(j.ID, j.Lease.Token, Done, json.RawMessage(`{"cycles":7}`), ""); err != nil {
+		if _, err := s.Complete(j.ID, j.Lease.Token, Done, payload(`{"cycles":7}`), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -382,21 +382,32 @@ func TestInvalidPayloadLeavesJobUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	token := claimed.Lease.Token
-	if _, err := s.CommitUpdate(j.ID, token, json.RawMessage(`{"g":1}`), json.RawMessage(`{"cp":1}`)); err != nil {
+	if _, err := s.CommitUpdate(j.ID, token, payload(`{"g":1}`), payload(`{"cp":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	before := encodeJob(t, s, j.ID)
+	// Progress, checkpoints and results from outside the process reach the
+	// store as ParsePayload made them, so that is where they are refused.
 	writes := map[string]func() error{
 		"progress": func() error {
-			_, err := s.CommitUpdate(j.ID, token, bad, nil)
+			p, err := ParsePayload("progress", bad)
+			if err == nil {
+				_, err = s.CommitUpdate(j.ID, token, p, Payload{})
+			}
 			return err
 		},
 		"checkpoint": func() error {
-			_, err := s.CommitUpdate(j.ID, token, json.RawMessage(`{"g":2}`), bad)
+			cp, err := ParsePayload("checkpoint", bad)
+			if err == nil {
+				_, err = s.CommitUpdate(j.ID, token, payload(`{"g":2}`), cp)
+			}
 			return err
 		},
 		"result": func() error {
-			_, err := s.Complete(j.ID, token, Done, bad, "")
+			res, err := ParsePayload("result", bad)
+			if err == nil {
+				_, err = s.Complete(j.ID, token, Done, res, "")
+			}
 			return err
 		},
 	}
@@ -408,7 +419,7 @@ func TestInvalidPayloadLeavesJobUnchanged(t *testing.T) {
 			t.Errorf("refused %s changed the job:\n%s\nwas\n%s", name, got, before)
 		}
 	}
-	if _, err := s.Complete(j.ID, token, Done, json.RawMessage(` {"cycles": 42} `), ""); err != nil {
+	if _, err := s.Complete(j.ID, token, Done, payload(` {"cycles": 42} `), ""); err != nil {
 		t.Fatalf("valid complete after refused writes: %v", err)
 	}
 	done := encodeJob(t, s, j.ID)
@@ -457,7 +468,7 @@ func TestAppendLockedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CommitUpdate(c.ID, claimed.Lease.Token, json.RawMessage(`{"generation":3}`), benchCheckpoint()); err != nil {
+	if _, err := s.CommitUpdate(c.ID, claimed.Lease.Token, payload(`{"generation":3}`), benchCheckpoint()); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
@@ -473,9 +484,19 @@ func TestAppendLockedAllocs(t *testing.T) {
 	}
 }
 
+// payload parses a test's JSON literal into a Payload, panicking on
+// invalid JSON.
+func payload(s string) Payload {
+	p, err := ParsePayload("test", json.RawMessage(s))
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 // benchCheckpoint is a canonical payload of a GA checkpoint's shape and
 // size (population encodings, tuned statistics with factor maps, trace).
-func benchCheckpoint() json.RawMessage {
+func benchCheckpoint() Payload {
 	var b strings.Builder
 	b.WriteString(`{"version":1,"next_gen":7,"generations":12,"population":[`)
 	for i := 0; i < 16; i++ {
@@ -492,7 +513,7 @@ func benchCheckpoint() json.RawMessage {
 		b.WriteString(`{"encoding":{"target":[1,2,-1],"mem":[1,1,2],"binding":[0,1,0]},"cycles":` + strconv.Itoa(123456+i) + `.5,"factors":{"L1_k":4,"L1_m":8,"L2_h":2,"L2_m":16,"sp_c":4,"sp_s":2},"rounds":24}`)
 	}
 	b.WriteString(`],"trace":["+inf",1.5e-7,98765.25]}`)
-	return json.RawMessage(b.String())
+	return payload(b.String())
 }
 
 // BenchmarkStoreAppend times one lease-guarded checkpoint write of a
@@ -513,8 +534,8 @@ func BenchmarkStoreAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cp, prog := benchCheckpoint(), json.RawMessage(`{"generation":7,"generations":12,"best_cycles":123456.5}`)
-	b.SetBytes(int64(len(cp)))
+	cp, prog := benchCheckpoint(), payload(`{"generation":7,"generations":12,"best_cycles":123456.5}`)
+	b.SetBytes(int64(len(cp.Bytes())))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -110,7 +110,7 @@ func TestClaimOrderSurvivesIDRollover(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Complete(c.ID, c.Lease.Token, Done, nil, ""); err != nil {
+		if _, err := s.Complete(c.ID, c.Lease.Token, Done, Payload{}, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,14 +462,14 @@ func runStoreModel(t *testing.T, seed int64, picker bool, steps int) {
 		case r < 54:
 			op = "commit"
 			m.checkLeaseWrite(step, op, func(id string, tok uint64) error {
-				_, err := m.s.CommitUpdate(id, tok, json.RawMessage(`{"p":1}`), json.RawMessage(`{"c":1}`))
+				_, err := m.s.CommitUpdate(id, tok, payload(`{"p":1}`), payload(`{"c":1}`))
 				return err
 			})
 		case r < 64:
 			op = "complete"
 			st := terminal[m.rng.Intn(len(terminal))]
 			m.checkLeaseWrite(step, op, func(id string, tok uint64) error {
-				_, err := m.s.Complete(id, tok, st, json.RawMessage(`{}`), "")
+				_, err := m.s.Complete(id, tok, st, payload(`{}`), "")
 				return err
 			})
 		case r < 68:
@@ -530,7 +530,7 @@ func claimCycle(tb testing.TB, s *Store) string {
 	if err != nil || c.ID != j.ID {
 		tb.Fatalf("claim got %v (%v), want %s", c, err, j.ID)
 	}
-	if _, err := s.Complete(c.ID, c.Lease.Token, Done, json.RawMessage(`{"cycles":1}`), ""); err != nil {
+	if _, err := s.Complete(c.ID, c.Lease.Token, Done, payload(`{"cycles":1}`), ""); err != nil {
 		tb.Fatal(err)
 	}
 	return c.ID
@@ -595,8 +595,8 @@ func TestClaimAllocsIndependentOfHistory(t *testing.T) {
 // TestStatsAllocsIndependentOfHistory checks that a metrics scrape counts
 // stored jobs without copying them.
 func TestStatsAllocsIndependentOfHistory(t *testing.T) {
-	idle := func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return nil, nil
+	idle := func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return Payload{}, nil
 	}
 	var allocs [2]float64
 	for i, n := range []int{0, 5000} {

@@ -99,17 +99,22 @@ type Job struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// Clone deep-copies the job so callers can hand snapshots across
-// goroutines without aliasing the store's copy.
+// Clone returns a snapshot of the job that callers can hand across
+// goroutines. Its payloads (Request, Progress, Checkpoint, Result) share
+// the store's bytes, which the store only ever replaces and never writes
+// into; each is capacity-capped (share), so an append by a holder copies
+// instead of writing into the store's bytes. Nobody may write into a
+// snapshot's payload bytes. Trail and Lease, which the store does mutate
+// in place, are copied.
 func (j *Job) Clone() *Job {
 	if j == nil {
 		return nil
 	}
 	c := *j
-	c.Request = append(json.RawMessage(nil), j.Request...)
-	c.Progress = append(json.RawMessage(nil), j.Progress...)
-	c.Checkpoint = append(json.RawMessage(nil), j.Checkpoint...)
-	c.Result = append(json.RawMessage(nil), j.Result...)
+	c.Request = share(j.Request)
+	c.Progress = share(j.Progress)
+	c.Checkpoint = share(j.Checkpoint)
+	c.Result = share(j.Result)
 	if j.Trail != nil {
 		c.Trail = append([]string(nil), j.Trail...)
 	}

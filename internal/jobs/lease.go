@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -223,30 +222,23 @@ func (s *Store) Renew(id string, token uint64, ttl time.Duration) (*Job, error) 
 	return j.Clone(), nil
 }
 
-// CommitUpdate is the lease-guarded progress/checkpoint write. A nil field
-// leaves the stored value unchanged; an invalid one fails the call with
-// nothing changed. Renews nothing: pair it with Renew
-// (remote workers ship checkpoints and heartbeats on separate cadences).
-func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.RawMessage) (*Job, error) {
-	prog, err := canonicalRaw("progress", progress)
-	if err != nil {
-		return nil, err
-	}
-	cp, err := canonicalRaw("checkpoint", checkpoint)
-	if err != nil {
-		return nil, err
-	}
+// CommitUpdate is the lease-guarded progress/checkpoint write. A zero
+// Payload leaves the stored value unchanged. The store keeps the
+// payloads' bytes as they are, without copying or scanning them again.
+// Renews nothing: pair it with Renew (remote workers ship checkpoints and
+// heartbeats on separate cadences).
+func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint Payload) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, err := s.leaseWriteLocked(id, token)
 	if err != nil {
 		return nil, err
 	}
-	if progress != nil {
-		j.Progress = prog
+	if progress.raw != nil {
+		j.Progress = progress.raw
 	}
-	if checkpoint != nil {
-		j.Checkpoint = cp
+	if checkpoint.raw != nil {
+		j.Checkpoint = checkpoint.raw
 		j.CheckpointAt = s.now().UTC()
 	}
 	return s.commitLocked(j)
@@ -254,15 +246,11 @@ func (s *Store) CommitUpdate(id string, token uint64, progress, checkpoint json.
 
 // Complete finalizes a running job under its lease: state must be Done,
 // Failed, or Cancelled. The lease is consumed. A stale token cannot commit
-// a result — the acceptance rule that makes multi-node execution safe. An
-// invalid result fails the call with the job still running.
-func (s *Store) Complete(id string, token uint64, state State, result json.RawMessage, errMsg string) (*Job, error) {
+// a result — the acceptance rule that makes multi-node execution safe. A
+// zero result stores none.
+func (s *Store) Complete(id string, token uint64, state State, result Payload, errMsg string) (*Job, error) {
 	if !state.Terminal() {
 		return nil, fmt.Errorf("jobs: complete with non-terminal state %s", state)
-	}
-	res, err := canonicalRaw("result", result)
-	if err != nil {
-		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -271,7 +259,7 @@ func (s *Store) Complete(id string, token uint64, state State, result json.RawMe
 		return nil, err
 	}
 	s.setStateLocked(j, state)
-	j.Result = res
+	j.Result = result.raw
 	j.Error = errMsg
 	j.FinishedAt = s.now().UTC()
 	j.Lease = nil

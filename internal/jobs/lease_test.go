@@ -42,7 +42,7 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Errorf("renew did not extend: %v -> %v", j.Lease.Expires, r.Lease.Expires)
 	}
 
-	u, err := s.CommitUpdate(j.ID, token, json.RawMessage(`{"generation":2}`), json.RawMessage(`{"cp":2}`))
+	u, err := s.CommitUpdate(j.ID, token, payload(`{"generation":2}`), payload(`{"cp":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestLeaseLifecycle(t *testing.T) {
 		t.Errorf("commit update lost payloads: %+v", u)
 	}
 
-	fin, err := s.Complete(j.ID, token, Done, json.RawMessage(`{"cycles":7}`), "")
+	fin, err := s.Complete(j.ID, token, Done, payload(`{"cycles":7}`), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCompleteRejectsNonTerminalState(t *testing.T) {
 	defer s.Close()
 	s.Create("search", nil)
 	j, _ := s.ClaimNext("w1", time.Hour)
-	if _, err := s.Complete(j.ID, j.Lease.Token, Running, nil, ""); err == nil {
+	if _, err := s.Complete(j.ID, j.Lease.Token, Running, Payload{}, ""); err == nil {
 		t.Error("complete accepted a non-terminal state")
 	}
 }
@@ -161,10 +161,10 @@ func TestStaleLeaseCannotCommit(t *testing.T) {
 	if _, err := s.Renew(j2.ID, old, time.Minute); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("stale renew: %v", err)
 	}
-	if _, err := s.CommitUpdate(j2.ID, old, nil, json.RawMessage(`{"cp":1}`)); !errors.Is(err, ErrStaleLease) {
+	if _, err := s.CommitUpdate(j2.ID, old, Payload{}, payload(`{"cp":1}`)); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("stale checkpoint: %v", err)
 	}
-	if _, err := s.Complete(j2.ID, old, Done, json.RawMessage(`{"cycles":1}`), ""); !errors.Is(err, ErrStaleLease) {
+	if _, err := s.Complete(j2.ID, old, Done, payload(`{"cycles":1}`), ""); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("stale complete: %v", err)
 	}
 	if _, err := s.Release(j2.ID, old, false); !errors.Is(err, ErrStaleLease) {
@@ -178,7 +178,7 @@ func TestStaleLeaseCannotCommit(t *testing.T) {
 	// An expired-but-unswept lease is just as dead: writes under it fail
 	// even before any sweep runs.
 	clk.Advance(2 * time.Minute)
-	if _, err := s.CommitUpdate(j2.ID, j2.Lease.Token, nil, json.RawMessage(`{"cp":2}`)); !errors.Is(err, ErrStaleLease) {
+	if _, err := s.CommitUpdate(j2.ID, j2.Lease.Token, Payload{}, payload(`{"cp":2}`)); !errors.Is(err, ErrStaleLease) {
 		t.Errorf("write under expired lease: %v", err)
 	}
 }
@@ -231,7 +231,7 @@ func TestReleaseKeepsCheckpointForNextClaimant(t *testing.T) {
 	defer s.Close()
 	s.Create("search", nil)
 	j, _ := s.ClaimNext("w1", time.Hour)
-	if _, err := s.CommitUpdate(j.ID, j.Lease.Token, nil, json.RawMessage(`{"next_gen":4}`)); err != nil {
+	if _, err := s.CommitUpdate(j.ID, j.Lease.Token, Payload{}, payload(`{"next_gen":4}`)); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := s.Release(j.ID, j.Lease.Token, false)
@@ -375,7 +375,7 @@ func TestRetentionSweepEvictsOldestTerminalJobs(t *testing.T) {
 	finish := func() string {
 		j, _ := s.Create("search", nil)
 		c, _ := s.ClaimNext("w", time.Hour)
-		s.Complete(j.ID, c.Lease.Token, Done, nil, "")
+		s.Complete(j.ID, c.Lease.Token, Done, Payload{}, "")
 		return j.ID
 	}
 	old1 := finish()
@@ -429,14 +429,14 @@ func TestRetentionTombstoneSurvivesRotation(t *testing.T) {
 	}
 	victim, _ := s.Create("search", nil)
 	c, _ := s.ClaimNext("w", time.Hour)
-	s.Complete(victim.ID, c.Lease.Token, Done, nil, "")
+	s.Complete(victim.ID, c.Lease.Token, Done, Payload{}, "")
 	keeper, _ := s.Create("search", nil)
 	kc, _ := s.ClaimNext("w", 0)
 
 	clk.Advance(3 * time.Hour)
 	// Park the log one append short of rotation.
 	for s.appends < snapshotEvery-1 {
-		if _, err := s.CommitUpdate(keeper.ID, kc.Lease.Token, json.RawMessage(`{}`), nil); err != nil {
+		if _, err := s.CommitUpdate(keeper.ID, kc.Lease.Token, payload(`{}`), Payload{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -491,8 +491,8 @@ func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for n := 1; n <= updates; n++ {
-				p := json.RawMessage(fmt.Sprintf(`{"n":%d}`, n))
-				if _, err := s.CommitUpdate(ids[i], tokens[i], p, nil); err != nil {
+				p := payload(fmt.Sprintf(`{"n":%d}`, n))
+				if _, err := s.CommitUpdate(ids[i], tokens[i], p, Payload{}); err != nil {
 					t.Errorf("update %s: %v", ids[i], err)
 					return
 				}
@@ -526,8 +526,8 @@ func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 func TestManagerEventHistoryCompaction(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	defer s.Close()
-	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return nil, nil
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return Payload{}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -604,8 +604,8 @@ func TestStoreCommitsAreEvents(t *testing.T) {
 	clk := newFakeClock()
 	s, _ := Open("", clk.Now)
 	defer s.Close()
-	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return nil, nil
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return Payload{}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -615,13 +615,13 @@ func TestStoreCommitsAreEvents(t *testing.T) {
 	j, _ := s.Create("search", nil)
 	c, _ := s.ClaimNext("w", time.Minute)
 	s.Renew(j.ID, c.Lease.Token, time.Minute)
-	s.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(`{"g":1}`), nil)
+	s.CommitUpdate(j.ID, c.Lease.Token, payload(`{"g":1}`), Payload{})
 	s.Release(j.ID, c.Lease.Token, true)
 	c, _ = s.ClaimNext("w", time.Minute)
 	s.Renew(j.ID, c.Lease.Token, time.Minute)
 	s.RequestCancel(j.ID)
 	s.RequestCancel(j.ID)
-	s.Complete(j.ID, c.Lease.Token, Cancelled, nil, ErrCancelled.Error())
+	s.Complete(j.ID, c.Lease.Token, Cancelled, Payload{}, ErrCancelled.Error())
 
 	var got []string
 	ch, stop := m.Subscribe(j.ID, 0)

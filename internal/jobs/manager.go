@@ -24,8 +24,10 @@ var (
 // once cancelled) and should call upd with fresh progress and checkpoint
 // payloads as it goes — the checkpoint is what makes drain and crash
 // recovery resume instead of restart. On success it returns the job's
-// result payload.
-type Runner func(ctx context.Context, job *Job, upd func(progress, checkpoint json.RawMessage)) (json.RawMessage, error)
+// result payload, which it builds with Marshal: json.Marshal's bytes are
+// canonical already, so the store keeps them without scanning or copying
+// them. A zero progress or checkpoint leaves the stored one unchanged.
+type Runner func(ctx context.Context, job *Job, upd func(progress, checkpoint Payload)) (Payload, error)
 
 // Event is one committed change to a job: a state change, a progress
 // update or a cancel request. Seq increases by 1 per job starting at 1, in
@@ -313,7 +315,7 @@ func (m *Manager) runOne(j *Job) {
 		cancel(ErrCancelled)
 	}
 
-	upd := func(progress, checkpoint json.RawMessage) {
+	upd := func(progress, checkpoint Payload) {
 		m.store.CommitUpdate(id, token, progress, checkpoint)
 	}
 
@@ -335,15 +337,15 @@ func (m *Manager) runOne(j *Job) {
 		// resumes it.
 		m.store.Release(id, token, false)
 	case errors.Is(cause, ErrCancelled) || errors.Is(err, ErrCancelled):
-		m.store.Complete(id, token, Cancelled, nil, ErrCancelled.Error())
+		m.store.Complete(id, token, Cancelled, Payload{}, ErrCancelled.Error())
 	default:
-		m.store.Complete(id, token, Failed, nil, err.Error())
+		m.store.Complete(id, token, Failed, Payload{}, err.Error())
 	}
 }
 
 // runProtected invokes the runner, converting a panic into a job failure
 // instead of killing the worker.
-func (m *Manager) runProtected(ctx context.Context, j *Job, upd func(progress, checkpoint json.RawMessage)) (result json.RawMessage, err error) {
+func (m *Manager) runProtected(ctx context.Context, j *Job, upd func(progress, checkpoint Payload)) (result Payload, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("jobs: runner panicked: %v", r)

@@ -43,9 +43,9 @@ func waitState(t *testing.T, m *Manager, id string, want State) *Job {
 
 func TestManagerRunsJobs(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
-	m, err := NewManager(s, Config{Workers: 2, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(json.RawMessage(`{"generation":1}`), json.RawMessage(`{"cp":1}`))
-		return json.RawMessage(`{"echo":` + string(j.Request) + `}`), nil
+	m, err := NewManager(s, Config{Workers: 2, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		upd(payload(`{"generation":1}`), payload(`{"cp":1}`))
+		return payload(`{"echo":` + string(j.Request) + `}`), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +79,13 @@ func TestManagerWorkersRunConcurrently(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	arrived := make(chan struct{}, workers)
 	release := make(chan struct{})
-	m, err := NewManager(s, Config{Workers: workers, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m, err := NewManager(s, Config{Workers: workers, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		arrived <- struct{}{}
 		select {
 		case <-release:
-			return json.RawMessage(`{}`), nil
+			return payload(`{}`), nil
 		case <-ctx.Done():
-			return nil, context.Cause(ctx)
+			return Payload{}, context.Cause(ctx)
 		}
 	}})
 	if err != nil {
@@ -111,11 +111,11 @@ func TestManagerWorkersRunConcurrently(t *testing.T) {
 
 func TestManagerFailureAndPanic(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
-	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		if string(j.Request) == `"boom"` {
 			panic("kaboom")
 		}
-		return nil, errors.New("no feasible mapping")
+		return Payload{}, errors.New("no feasible mapping")
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -140,10 +140,10 @@ func TestManagerFailureAndPanic(t *testing.T) {
 func TestManagerCancelRunningAndQueued(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	started := make(chan string, 8)
-	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		started <- j.ID
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return Payload{}, context.Cause(ctx)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +184,11 @@ func TestManagerDrainRequeuesWithCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	started := make(chan struct{})
-	runner := func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(json.RawMessage(`{"generation":2}`), json.RawMessage(`{"next_gen":2}`))
+	runner := func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		upd(payload(`{"generation":2}`), payload(`{"next_gen":2}`))
 		close(started)
 		<-ctx.Done()
-		return nil, context.Cause(ctx)
+		return Payload{}, context.Cause(ctx)
 	}
 	m, err := NewManager(s, Config{Workers: 1, Runner: runner})
 	if err != nil {
@@ -221,11 +221,11 @@ func TestManagerDrainRequeuesWithCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	m2, err := NewManager(s2, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m2, err := NewManager(s2, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		if string(j.Checkpoint) != `{"next_gen":2}` {
-			return nil, fmt.Errorf("resumed without checkpoint: %q", j.Checkpoint)
+			return Payload{}, fmt.Errorf("resumed without checkpoint: %q", j.Checkpoint)
 		}
-		return json.RawMessage(`{"resumed":true}`), nil
+		return payload(`{"resumed":true}`), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -250,8 +250,8 @@ func TestSubscribeTerminalAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		return json.RawMessage(`{"ok":true}`), nil
+	runner := func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return payload(`{"ok":true}`), nil
 	}
 	m, err := NewManager(s, Config{Workers: 1, Runner: runner})
 	if err != nil {
@@ -294,11 +294,11 @@ func TestSubscribeTerminalAfterRestart(t *testing.T) {
 func TestManagerEventsReplayAndLive(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	release := make(chan struct{})
-	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(json.RawMessage(`{"generation":1}`), nil)
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		upd(payload(`{"generation":1}`), Payload{})
 		<-release
-		upd(json.RawMessage(`{"generation":2}`), nil)
-		return json.RawMessage(`{}`), nil
+		upd(payload(`{"generation":2}`), Payload{})
+		return payload(`{}`), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -354,14 +354,14 @@ func TestManagerStats(t *testing.T) {
 	s, _ := Open("", clk.Now)
 	block := make(chan struct{})
 	started := make(chan struct{}, 1)
-	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
-		upd(nil, json.RawMessage(`{}`))
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		upd(Payload{}, payload(`{}`))
 		started <- struct{}{}
 		select {
 		case <-block:
-			return json.RawMessage(`{}`), nil
+			return payload(`{}`), nil
 		case <-ctx.Done():
-			return nil, context.Cause(ctx)
+			return Payload{}, context.Cause(ctx)
 		}
 	}})
 	if err != nil {
@@ -398,15 +398,15 @@ func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
 	s, _ := Open(t.TempDir(), newFakeClock().Now)
 	defer s.Close()
 	start := make(chan struct{})
-	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m, err := NewManager(s, Config{Workers: 1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		<-start
 		for g := 0; g < 200; g++ {
 			if _, err := json.Marshal(j); err != nil {
-				return nil, err
+				return Payload{}, err
 			}
-			upd(json.RawMessage(fmt.Sprintf(`{"generation":%d}`, g)), json.RawMessage(fmt.Sprintf(`{"next_gen":%d,"s":"<&>"}`, g)))
+			upd(payload(fmt.Sprintf(`{"generation":%d}`, g)), payload(fmt.Sprintf(`{"next_gen":%d,"s":"<&>"}`, g)))
 		}
-		return json.RawMessage(`{"cycles":1}`), nil
+		return payload(`{"cycles":1}`), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -459,10 +459,10 @@ func TestCancelBetweenClaimAndRunEndsRun(t *testing.T) {
 	for _, flagFirst := range []bool{true, false} {
 		s, _ := Open("", newFakeClock().Now)
 		started := make(chan struct{}, 1)
-		m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+		m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 			started <- struct{}{}
 			<-ctx.Done()
-			return nil, context.Cause(ctx)
+			return Payload{}, context.Cause(ctx)
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -505,9 +505,9 @@ func TestCancelBetweenClaimAndRunEndsRun(t *testing.T) {
 func TestDrainAfterCancelFlagFinalizesJob(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	defer s.Close()
-	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c json.RawMessage)) (json.RawMessage, error) {
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
 		t.Error("runner started during a drain")
-		return nil, nil
+		return Payload{}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func TestStorePersistenceAcrossReopen(t *testing.T) {
 	if err != nil || c.ID != a.ID {
 		t.Fatalf("claim %+v, %v; want %s", c, err, a.ID)
 	}
-	if _, err := s.Complete(a.ID, c.Lease.Token, Done, json.RawMessage(`{"cycles":42}`), ""); err != nil {
+	if _, err := s.Complete(a.ID, c.Lease.Token, Done, payload(`{"cycles":42}`), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -98,7 +98,7 @@ func TestStoreRecoveryRequeuesRunning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CommitUpdate(j.ID, c.Lease.Token, nil, json.RawMessage(`{"next_gen":3}`)); err != nil {
+	if _, err := s.CommitUpdate(j.ID, c.Lease.Token, Payload{}, payload(`{"next_gen":3}`)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no Close, just reopen the directory.
@@ -167,8 +167,8 @@ func TestStoreSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < snapshotEvery+5; i++ {
-		p := json.RawMessage(`{"generation":` + string(rune('0'+i%10)) + `}`)
-		if _, err := s.CommitUpdate(j.ID, c.Lease.Token, p, nil); err != nil {
+		p := payload(`{"generation":` + string(rune('0'+i%10)) + `}`)
+		if _, err := s.CommitUpdate(j.ID, c.Lease.Token, p, Payload{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,8 +208,8 @@ func TestStoreSnapshotsAmortised(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lifecycles = 2000
-	checkpoint := json.RawMessage(`{"next_gen":2,"population":"` + strings.Repeat("x", 600) + `"}`)
-	result := json.RawMessage(`{"cycles":12345,"tree":"` + strings.Repeat("y", 300) + `"}`)
+	checkpoint := payload(`{"next_gen":2,"population":"` + strings.Repeat("x", 600) + `"}`)
+	result := payload(`{"cycles":12345,"tree":"` + strings.Repeat("y", 300) + `"}`)
 	var logBytes, snapBytes, rotations int
 	// step runs one store call and attributes its bytes: the log bytes it
 	// appended, or, when it rotated, the snapshot it wrote (the rotating
@@ -233,7 +233,7 @@ func TestStoreSnapshotsAmortised(t *testing.T) {
 		j := step(func() (*Job, error) { return s.Create("search", json.RawMessage(`{"seed":`+strconv.Itoa(i)+`}`)) })
 		c := step(func() (*Job, error) { return s.ClaimNext("w", time.Hour) })
 		for gen := 1; gen <= 2; gen++ {
-			progress := json.RawMessage(`{"generation":` + strconv.Itoa(gen) + `}`)
+			progress := payload(`{"generation":` + strconv.Itoa(gen) + `}`)
 			step(func() (*Job, error) { return s.CommitUpdate(j.ID, c.Lease.Token, progress, checkpoint) })
 		}
 		step(func() (*Job, error) { return s.Complete(j.ID, c.Lease.Token, Done, result, "") })
@@ -258,7 +258,7 @@ func TestStoreSnapshotsAmortised(t *testing.T) {
 		t.Fatalf("reopen recovered %d jobs, want %d", len(got), lifecycles)
 	}
 	for _, j := range got {
-		if j.State != Done || !bytes.Equal(j.Result, result) {
+		if j.State != Done || !bytes.Equal(j.Result, result.Bytes()) {
 			t.Fatalf("job %s recovered as %s with result %q", j.ID, j.State, j.Result)
 		}
 	}

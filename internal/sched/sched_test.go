@@ -225,3 +225,24 @@ func TestWarmStoreKeepsBestDonor(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 }
+
+// TestWarmStoreSharesCheckpoint: the library keeps the checkpoint it is
+// offered without copying it and hands the same bytes out, capacity-
+// capped, so appending to one lookup's checkpoint copies and leaves the
+// library and the next lookup unchanged.
+func TestWarmStoreSharesCheckpoint(t *testing.T) {
+	w := NewWarmStore()
+	text := `{"v":1}`
+	cp := append(make(json.RawMessage, 0, 4*len(text)), text...)
+	w.Put("k", "j1", 500, cp, time.Unix(1000, 0).UTC())
+	a, _ := w.Get("k")
+	if &a.Checkpoint[0] != &cp[0] {
+		t.Error("Get copied the checkpoint instead of sharing it")
+	}
+	a1 := append(a.Checkpoint, 'A')
+	b, _ := w.Get("k")
+	b1 := append(b.Checkpoint, 'B')
+	if string(a1) != text+"A" || string(b1) != text+"B" || string(cp[:cap(cp)][:len(text)+1]) != text+"\x00" {
+		t.Errorf("appends to looked-up checkpoints aliased: %q %q, library %q", a1, b1, cp[:cap(cp)])
+	}
+}

@@ -42,6 +42,8 @@ func NewWarmStore() *WarmStore {
 // only when the key is new or bestCycles beats the stored donor (ties
 // keep the incumbent, so replays are order-insensitive for distinct
 // scores and stable for equal ones). Returns whether it was installed.
+// The library keeps the checkpoint's bytes without copying them, as the
+// job store does, so the caller must never write into them afterwards.
 func (w *WarmStore) Put(key, jobID string, bestCycles float64, checkpoint json.RawMessage, at time.Time) bool {
 	if key == "" || len(checkpoint) == 0 || bestCycles <= 0 {
 		return false
@@ -55,21 +57,22 @@ func (w *WarmStore) Put(key, jobID string, bestCycles float64, checkpoint json.R
 		Key:        key,
 		JobID:      jobID,
 		BestCycles: bestCycles,
-		Checkpoint: append(json.RawMessage(nil), checkpoint...),
+		Checkpoint: checkpoint[:len(checkpoint):len(checkpoint)],
 		StoredAt:   at,
 	}
 	w.puts++
 	return true
 }
 
-// Get looks up the best donor for key, counting hit/miss.
+// Get looks up the best donor for key, counting hit/miss. The entry's
+// checkpoint shares the library's bytes, capacity-capped so an append
+// copies: read it, never write into it.
 func (w *WarmStore) Get(key string) (WarmEntry, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	e, ok := w.entries[key]
 	if ok {
 		w.hits++
-		e.Checkpoint = append(json.RawMessage(nil), e.Checkpoint...)
 	} else {
 		w.misses++
 	}

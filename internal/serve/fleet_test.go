@@ -611,7 +611,7 @@ func TestJobEventsReplayAfterCompaction(t *testing.T) {
 	}
 	const extra = 140
 	for i := 0; i < window+extra; i++ {
-		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(fmt.Sprintf(`{"i":%d}`, i)), nil); err != nil {
+		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, payload(t, fmt.Sprintf(`{"i":%d}`, i)), jobs.Payload{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -660,7 +660,7 @@ func TestJobEventsReplayAfterCompaction(t *testing.T) {
 
 	// Finish the job, then ask for events past the end: immediate EOF, no
 	// data.
-	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, nil, jobs.ErrCancelled.Error()); err != nil {
+	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, jobs.Payload{}, jobs.ErrCancelled.Error()); err != nil {
 		t.Fatal(err)
 	}
 	waitJob(t, hs.URL, j.ID, func(j *JobJSON) bool { return j.State == "cancelled" })

@@ -35,14 +35,14 @@ type SearchProgress struct {
 // synchronous /v1/search execution path (runTreeSearch), reusing the
 // node's service cache and the shared worker width, checkpointing at every
 // generation boundary, and resuming from job.Checkpoint when present.
-func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint json.RawMessage)) (json.RawMessage, error) {
+func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint jobs.Payload)) (jobs.Payload, error) {
 	var req SearchRequest
 	if err := json.Unmarshal(job.Request, &req); err != nil {
-		return nil, fmt.Errorf("bad search request: %w", err)
+		return jobs.Payload{}, fmt.Errorf("bad search request: %w", err)
 	}
 	spec, g, err := req.resolve()
 	if err != nil {
-		return nil, err
+		return jobs.Payload{}, err
 	}
 	var lastCP json.RawMessage
 	resp, err := s.runTreeSearch(ctx, &req, spec, g, searchKey(spec, g, &req), func(ts *mapper.TreeSearch) {
@@ -77,15 +77,18 @@ func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progr
 				c := p.BestCycles
 				prog.BestCycles = &c
 			}
-			pb, err := json.Marshal(&prog)
+			// jobs.Marshal hands json.Marshal's bytes to the store as they
+			// are: they are canonical already, and nothing writes into them
+			// afterwards (the warm library shares the last checkpoint).
+			pb, err := jobs.Marshal(&prog)
 			if err != nil {
 				return
 			}
-			cb, err := mapper.EncodeCheckpoint(p.Checkpoint)
+			cb, err := jobs.Marshal(p.Checkpoint)
 			if err != nil {
 				return
 			}
-			lastCP = cb
+			lastCP = cb.Bytes()
 			upd(pb, cb)
 			if s.afterUpdate != nil {
 				s.afterUpdate(ctx, p.Generation)
@@ -93,12 +96,12 @@ func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progr
 		}
 	})
 	if err != nil {
-		return nil, err
+		return jobs.Payload{}, err
 	}
 	if resp.TimedOut {
 		// Cancelled or draining: the manager decides the final state from
 		// the cause; the latest checkpoint is already persisted.
-		return nil, context.Cause(ctx)
+		return jobs.Payload{}, context.Cause(ctx)
 	}
 	if s.warm != nil {
 		// Offer this search's final checkpoint to the warm library; it is
@@ -109,7 +112,7 @@ func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progr
 		}
 		s.warm.Put(warmKey(spec, g), job.ID, resp.Cycles, cp, s.store.Now().UTC())
 	}
-	return json.Marshal(resp)
+	return jobs.Marshal(resp)
 }
 
 // registerWarm re-indexes a finished search into the warm-start library —

@@ -231,11 +231,11 @@ func TestJobEventsReplayAfterDrop(t *testing.T) {
 	}
 	const published = 80
 	for i := range published {
-		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, json.RawMessage(fmt.Sprintf(`{"generation":%d}`, i)), nil); err != nil {
+		if _, err := s.store.CommitUpdate(j.ID, c.Lease.Token, payload(t, fmt.Sprintf(`{"generation":%d}`, i)), jobs.Payload{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, nil, jobs.ErrCancelled.Error()); err != nil {
+	if _, err := s.store.Complete(j.ID, c.Lease.Token, jobs.Cancelled, jobs.Payload{}, jobs.ErrCancelled.Error()); err != nil {
 		t.Fatal(err)
 	}
 	close(w.gate)
@@ -510,4 +510,14 @@ func TestServerRestartRecovery(t *testing.T) {
 	if err := s2.Close(closeCtx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// payload parses a test's JSON text into a jobs.Payload.
+func payload(t *testing.T, s string) jobs.Payload {
+	t.Helper()
+	p, err := jobs.ParsePayload("test", json.RawMessage(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
