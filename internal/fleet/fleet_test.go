@@ -145,20 +145,12 @@ func newHarness(t *testing.T, ttl time.Duration, holds ...*hold) *harness {
 
 // history returns the job's events so far, in commit order.
 func (h *harness) history(id string) []*jobs.Job {
-	ch, stop := h.jobs.Subscribe(id, 0)
-	defer stop()
-	var out []*jobs.Job
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return out
-			}
-			out = append(out, ev.Job)
-		default: // the replay is buffered; what is left is live
-			return out
-		}
+	evs, _ := h.jobs.Events(id, 0)
+	out := make([]*jobs.Job, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Job
 	}
+	return out
 }
 
 // progressOf lists the progress payloads committed for a running job, in
@@ -218,36 +210,24 @@ const eventDeadline = 10 * time.Second
 func waitJob(t *testing.T, h *harness, id, what string, pred func(*jobs.Job) bool) *jobs.Job {
 	t.Helper()
 	deadline := time.After(eventDeadline)
-	after := 0
-	for final := false; ; {
-		ch, stop := h.jobs.Subscribe(id, after)
-		for open := true; open; {
-			var ev jobs.Event
-			select {
-			case ev, open = <-ch:
-			case <-deadline:
-				stop()
-				j, _ := h.store.Get(id)
-				t.Fatalf("job %s never %s (now %+v)", id, what, j)
+	for after := 0; ; {
+		evs, next := h.jobs.Events(id, after)
+		for _, ev := range evs {
+			if pred(ev.Job) {
+				return ev.Job
 			}
-			if open {
-				after = ev.Seq
-				if pred(ev.Job) {
-					stop()
-					return ev.Job
-				}
-			}
+			after = ev.Seq
 		}
-		stop()
-		if final {
+		if next == nil {
 			j, _ := h.store.Get(id)
 			t.Fatalf("job %s never %s (ended %+v)", id, what, j)
 		}
-		// The stream ended: the job is terminal, or this wait fell behind
-		// and was dropped. One more subscription after a terminal read
-		// replays the rest.
-		j, ok := h.store.Get(id)
-		final = !ok || j.State.Terminal()
+		select {
+		case <-next:
+		case <-deadline:
+			j, _ := h.store.Get(id)
+			t.Fatalf("job %s never %s (now %+v)", id, what, j)
+		}
 	}
 }
 

@@ -520,9 +520,10 @@ func TestStoreCompactionRacesInFlightAppends(t *testing.T) {
 }
 
 // TestManagerEventHistoryCompaction floods one job's event log past the
-// retention cap and checks replay semantics: a subscriber from before the
-// retained window starts at the oldest retained event, and one pointing
-// past the end of a closed log gets an immediately closed channel.
+// retention cap and checks replay semantics: a reader from before the
+// retained window starts at the oldest retained event, one pointing past
+// the end of a closed log reads nothing and finds the log closed, and a
+// view of the log keeps its events while later appends compact it.
 func TestManagerEventHistoryCompaction(t *testing.T) {
 	s, _ := Open("", newFakeClock().Now)
 	defer s.Close()
@@ -540,27 +541,34 @@ func TestManagerEventHistoryCompaction(t *testing.T) {
 		m.emit(j)
 	}
 
-	ch, stop := m.Subscribe(j.ID, 0)
-	defer stop()
-	first := <-ch
-	if want := total - maxEventHistory + 1; first.Seq != want {
-		t.Errorf("replay starts at seq %d, want %d (oldest retained)", first.Seq, want)
+	evs, _ := m.Events(j.ID, 0)
+	if want := total - maxEventHistory + 1; len(evs) == 0 || evs[0].Seq != want {
+		t.Errorf("replay starts at %+v, want seq %d (oldest retained)", evs[:min(1, len(evs))], want)
 	}
-	n := 1
-	for len(ch) > 0 {
-		<-ch
-		n++
+	if len(evs) != maxEventHistory {
+		t.Errorf("replayed %d events, want %d", len(evs), maxEventHistory)
 	}
-	if n != maxEventHistory {
-		t.Errorf("replayed %d events, want %d", n, maxEventHistory)
+	if cap(evs) != len(evs) {
+		t.Errorf("a view of %d events has capacity %d: a reader's append would write into the log", len(evs), cap(evs))
 	}
 
-	// Terminal job + replay pointer past the end: closed immediately.
-	m.closeEvents(j.ID)
-	ch2, stop2 := m.Subscribe(j.ID, total+100)
-	defer stop2()
-	if _, open := <-ch2; open {
-		t.Error("past-end subscription on closed log delivered an event")
+	// The view read above holds the same events while the log grows and
+	// compacts again.
+	for range maxEventHistory {
+		m.emit(j)
+	}
+	for i, ev := range evs {
+		if want := total - maxEventHistory + 1 + i; ev.Seq != want {
+			t.Fatalf("view element %d turned into seq %d after later appends, want %d", i, ev.Seq, want)
+		}
+	}
+
+	// Terminal job + replay pointer past the end: nothing, and closed.
+	done := j.Clone()
+	done.State = Done
+	m.emit(done)
+	if evs, next := m.Events(j.ID, total+maxEventHistory+100); len(evs) != 0 || next != nil {
+		t.Errorf("past-end read on a closed log: %d events, open %v; want none, closed", len(evs), next != nil)
 	}
 }
 
@@ -624,11 +632,13 @@ func TestStoreCommitsAreEvents(t *testing.T) {
 	s.Complete(j.ID, c.Lease.Token, Cancelled, Payload{}, ErrCancelled.Error())
 
 	var got []string
-	ch, stop := m.Subscribe(j.ID, 0)
-	for ev := range ch {
+	evs, next := m.Events(j.ID, 0)
+	for _, ev := range evs {
 		got = append(got, fmt.Sprintf("%d:%s/%d/%s/%v", ev.Seq, ev.Job.State, ev.Job.Attempts, ev.Job.Progress, ev.Job.CancelRequested))
 	}
-	stop()
+	if next != nil {
+		t.Error("the terminal commit left the event log open")
+	}
 	want := []string{
 		"1:queued/0//false", "2:running/1//false", "3:running/1/{\"g\":1}/false", "4:queued/0/{\"g\":1}/false",
 		"5:running/1/{\"g\":1}/false", "6:running/1/{\"g\":1}/true", "7:cancelled/1/{\"g\":1}/true",
@@ -647,8 +657,7 @@ func TestStoreCommitsAreEvents(t *testing.T) {
 	if kept {
 		t.Error("the tombstone left the job's event log behind")
 	}
-	ch, _ = m.Subscribe(j.ID, 0)
-	if _, open := <-ch; open {
-		t.Error("a deleted job's stream delivered an event")
+	if evs, next := m.Events(j.ID, 0); len(evs) != 0 || next != nil {
+		t.Errorf("a deleted job's stream: %d events, open %v; want none, closed", len(evs), next != nil)
 	}
 }

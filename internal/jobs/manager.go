@@ -31,8 +31,9 @@ type Runner func(ctx context.Context, job *Job, upd func(progress, checkpoint Pa
 
 // Event is one committed change to a job: a state change, a progress
 // update or a cancel request. Seq increases by 1 per job starting at 1, in
-// the order the store committed the changes, so clients resume streams
-// with "events after seq N".
+// the order the store committed the changes, so readers resume streams
+// with "events after seq N" (Manager.Events). An Event and its Job are
+// immutable once emitted: every reader shares them.
 type Event struct {
 	Seq int
 	Job *Job
@@ -55,8 +56,8 @@ const localOwner = "local"
 
 // maxEventHistory bounds one job's retained event history. A long search
 // emits one event per generation; past the cap the oldest events are
-// compacted away and a subscriber replaying from before the retained
-// window simply starts at the oldest retained event.
+// compacted away and a reader replaying from before the retained window
+// simply starts at the oldest retained event.
 const maxEventHistory = 512
 
 // Manager owns the worker pool on top of a Store. Workers pull work by
@@ -69,6 +70,10 @@ const maxEventHistory = 512
 // in the store at construction (fresh submissions from a previous
 // process, or running jobs the store re-queued during crash recovery)
 // are scheduled immediately.
+//
+// The manager also keeps each job's event log — the snapshots the store
+// committed, in commit order — which readers follow by cursor through
+// Events.
 type Manager struct {
 	store   *Store
 	runner  Runner
@@ -87,11 +92,15 @@ type Manager struct {
 	events map[string]*eventLog
 }
 
-// eventLog is one job's event history plus live subscribers.
+// eventLog is one job's retained event history. hist only ever grows at
+// its end, and compaction re-slices its front away, so nothing writes into
+// an element a reader's view of it can see.
 type eventLog struct {
-	seq    int
-	hist   []Event
-	subs   map[chan Event]bool
+	seq  int
+	hist []Event
+	// next is made when a reader first waits and closed by the next
+	// append.
+	next   chan struct{}
 	closed bool
 }
 
@@ -184,17 +193,13 @@ func (m *Manager) cancelLocal(id string) bool {
 	return ok
 }
 
-// dropEvents forgets a deleted job's event history entirely.
+// dropEvents forgets a deleted job's event history entirely. Retention
+// deletes only terminal jobs, whose logs are closed, so no reader waits
+// on it.
 func (m *Manager) dropEvents(id string) {
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
-	if log, ok := m.events[id]; ok {
-		for ch := range log.subs {
-			delete(log.subs, ch)
-			close(ch)
-		}
-		delete(m.events, id)
-	}
+	delete(m.events, id)
 }
 
 // Stats is the metrics view of the job system.
@@ -365,117 +370,91 @@ func (m *Manager) observe(j *Job) {
 		return
 	}
 	m.emit(j)
-	switch {
-	case j.State.Terminal():
-		m.closeEvents(j.ID)
-	case j.CancelRequested:
+	if j.CancelRequested && !j.State.Terminal() {
 		m.cancelLocal(j.ID)
 	}
 }
 
-// emit appends a job snapshot to its event log and fans it out. A
-// subscriber too slow to keep up has its channel closed; it can
-// re-subscribe from the last seq it saw.
+// emit appends a job snapshot to its event log, closes the log if the
+// snapshot is terminal, and wakes the readers waiting for it.
 //
 // emit takes ownership of j: the store has just cloned it for this
-// commit, and subscribers read it from other goroutines, so nothing may
+// commit, and readers share it from other goroutines, so nothing may
 // mutate j after the call.
 func (m *Manager) emit(j *Job) {
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
 	log := m.eventLogLocked(j.ID)
 	log.seq++
-	ev := Event{Seq: log.seq, Job: j}
-	log.hist = append(log.hist, ev)
-	if len(log.hist) > maxEventHistory {
-		// Compact: drop the oldest events. Seq numbering is untouched, so a
-		// subscriber resuming from before the retained window replays from
-		// the oldest retained event (and one pointing past the end replays
-		// nothing at all).
-		drop := len(log.hist) - maxEventHistory
-		log.hist = append([]Event(nil), log.hist[drop:]...)
+	log.hist = append(log.hist, Event{Seq: log.seq, Job: j})
+	if drop := len(log.hist) - maxEventHistory; drop > 0 {
+		// Compact by re-slicing, which leaves readers' views valid. Seq
+		// numbering is untouched, so a reader resuming from before the
+		// retained window replays from the oldest retained event (and one
+		// pointing past the end replays nothing at all).
+		log.hist = log.hist[drop:]
 	}
-	for ch := range log.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(log.subs, ch)
-			close(ch)
-		}
+	if j.State.Terminal() {
+		log.closed = true
 	}
-}
-
-// closeEvents marks a job's stream finished: live subscribers are closed
-// after the history they already received, and later subscribers get the
-// replay followed by an immediate close.
-func (m *Manager) closeEvents(id string) {
-	m.evmu.Lock()
-	defer m.evmu.Unlock()
-	log := m.eventLogLocked(id)
-	log.closed = true
-	for ch := range log.subs {
-		delete(log.subs, ch)
-		close(ch)
+	if log.next != nil {
+		close(log.next)
+		log.next = nil
 	}
 }
 
 func (m *Manager) eventLogLocked(id string) *eventLog {
 	log, ok := m.events[id]
 	if !ok {
-		log = &eventLog{subs: map[chan Event]bool{}}
+		log = &eventLog{}
 		m.events[id] = log
 	}
 	return log
 }
 
-// Subscribe returns a channel that replays the job's event history with
-// Seq > after and then streams live events. The channel closes when the
-// job reaches a terminal state or the subscriber falls too far behind
-// (re-subscribe with the last seq to continue). The returned stop function
-// must be called when done.
+// Events returns the job's retained events with Seq > after, oldest
+// first, and a channel the next event closes. A reader follows a job by
+// reading after the last seq it saw each time next closes; it is never
+// dropped, and one that falls behind the retention window resumes at the
+// oldest retained event. evs is a capacity-capped view of the log, not a
+// copy: it stays valid because events are immutable and the log only
+// grows. next is nil once the log is closed — the job is terminal,
+// deleted or unknown — and nothing more will come.
 //
 // A job that was already terminal when this process first needed its
 // event log (it finished before a restart) has nothing left to stream:
-// its log is the stored snapshot as event 1, closed. A job the store does
-// not hold gets a closed, empty channel.
-func (m *Manager) Subscribe(id string, after int) (<-chan Event, func()) {
-	// Read the store before taking evmu: the store calls observe, which
-	// takes evmu, under its own lock, so the locks nest only that way.
-	j, found := m.store.Get(id)
+// its log is the stored snapshot as event 1, closed.
+func (m *Manager) Events(id string, after int) (evs []Event, next <-chan struct{}) {
 	m.evmu.Lock()
 	defer m.evmu.Unlock()
 	log, ok := m.events[id]
-	switch {
-	case ok:
-	case !found:
-		// Never created, or deleted by retention: nothing will stream.
-		log = &eventLog{closed: true}
-	default:
-		log = m.eventLogLocked(id)
-		if j.State.Terminal() {
-			log.seq = 1
-			log.hist = []Event{{Seq: 1, Job: j}}
-			log.closed = true
-		}
-	}
-	ch := make(chan Event, len(log.hist)+64)
-	for _, ev := range log.hist {
-		if ev.Seq > after {
-			ch <- ev
-		}
-	}
-	if log.closed {
-		close(ch)
-		return ch, func() {}
-	}
-	log.subs[ch] = true
-	stop := func() {
+	if !ok {
+		// Read the store without evmu: the store calls observe, which takes
+		// evmu, under its own lock, so the locks nest only that way.
+		m.evmu.Unlock()
+		j, found := m.store.Get(id)
 		m.evmu.Lock()
-		defer m.evmu.Unlock()
-		if log.subs[ch] {
-			delete(log.subs, ch)
-			close(ch)
+		if log, ok = m.events[id]; !ok {
+			if !found {
+				// Never created, or deleted by retention: nothing will stream.
+				return nil, nil
+			}
+			log = m.eventLogLocked(id)
+			if j.State.Terminal() {
+				log.seq = 1
+				log.hist = []Event{{Seq: 1, Job: j}}
+				log.closed = true
+			}
 		}
 	}
-	return ch, stop
+	n := len(log.hist)
+	oldest := log.seq - n + 1
+	evs = log.hist[min(max(after-oldest+1, 0), n):n:n]
+	if log.closed {
+		return evs, nil
+	}
+	if log.next == nil {
+		log.next = make(chan struct{})
+	}
+	return evs, log.next
 }

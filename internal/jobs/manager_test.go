@@ -9,34 +9,53 @@ import (
 	"time"
 )
 
-// waitState waits on the job's event stream until the job reaches want or
+// waitState follows the job's event log until the job reaches want or
 // the deadline passes. The store commits each state before its event is
 // emitted, so a read after an event sees that state or a later one.
 func waitState(t *testing.T, m *Manager, id string, want State) *Job {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
-	ch, stop := m.Subscribe(id, 0)
-	defer func() { stop() }()
-	seq := 0
-	for {
+	for after := 0; ; {
 		j, ok := m.Get(id)
 		if ok && j.State == want {
 			return j
 		}
+		evs, next := m.Events(id, after)
+		if len(evs) > 0 {
+			after = evs[len(evs)-1].Seq
+			continue
+		}
+		if next == nil {
+			// The log closed with the job: no later state can come.
+			t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
+		}
 		select {
 		case <-deadline:
 			t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
-		case ev, open := <-ch:
-			switch {
-			case open:
-				seq = ev.Seq
-			case ok && j.State.Terminal():
-				// The stream ended with the job: no later state can come.
-				t.Fatalf("job %s never reached %s (now %+v)", id, want, j)
-			default:
-				// Dropped for falling behind: resume after the last event.
-				ch, stop = m.Subscribe(id, seq)
-			}
+		case <-next:
+		}
+	}
+}
+
+// follow reads the job's events after seq after, in order, passing each
+// to f, until the log closes. It gives up with t.Error once five seconds
+// pass without a new event, so goroutines other than the test's may call
+// it.
+func follow(t *testing.T, m *Manager, id string, after int, f func(Event)) {
+	for {
+		evs, next := m.Events(id, after)
+		for _, ev := range evs {
+			f(ev)
+			after = ev.Seq
+		}
+		if next == nil {
+			return
+		}
+		select {
+		case <-next:
+		case <-time.After(5 * time.Second):
+			t.Errorf("job %s: no event after seq %d for 5s, and the log is still open", id, after)
+			return
 		}
 	}
 }
@@ -241,8 +260,8 @@ func TestManagerDrainRequeuesWithCheckpoint(t *testing.T) {
 }
 
 // TestSubscribeTerminalAfterRestart: a job that finished before a restart
-// has no events in the new process; subscribing to it yields its stored
-// snapshot and a closed channel instead of an open, empty stream.
+// has no events in the new process; reading its events yields its stored
+// snapshot and a closed log instead of an open, empty one.
 func TestSubscribeTerminalAfterRestart(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
@@ -274,20 +293,16 @@ func TestSubscribeTerminalAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Drain(context.Background())
-	ch, stop := m2.Subscribe(j.ID, 0)
-	defer stop()
-	ev, open := <-ch
-	if !open || ev.Seq != 1 || ev.Job.State != Done || string(ev.Job.Result) != `{"ok":true}` {
-		t.Fatalf("first event %+v (open %v), want the stored done snapshot as seq 1", ev, open)
+	evs, next := m2.Events(j.ID, 0)
+	if len(evs) != 1 || evs[0].Seq != 1 || evs[0].Job.State != Done || string(evs[0].Job.Result) != `{"ok":true}` {
+		t.Fatalf("events %+v, want the stored done snapshot as seq 1", evs)
 	}
-	if _, open := <-ch; open {
+	if next != nil {
 		t.Fatal("stream of a job finished before the restart stayed open")
 	}
-	// A resubscription after the snapshot replays nothing and is closed.
-	ch2, stop2 := m2.Subscribe(j.ID, 1)
-	defer stop2()
-	if _, open := <-ch2; open {
-		t.Error("subscribe after the snapshot replayed something")
+	// A read after the snapshot replays nothing and is closed.
+	if evs, next := m2.Events(j.ID, 1); len(evs) != 0 || next != nil {
+		t.Errorf("read after the snapshot: %d events, open %v; want none, closed", len(evs), next != nil)
 	}
 }
 
@@ -308,44 +323,153 @@ func TestManagerEventsReplayAndLive(t *testing.T) {
 	j, _ := m.Submit("search", nil)
 	waitState(t, m, j.ID, Running)
 
-	ch, stop := m.Subscribe(j.ID, 0)
-	defer stop()
-	close(release)
-
+	// The runner goes on once the reader holds its first event, so the
+	// rest reach it live.
 	var states []State
 	var lastSeq int
-	for ev := range ch {
+	follow(t, m, j.ID, 0, func(ev Event) {
+		if lastSeq == 0 {
+			close(release)
+		}
 		if ev.Seq <= lastSeq {
 			t.Fatalf("seq went backwards: %d after %d", ev.Seq, lastSeq)
 		}
 		lastSeq = ev.Seq
 		states = append(states, ev.Job.State)
-		if ev.Job.State.Terminal() {
-			break
-		}
-	}
+	})
 	if len(states) == 0 || states[len(states)-1] != Done {
 		t.Fatalf("event stream states %v, want trailing done", states)
 	}
 
-	// A late subscriber replays history and the channel closes (job is
+	// A late reader replays history and the log is closed (job is
 	// terminal).
 	waitState(t, m, j.ID, Done)
-	ch2, stop2 := m.Subscribe(j.ID, 0)
-	defer stop2()
-	n := 0
-	for ev := range ch2 {
-		n++
-		lastSeq = ev.Seq
+	evs, next := m.Events(j.ID, 0)
+	if len(evs) == 0 {
+		t.Fatal("late reader got no replay")
 	}
-	if n == 0 {
-		t.Fatal("late subscriber got no replay")
+	if next != nil {
+		t.Error("late reader found the log of a done job open")
 	}
+	lastSeq = evs[len(evs)-1].Seq
 	// Resume-from-seq skips history already seen.
-	ch3, stop3 := m.Subscribe(j.ID, lastSeq)
-	defer stop3()
-	if _, open := <-ch3; open {
-		t.Error("subscribe after last seq replayed something")
+	if evs, next := m.Events(j.ID, lastSeq); len(evs) != 0 || next != nil {
+		t.Error("read after last seq replayed something")
+	}
+}
+
+// TestStalledReaderResumesFromCursor: a reader that stops reading while
+// a job commits hundreds of events is not dropped. Its next channel is
+// closed, and one read from its cursor returns every later seq in order
+// through the terminal event, without replaying what it already had.
+func TestStalledReaderResumesFromCursor(t *testing.T) {
+	s, _ := Open("", newFakeClock().Now)
+	defer s.Close()
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return Payload{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+
+	j, _ := s.Create("search", nil)
+	evs, next := m.Events(j.ID, 0)
+	if len(evs) != 1 || next == nil {
+		t.Fatalf("a queued job's log: %d events, open %v; want its create, open", len(evs), next != nil)
+	}
+	cursor := evs[0].Seq
+	c, err := s.ClaimNext("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const updates = 300
+	for i := range updates {
+		if _, err := s.CommitUpdate(j.ID, c.Lease.Token, payload(fmt.Sprintf(`{"generation":%d}`, i)), Payload{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Complete(j.ID, c.Lease.Token, Done, payload(`{}`), ""); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-next:
+	default:
+		t.Fatal("the appends left the stalled reader's next channel open")
+	}
+
+	var seqs []int
+	var last Event
+	follow(t, m, j.ID, cursor, func(ev Event) {
+		seqs = append(seqs, ev.Seq)
+		last = ev
+	})
+	want := 1 + 1 + updates + 1 // create, claim, the updates, completion
+	if len(seqs) != want-cursor {
+		t.Fatalf("read %d events after seq %d, want %d", len(seqs), cursor, want-cursor)
+	}
+	for i, seq := range seqs {
+		if seq != cursor+1+i {
+			t.Fatalf("event %d after the cursor is seq %d, want %d", i, seq, cursor+1+i)
+		}
+	}
+	if last.Job.State != Done {
+		t.Errorf("last event state %s, want done", last.Job.State)
+	}
+}
+
+// TestEventsReadAllocs: reading a job's existing log allocates nothing —
+// the events come back as a view, and the next channel already exists —
+// and takes no store lock: the test holds it throughout the reads. The
+// fewest allocations of 20 single calls is the figure, which the race
+// detector's sync.Pool drops do not move.
+func TestEventsReadAllocs(t *testing.T) {
+	s, _ := Open("", newFakeClock().Now)
+	defer s.Close()
+	m, err := NewManager(s, Config{Workers: -1, Runner: func(ctx context.Context, j *Job, upd func(p, c Payload)) (Payload, error) {
+		return Payload{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	j, _ := s.Create("search", nil)
+	c, err := s.ClaimNext("w", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.CommitUpdate(j.ID, c.Lease.Token, payload(`{"generation":1}`), Payload{}); err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := m.Events(j.ID, 0) // a reader that waits makes the next channel
+	last := evs[len(evs)-1].Seq
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	type result struct {
+		allocs float64
+		ok     bool
+	}
+	read := make(chan result, 1)
+	go func() {
+		ok := true
+		allocs := fewestAllocs(20, func() {
+			all, next := m.Events(j.ID, 0)
+			none, _ := m.Events(j.ID, last)
+			ok = ok && len(all) == len(evs) && len(none) == 0 && next != nil
+		})
+		read <- result{allocs, ok}
+	}()
+	select {
+	case r := <-read:
+		if !r.ok {
+			t.Errorf("reads of a running job's log returned other than its %d events, then none, with the log open", len(evs))
+		}
+		if r.allocs != 0 {
+			t.Errorf("reading an existing log: %v allocs, want 0", r.allocs)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read of an existing log waited on the store lock")
 	}
 }
 
@@ -391,7 +515,7 @@ func TestManagerStats(t *testing.T) {
 }
 
 // TestEventSnapshotsSharedWithoutRace: an event carries the very snapshot
-// the store made for it, so an SSE-style subscriber reading every field of
+// the store made for it, so an SSE-style reader reading every field of
 // every event while the runner commits, and the submitter reading the job
 // Submit returned, must never see a write to it. Run under -race.
 func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
@@ -418,22 +542,14 @@ func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
 	}
 	done := make(chan int)
 	go func() {
-		seen, last := 0, 0
-		for {
-			ch, stop := m.Subscribe(j.ID, last)
-			for ev := range ch {
-				if _, err := json.Marshal(ev.Job); err != nil {
-					t.Error(err)
-				}
-				seen, last = seen+1, ev.Seq
-				if ev.Job.State.Terminal() {
-					stop()
-					done <- seen
-					return
-				}
+		seen := 0
+		follow(t, m, j.ID, 0, func(ev Event) {
+			if _, err := json.Marshal(ev.Job); err != nil {
+				t.Error(err)
 			}
-			stop() // fell behind: resume after the last event seen
-		}
+			seen++
+		})
+		done <- seen
 	}()
 	close(start)
 	for {
@@ -445,7 +561,7 @@ func TestEventSnapshotsSharedWithoutRace(t *testing.T) {
 		}
 	}
 	if seen := <-done; seen < 2 {
-		t.Errorf("subscriber saw %d events", seen)
+		t.Errorf("reader saw %d events", seen)
 	}
 }
 

@@ -31,7 +31,7 @@ func bytesPerCall(f func()) uint64 {
 }
 
 // TestSnapshotBytesIndependentOfPayloadSize: Store.Get and
-// Manager.Subscribe share a job's payloads instead of copying them, so a
+// Manager.Events share a job's payloads instead of copying them, so a
 // job holding a 64-KB checkpoint costs them no more bytes than one
 // holding a 1-KB checkpoint.
 func TestSnapshotBytesIndependentOfPayloadSize(t *testing.T) {
@@ -68,10 +68,7 @@ func TestSnapshotBytesIndependentOfPayloadSize(t *testing.T) {
 		call func(id string)
 	}{
 		{"Store.Get", func(id string) { s.Get(id) }},
-		{"Manager.Subscribe", func(id string) {
-			_, stop := m.Subscribe(id, 0)
-			stop()
-		}},
+		{"Manager.Events", func(id string) { m.Events(id, 0) }},
 	} {
 		b1 := bytesPerCall(func() { c.call(small) })
 		b64 := bytesPerCall(func() { c.call(large) })

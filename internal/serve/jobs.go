@@ -297,9 +297,12 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobEvents answers GET /v1/jobs/{id}/events with a Server-Sent
-// Events stream of job snapshots: the full history first (or the part
+// Events stream of job snapshots: the retained history first (or the part
 // after ?after=N / Last-Event-ID), then live updates until the job
-// reaches a terminal state or the client goes away.
+// reaches a terminal state or the client goes away. It reads the job's
+// event log by cursor (jobs.Manager.Events), so however slowly the client
+// reads, the stream carries every retained event through the terminal
+// one.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IncRequest("jobs_events")
 	id := r.PathValue("id")
@@ -323,44 +326,24 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	for final := false; ; {
-		ch, stop := s.jobs.Subscribe(id, after)
-		streaming := true
-		for streaming {
-			select {
-			case <-r.Context().Done():
-				stop()
-				return
-			case ev, open := <-ch:
-				if !open {
-					// Terminal job, or this client fell behind and was
-					// dropped; re-subscribing after the last seq resolves
-					// both.
-					streaming = false
-					break
-				}
-				after = ev.Seq
-				b, err := json.Marshal(NewJobJSON(ev.Job))
-				if err != nil {
-					continue
-				}
-				fmt.Fprintf(w, "id: %d\nevent: job\ndata: %s\n\n", ev.Seq, b)
-				flusher.Flush()
+	for {
+		evs, next := s.jobs.Events(id, after)
+		for _, ev := range evs {
+			after = ev.Seq
+			b, err := json.Marshal(NewJobJSON(ev.Job))
+			if err != nil {
+				continue
 			}
+			fmt.Fprintf(w, "id: %d\nevent: job\ndata: %s\n\n", ev.Seq, b)
 		}
-		stop()
-		if final {
+		flusher.Flush()
+		if next == nil {
 			return
 		}
-		// A client dropped for falling behind may not have seen the last
-		// events. The store publishes a job's terminal event and closes
-		// its log in the commit that makes it terminal, so once the job
-		// reads terminal, one more subscription replays the rest and
-		// ends.
-		j, ok := s.jobs.Get(id)
-		if !ok {
+		select {
+		case <-r.Context().Done():
 			return
+		case <-next:
 		}
-		final = j.State.Terminal()
 	}
 }

@@ -706,8 +706,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // evaluateGroup runs one structure-sharing group of batch items through
 // Program.EvaluateBatch under a single worker-pool slot: the group compiles
-// once, from its first compilable tiling, and every tiling is re-bound into
-// that Program instead of compiling per item. Each item's result is
+// once, from its first tiling, and every tiling is re-bound into that
+// Program instead of compiling per item. Each item's result is
 // bit-identical to the single-request route (pinned by the conformance
 // differentials), so outcomes enter the same response cache.
 func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*batchPoint, items []BatchItem) {
@@ -729,20 +729,19 @@ func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*bat
 	var results []*core.Result
 	var errs []error
 	perr := s.pool.Do(ctx, func() error {
-		// Seed the Program from the first compilable tiling; items whose own
-		// tiling is invalid get their per-item error from the batch re-bind
-		// below, identical to what their own compile would say.
-		var p *core.Program
-		cerrs := make([]error, len(roots))
-		for j, root := range roots {
-			if p, cerrs[j] = core.Compile(root, dp0.g, dp0.spec); cerrs[j] == nil {
-				break
-			}
-		}
-		if p == nil {
-			// Every tiling failed to compile: report each item's own error.
+		// Every Compile rule reads only what the group's programKey fixes
+		// (arch, graph, structure), so either every tiling compiles or none
+		// does. An item whose tiling is invalid gets its error from the
+		// batch re-bind below, identical to what its own compile would say;
+		// if the first tiling does not compile, each item's own compile
+		// supplies its own message.
+		p, err := core.Compile(roots[0], dp0.g, dp0.spec)
+		if err != nil {
 			for j, pt := range pts {
-				items[pt.idx].Error = cerrs[j].Error()
+				if j > 0 {
+					_, err = core.Compile(roots[j], dp0.g, dp0.spec)
+				}
+				items[pt.idx].Error = err.Error()
 			}
 			return nil
 		}
