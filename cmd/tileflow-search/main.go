@@ -34,7 +34,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/mapper"
 	"repro/internal/notation"
@@ -61,29 +60,24 @@ func main() {
 	maxAttempts := flag.Int("max-attempts", 0, "failovers before the job is quarantined as poisoned (server mode; 0 = server default)")
 	flag.Parse()
 
+	o := &remoteOpts{
+		server: *server, archName: *archName, archFile: *archFile,
+		workload: *workloadName, pop: *pop, gens: *gens,
+		tileRounds: *tileRounds, seed: *seed,
+		tenant: *tenant, class: *class, warmStart: *warmStart,
+		maxAttempts: *maxAttempts, jsonOut: *jsonOut,
+	}
 	if *server != "" {
-		code, err := runRemote(&remoteOpts{
-			server: *server, archName: *archName, archFile: *archFile,
-			workload: *workloadName, pop: *pop, gens: *gens,
-			tileRounds: *tileRounds, seed: *seed,
-			tenant: *tenant, class: *class, warmStart: *warmStart,
-			maxAttempts: *maxAttempts, jsonOut: *jsonOut,
-		}, os.Stdout)
+		code, err := runRemote(o, os.Stdout)
 		fatalIf(err)
 		os.Exit(code)
 	}
 
-	var spec *arch.Spec
-	var err error
-	if *archFile != "" {
-		src, rerr := os.ReadFile(*archFile)
-		fatalIf(rerr)
-		spec, err = arch.ParseSpec(string(src))
-	} else {
-		spec, err = serve.PickArch(*archName)
-	}
+	// Local mode resolves the design point the way the service resolves
+	// the same submission.
+	req, err := o.request()
 	fatalIf(err)
-	g, err := serve.PickGraph(*workloadName)
+	spec, g, err := req.Resolve()
 	fatalIf(err)
 
 	s := &mapper.TreeSearch{
@@ -145,7 +139,8 @@ func main() {
 	}
 }
 
-// remoteOpts carries the server-submit parameters.
+// remoteOpts carries the search flags: local mode resolves the design
+// point they name, server mode submits them all as a job.
 type remoteOpts struct {
 	server, archName, archFile, workload string
 	pop, gens, tileRounds                int
@@ -166,24 +161,9 @@ const exitQuota = 3
 // Error bodies from the server are relayed to stdout byte-for-byte — a
 // quota 429 renders identically here and over raw HTTP.
 func runRemote(o *remoteOpts, stdout io.Writer) (int, error) {
-	req := serve.SearchRequest{
-		Arch:        o.archName,
-		Workload:    o.workload,
-		Population:  o.pop,
-		Generations: o.gens,
-		TileRounds:  o.tileRounds,
-		Seed:        o.seed,
-		Tenant:      o.tenant,
-		Class:       o.class,
-		WarmStart:   o.warmStart,
-		MaxAttempts: o.maxAttempts,
-	}
-	if o.archFile != "" {
-		src, err := os.ReadFile(o.archFile)
-		if err != nil {
-			return 1, err
-		}
-		req.Arch, req.ArchSpec = "", string(src)
+	req, err := o.request()
+	if err != nil {
+		return 1, err
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
@@ -250,6 +230,31 @@ func runRemote(o *remoteOpts, stdout io.Writer) (int, error) {
 	fmt.Fprintf(stdout, "encoding:    %s\n", res.Encoding)
 	fmt.Fprintf(stdout, "factors:     %v\n", res.Factors)
 	return 0, nil
+}
+
+// request is the SearchRequest the flags name, with -arch-file read into
+// its inline arch_spec.
+func (o *remoteOpts) request() (serve.SearchRequest, error) {
+	req := serve.SearchRequest{
+		Arch:        o.archName,
+		Workload:    o.workload,
+		Population:  o.pop,
+		Generations: o.gens,
+		TileRounds:  o.tileRounds,
+		Seed:        o.seed,
+		Tenant:      o.tenant,
+		Class:       o.class,
+		WarmStart:   o.warmStart,
+		MaxAttempts: o.maxAttempts,
+	}
+	if o.archFile != "" {
+		src, err := os.ReadFile(o.archFile)
+		if err != nil {
+			return req, err
+		}
+		req.Arch, req.ArchSpec = "", string(src)
+	}
+	return req, nil
 }
 
 func terminalState(s string) bool {

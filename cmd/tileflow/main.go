@@ -21,19 +21,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/diag"
-	"repro/internal/mapper"
 	"repro/internal/notation"
 	"repro/internal/serve"
-	"repro/internal/workload"
-	"repro/internal/yamlfe"
 )
 
 // stopProfile finalizes any active profiler. runMain calls it before
@@ -141,66 +138,20 @@ func evalMain(fs *flag.FlagSet, f evalFlags) error {
 	}
 	defer stopProfile()
 
-	opts := core.Options{SkipCapacityCheck: f.skipCapacity}
-	var spec *arch.Spec
-	var root *core.Node
-	var g *workload.Graph
-	var dfName string
-	var tunedFactors map[string]int
-	var err error
-	if f.config == "" {
-		if spec, err = pickSpec(f.archFile, f.arch); err != nil {
-			return err
-		}
+	// Build the request POST /v1/evaluate would receive and resolve it
+	// through the service, so -json output is the service's response body.
+	req, err := designRequest(f.config, f.notationFile, f.dataflow, f.workload, f.archFile, f.arch)
+	if err != nil {
+		return usageErr(err)
 	}
-	switch {
-	case f.config != "":
-		src, err := os.ReadFile(f.config)
-		if err != nil {
-			return usageErr(err)
-		}
-		cfg, err := yamlfe.LoadStrict(string(src))
-		if err != nil {
-			return usageErr(err)
-		}
-		spec, g, root = cfg.Spec, cfg.Graph, cfg.Root
-		// The name the server reports for this input form, keeping the
-		// -json output byte-comparable to POST /v1/evaluate.
-		dfName = "config"
-	case f.notationFile != "":
-		src, err := os.ReadFile(f.notationFile)
-		if err != nil {
-			return usageErr(err)
-		}
-		if g, err = serve.PickGraph(f.workload); err != nil {
-			return usageErr(err)
-		}
-		if root, err = notation.Parse(string(src), g); err != nil {
-			return usageErr(err)
-		}
-		dfName = f.notationFile
-	default:
-		df, err := serve.PickDataflow(f.dataflow, f.workload, spec)
-		if err != nil {
-			return usageErr(err)
-		}
-		g = df.Graph()
-		dfName = df.Name()
-		factors := df.DefaultFactors()
-		if f.tune > 0 {
-			ev := mapper.Tune(df, spec, opts, f.tune, f.seed)
-			if ev == nil {
-				return fmt.Errorf("no valid mapping found for %s", df.Name())
-			}
-			factors = ev.Factors
-			tunedFactors = factors
-			if !f.jsonOut {
-				fmt.Printf("tuned factors: %v\n", factors)
-			}
-		}
-		if root, err = df.Build(factors); err != nil {
-			return err
-		}
+	req.Tune, req.Seed, req.SkipCapacityCheck = f.tune, f.seed, f.skipCapacity
+	tree, err := serve.ResolveTree(context.Background(), req)
+	if err != nil {
+		return err
+	}
+	root, g, spec := tree.Root, tree.Graph, tree.Spec
+	if tuned := tree.Response.TunedFactors; tuned != nil && !f.jsonOut {
+		fmt.Printf("tuned factors: %v\n", tuned)
 	}
 	if f.tree {
 		fmt.Print(root.String())
@@ -209,37 +160,27 @@ func evalMain(fs *flag.FlagSet, f evalFlags) error {
 		fmt.Print(notation.Print(root))
 	}
 	if f.explain {
-		reports, err := core.Explain(root, g, spec, opts)
+		reports, err := core.Explain(root, g, spec, tree.Opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(core.RenderReports(reports))
 	}
-	res, err := core.Evaluate(root, g, spec, opts)
+	res, resp, err := tree.Evaluate(context.Background())
 	if err != nil {
 		return err
 	}
 	stopProfile()
 
 	if f.jsonOut {
-		// The exact EvaluateResponse the server returns for this design
-		// point, so CLI and server outputs are byte-comparable. The server
-		// names the notation form "notation"; the text header below keeps
-		// the file path.
-		jsonName := dfName
-		if f.notationFile != "" {
-			jsonName = "notation"
-		}
-		resp := &serve.EvaluateResponse{
-			Workload:     g.Name,
-			Dataflow:     jsonName,
-			Arch:         spec.Name,
-			TunedFactors: tunedFactors,
-			Result:       serve.NewResultJSON(res, spec),
-		}
 		return json.NewEncoder(os.Stdout).Encode(resp)
 	}
 
+	// The text header names a notation input by its file.
+	dfName := resp.Dataflow
+	if f.notationFile != "" {
+		dfName = f.notationFile
+	}
 	fmt.Printf("workload:       %s\n", g.Name)
 	fmt.Printf("dataflow:       %s on %s\n", dfName, spec.Name)
 	fmt.Printf("cycles:         %.4g (%.3f ms @ %.2f GHz)\n", res.Cycles, res.Cycles/(spec.FreqGHz*1e9)*1e3, spec.FreqGHz)
@@ -307,24 +248,9 @@ func startProfile(spec string) error {
 	}
 }
 
-// pickSpec resolves the accelerator from -arch-file or -arch. Failures are
-// caller mistakes (exit 2), the CLI analogue of the service's 400.
-func pickSpec(archFile, archName string) (*arch.Spec, error) {
-	if archFile != "" {
-		src, err := os.ReadFile(archFile)
-		if err != nil {
-			return nil, usageErr(err)
-		}
-		spec, err := arch.ParseSpec(string(src))
-		return spec, usageErr(err)
-	}
-	spec, err := serve.PickArch(archName)
-	return spec, usageErr(err)
-}
-
-// usageError marks a caller mistake — bad flags, unknown catalog names,
-// unreadable input files — so exitCodeFor maps it to 2 like the service
-// maps resolve failures to 400.
+// usageError marks a CLI-local mistake, such as an unreadable input
+// file, so exitCodeFor maps it to 2 like the service maps resolve
+// failures to 400.
 type usageError struct{ err error }
 
 func (e *usageError) Error() string { return e.err.Error() }
@@ -347,24 +273,25 @@ const (
 	exitCanceled   = 5 // 499
 )
 
-// exitCodeFor classifies an error exactly like the service's statusFor, so
-// scripts can distinguish "fix your mapping" from "shrink your design
+// statusExit maps each service status to its exit code; any other status
+// is exitInternal.
+var statusExit = map[int]int{
+	http.StatusBadRequest:          exitInvalid,
+	http.StatusUnprocessableEntity: exitInfeasible,
+	http.StatusGatewayTimeout:      exitTimeout,
+	499:                            exitCanceled, // client closed request
+}
+
+// exitCodeFor classifies an error with the service's own status function,
+// so scripts can distinguish "fix your mapping" from "shrink your design
 // point" from "the tool broke" without parsing stderr.
 func exitCodeFor(err error) int {
 	var ue *usageError
-	switch {
-	case err == nil:
-		return exitOK
-	case errors.As(err, &ue):
+	if errors.As(err, &ue) {
 		return exitInvalid
-	case errors.Is(err, context.DeadlineExceeded):
-		return exitTimeout
-	case errors.Is(err, context.Canceled):
-		return exitCanceled
-	case errors.Is(err, core.ErrInvalidMapping):
-		return exitInvalid
-	case errors.Is(err, core.ErrInfeasible):
-		return exitInfeasible
+	}
+	if code, ok := statusExit[serve.StatusFor(err)]; ok {
+		return code
 	}
 	return exitInternal
 }
@@ -423,11 +350,8 @@ func runAnalyze(args []string) int {
 		fmt.Fprintln(os.Stderr, "tileflow analyze:", err)
 		return 2
 	}
-	if *configFile != "" && (*notationFile != "" || *dataflowName != "") {
-		return fail(fmt.Errorf("-config excludes -notation-file and -dataflow"))
-	}
-	if *configFile == "" && *notationFile == "" && *dataflowName == "" {
-		return fail(fmt.Errorf("one of -config, -notation-file or -dataflow is required"))
+	if err := analyzerInput(fs); err != nil {
+		return fail(err)
 	}
 	// Build the exact request POST /v1/analyze would receive and run it
 	// through the same function, so -json output is byte-identical to the
@@ -499,13 +423,7 @@ func runVet(args []string) int {
 	if *codes {
 		return printCodes(*jsonOut)
 	}
-	// The same input-selection rule the evaluate path and the service
-	// enforce: a config is self-contained and excludes the other forms.
-	shape := flagShape(fs)
-	if shape.ConfigYAML == "" && shape.Notation == "" && shape.Dataflow == "" {
-		return fail(fmt.Errorf("one of -config, -notation-file or -dataflow is required"))
-	}
-	if _, err := serve.SelectInput(shape); err != nil {
+	if err := analyzerInput(fs); err != nil {
 		return fail(err)
 	}
 	// Build the exact request POST /v1/vet would receive and run it
@@ -531,8 +449,21 @@ func runVet(args []string) int {
 	return report.ExitCode()
 }
 
+// analyzerInput enforces, on the flags of vet or analyze, the
+// input-selection rule the evaluate path and the service enforce: a config
+// is self-contained and excludes the other forms. Unlike evaluate, the
+// analyzers have no default mapping, so one form must be named.
+func analyzerInput(fs *flag.FlagSet) error {
+	shape := flagShape(fs)
+	if shape.ConfigYAML == "" && shape.Notation == "" && shape.Dataflow == "" {
+		return fmt.Errorf("one of -config, -notation-file or -dataflow is required")
+	}
+	_, err := serve.SelectInput(shape)
+	return err
+}
+
 // designRequest builds the EvaluateRequest the HTTP API receives for the
-// analyzer subcommands' design-point flags, reading the named files. A
+// design-point flags of evaluate, vet and analyze, reading the named files. A
 // config is self-contained; a notation file wins over a dataflow name, and
 // an arch file over an arch name. Callers check the error first.
 func designRequest(configFile, notationFile, dataflow, wl, archFile, archName string) (*serve.EvaluateRequest, error) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -44,21 +45,28 @@ func writeConfig(t *testing.T) (string, *arch.Spec, *workload.Graph, *core.Node)
 // what it printed.
 func captureStdout(t *testing.T, fn func()) string {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected to a pipe and returns what fn wrote
+// to it.
+func capture(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	old := *f
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
+	*f = w
 	done := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
 		done <- string(b)
 	}()
-	defer func() { os.Stdout = old }()
+	defer func() { *f = old }()
 	fn()
 	w.Close()
-	os.Stdout = old
+	*f = old
 	return <-done
 }
 
@@ -106,6 +114,24 @@ func TestRunMainExclusion(t *testing.T) {
 	for _, args := range cases {
 		if code := runMain(args); code != exitInvalid {
 			t.Errorf("runMain(%v) = %d, want %d", args, code, exitInvalid)
+		}
+	}
+}
+
+// TestRunAnalyzeExclusion: `tileflow analyze` applies the input-selection
+// rule vet and evaluate apply, so a config mixed with another design-point
+// flag is exit 2 rather than a silently ignored flag.
+func TestRunAnalyzeExclusion(t *testing.T) {
+	path, _, _, _ := writeConfig(t)
+	for _, args := range [][]string{
+		{"-config", path, "-arch", "cloud"},
+		{"-config", path, "-workload", "attention:Bert-S"},
+		{"-config", path, "-dataflow", "Layerwise"},
+		{"-notation-file", "x.tf", "-dataflow", "Layerwise"},
+		nil,
+	} {
+		if code := runAnalyze(args); code != 2 {
+			t.Errorf("runAnalyze(%v) = %d, want 2", args, code)
 		}
 	}
 }
@@ -230,29 +256,135 @@ func TestCLIJSONMatchesHTTP(t *testing.T) {
 	for _, cmd := range commands {
 		for _, form := range forms {
 			t.Run(cmd.name+"/"+form.name, func(t *testing.T) {
-				out := captureStdout(t, func() { cmd.run(append(form.args, "-json")) })
-				req := form.req
-				req.NoCache = true
-				body, err := json.Marshal(&req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.Post(hs.URL+cmd.path, "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				want, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("%s answered %d: %s", cmd.path, resp.StatusCode, want)
-				}
-				if out != string(want) {
-					t.Errorf("CLI -json differs from %s:\ncli  %s\nhttp %s", cmd.path, out, want)
-				}
+				cliMatchesHTTP(t, hs.URL, cmd.path, cmd.run, form.args, form.req)
 			})
 		}
 	}
+	// The tuned form runs for evaluate only: vet and analyze read one
+	// concrete mapping or a factor space, not a tuning budget.
+	t.Run("evaluate/tuned", func(t *testing.T) {
+		cliMatchesHTTP(t, hs.URL, "/v1/evaluate", runMain,
+			[]string{"-arch", "edge", "-workload", "attention:Bert-S", "-dataflow", "FLAT-RGran", "-tune", "6", "-seed", "3"},
+			serve.EvaluateRequest{Arch: "edge", Workload: "attention:Bert-S", Dataflow: "FLAT-RGran", Tune: 6, Seed: 3})
+	})
+}
+
+// cliMatchesHTTP runs a CLI command with -json and fails unless it prints
+// the exact 200 body the endpoint at url+path answers for req.
+func cliMatchesHTTP(t *testing.T, url, path string, run func([]string) int, args []string, req serve.EvaluateRequest) {
+	t.Helper()
+	out := captureStdout(t, func() { run(append(args, "-json")) })
+	req.NoCache = true
+	status, want := postJSON(t, url+path, &req)
+	if status != http.StatusOK {
+		t.Fatalf("%s answered %d: %s", path, status, want)
+	}
+	if out != string(want) {
+		t.Errorf("CLI -json differs from %s:\ncli  %s\nhttp %s", path, out, want)
+	}
+}
+
+// postJSON posts req as JSON and returns the answer's status and body.
+func postJSON(t *testing.T, url string, req any) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestCLIExitCodesMatchHTTP: a failing `tileflow` evaluation exits with
+// the code the status table gives for the status /v1/evaluate answers the
+// same request with, and prints the service's message. A CLI-local
+// mistake the service never sees, such as an unreadable -arch-file, exits 2
+// without consulting the status table.
+func TestCLIExitCodesMatchHTTP(t *testing.T) {
+	s := serve.New(serve.Config{})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		s.Close(context.Background())
+	})
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Edge with 2-byte on-chip buffers: no attention tile fits.
+	tiny := arch.Edge()
+	for i := range tiny.Levels {
+		if i != tiny.DRAMLevel() {
+			tiny.Levels[i].CapacityBytes = 2
+		}
+	}
+	tinySrc := arch.FormatSpec(tiny)
+	tinyPath := write("tiny.arch", tinySrc)
+	badTF := "leaf mm = op mm { m:4 \n"
+	badPath := write("bad.tf", badTF)
+	bert := []string{"-workload", "attention:Bert-S"}
+
+	cases := []struct {
+		name   string
+		args   []string
+		req    serve.EvaluateRequest
+		status int
+	}{
+		{"unknown-template", append([]string{"-arch", "edge", "-dataflow", "Nope"}, bert...),
+			serve.EvaluateRequest{Arch: "edge", Workload: "attention:Bert-S", Dataflow: "Nope"}, http.StatusBadRequest},
+		{"bad-notation", []string{"-arch", "edge", "-workload", "matmul:8x8x8", "-notation-file", badPath},
+			serve.EvaluateRequest{Arch: "edge", Workload: "matmul:8x8x8", Notation: badTF}, http.StatusBadRequest},
+		{"over-capacity", append([]string{"-arch-file", tinyPath, "-dataflow", "FLAT-RGran"}, bert...),
+			serve.EvaluateRequest{ArchSpec: tinySrc, Workload: "attention:Bert-S", Dataflow: "FLAT-RGran"}, http.StatusUnprocessableEntity},
+		{"tune-infeasible", append([]string{"-arch-file", tinyPath, "-dataflow", "FLAT-RGran", "-tune", "4"}, bert...),
+			serve.EvaluateRequest{ArchSpec: tinySrc, Workload: "attention:Bert-S", Dataflow: "FLAT-RGran", Tune: 4, Seed: 1}, http.StatusUnprocessableEntity},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := tc.req
+			req.NoCache = true
+			status, body := postJSON(t, hs.URL+"/v1/evaluate", &req)
+			if status != tc.status {
+				t.Fatalf("/v1/evaluate answered %d, want %d: %s", status, tc.status, body)
+			}
+			want, ok := statusExit[status]
+			if !ok {
+				want = exitInternal
+			}
+			var code int
+			stderr := capture(t, &os.Stderr, func() { code = runMain(tc.args) })
+			if code != want {
+				t.Errorf("exit %d, want %d for status %d (stderr %q)", code, want, status, stderr)
+			}
+			var eb struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &eb); err != nil {
+				t.Fatal(err)
+			}
+			if stderr != "tileflow: "+eb.Error+"\n" {
+				t.Errorf("stderr %q, want the service's message %q", stderr, eb.Error)
+			}
+		})
+	}
+	t.Run("unreadable-arch-file", func(t *testing.T) {
+		args := append([]string{"-arch-file", filepath.Join(dir, "missing.arch"), "-dataflow", "FLAT-RGran"}, bert...)
+		var code int
+		stderr := capture(t, &os.Stderr, func() { code = runMain(args) })
+		if code != exitInvalid || !strings.Contains(stderr, "missing.arch") {
+			t.Errorf("exit %d, stderr %q; want exit 2 naming the file", code, stderr)
+		}
+	})
 }

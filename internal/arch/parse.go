@@ -92,7 +92,7 @@ func ParseSpec(src string) (*Spec, error) {
 			if len(fields) != 5 {
 				return nil, bad("want 'level <name> <capacity> <bwGBs> <fanout>'")
 			}
-			cap, err := parseCapacity(fields[2])
+			cap, err := ParseCapacity(fields[2])
 			if err != nil {
 				return nil, bad(err.Error())
 			}
@@ -130,8 +130,10 @@ func ParseSpec(src string) (*Spec, error) {
 	return s, nil
 }
 
-// parseCapacity reads "384KB", "4MB", "2GB", a plain byte count, or "inf".
-func parseCapacity(src string) (int64, error) {
+// ParseCapacity reads a capacity: "384KB", "4MB", "2GB", a plain byte
+// count, or "inf" or 0 for an unbounded level (returned as 0). The YAML
+// front end reads capacities with it too.
+func ParseCapacity(src string) (int64, error) {
 	low := strings.ToLower(src)
 	if low == "inf" || low == "0" {
 		return 0, nil
@@ -188,16 +190,7 @@ func AppendSpec(dst []byte, s *Spec) []byte {
 		dst = append(dst, "level "...)
 		dst = append(dst, l.Name...)
 		dst = append(dst, ' ')
-		switch c := l.CapacityBytes; {
-		case c == 0:
-			dst = append(dst, "inf"...)
-		case c%(1<<20) == 0:
-			dst = append(strconv.AppendInt(dst, c>>20, 10), "MB"...)
-		case c%(1<<10) == 0:
-			dst = append(strconv.AppendInt(dst, c>>10, 10), "KB"...)
-		default:
-			dst = strconv.AppendInt(dst, c, 10)
-		}
+		dst = AppendCapacity(dst, l.CapacityBytes)
 		dst = append(dst, ' ')
 		dst = strconv.AppendFloat(dst, l.BandwidthGBs, 'g', -1, 64)
 		line("", l.Fanout)
@@ -206,6 +199,21 @@ func AppendSpec(dst []byte, s *Spec) []byte {
 		line("direct", p[0], p[1])
 	}
 	return dst
+}
+
+// AppendCapacity appends a capacity in the largest unit that divides it
+// exactly (MB, KB, plain bytes), or "inf" for an unbounded level (0).
+// ParseCapacity reads it back.
+func AppendCapacity(dst []byte, bytes int64) []byte {
+	switch {
+	case bytes == 0:
+		return append(dst, "inf"...)
+	case bytes%(1<<20) == 0:
+		return append(strconv.AppendInt(dst, bytes>>20, 10), "MB"...)
+	case bytes%(1<<10) == 0:
+		return append(strconv.AppendInt(dst, bytes>>10, 10), "KB"...)
+	}
+	return strconv.AppendInt(dst, bytes, 10)
 }
 
 // StructureSignature renders only the structural skeleton of an

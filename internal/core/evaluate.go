@@ -604,11 +604,19 @@ func (e *evaluator) effBandwidth(n int) float64 {
 
 // latency implements the Sec 5.3 recursion: a tile's latency is the maximum
 // of its (double-buffered) load phase, its children, and its store phase.
-// Children are summed under Seq/Shar and maxed under Para/Pipe, repeated by
-// the node's temporal trip counts. With computeOnly, bandwidth is infinite.
+// With computeOnly, bandwidth is infinite.
 func (e *evaluator) latency(n int, computeOnly bool) float64 {
+	load, inner, store := e.phases(n, computeOnly)
+	return math.Max(load, math.Max(inner, store))
+}
+
+// phases splits one execution of node n into the three Sec 5.3 phases
+// latency takes the maximum of: load, inner (its children summed under
+// Seq/Shar and maxed under Para/Pipe, repeated by the node's temporal trip
+// counts) and store. With computeOnly, load and store are 0. Explain
+// reports the same split.
+func (e *evaluator) phases(n int, computeOnly bool) (load, inner, store float64) {
 	nd := e.t.nodeSet[n]
-	var inner float64
 	if nd.IsLeaf() {
 		inner = float64(nd.TemporalTrips()) * e.leafIterCost(nd)
 		// Gating hardware skips zero iterations of sparse operands.
@@ -626,16 +634,15 @@ func (e *evaluator) latency(n int, computeOnly bool) float64 {
 		}
 	}
 	if computeOnly {
-		return inner
+		return 0, inner, 0
 	}
 	inv := e.t.invocationsMask(n, nil)
 	bw := e.effBandwidth(n)
-	load, store := 0.0, 0.0
 	if !math.IsInf(bw, 1) && inv > 0 {
 		load = e.s.nodeFill[n] / inv / bw
 		store = e.s.nodeUpdate[n] / inv / bw
 	}
-	return math.Max(load, math.Max(inner, store))
+	return load, inner, store
 }
 
 // leafIterCost is the cycles one temporal iteration of a leaf takes: MAC

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/arch"
@@ -62,28 +61,7 @@ func (p *Program) Explain(opts Options) ([]NodeReport, error) {
 	var visit func(id, depth int)
 	visit = func(id, depth int) {
 		n := t.nodeSet[id]
-		inv := t.invocationsMask(id, nil)
-		bw := e.effBandwidth(id)
-		load, store := 0.0, 0.0
-		if inv > 0 && bw > 0 && !math.IsInf(bw, 1) {
-			load = s.nodeFill[id] / inv / bw
-			store = s.nodeUpdate[id] / inv / bw
-		}
-		var inner float64
-		if n.IsLeaf() {
-			inner = float64(n.TemporalTrips()) * e.leafIterCost(n) * p.opDensity[id]
-		} else {
-			for _, c := range t.st.children[id] {
-				lc := e.latency(c, false) * e.temporalRepeats(id, c)
-				if n.Binding.Spatial() {
-					if lc > inner {
-						inner = lc
-					}
-				} else {
-					inner += lc
-				}
-			}
-		}
+		load, inner, store := e.phases(id, false)
 		bound := "compute"
 		if load >= inner && load >= store {
 			bound = "load"
@@ -93,7 +71,7 @@ func (p *Program) Explain(opts Options) ([]NodeReport, error) {
 		reports = append(reports, NodeReport{
 			Name: n.Name, Level: n.Level, Depth: depth,
 			IsLeaf: n.IsLeaf(), Binding: n.Binding,
-			Invocations: inv,
+			Invocations: t.invocationsMask(id, nil),
 			FillWords:   s.nodeFill[id], UpdateWords: s.nodeUpdate[id],
 			LoadCycles: load, InnerCycles: inner, StoreCycles: store,
 			Bound: bound,

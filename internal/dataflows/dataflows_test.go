@@ -10,25 +10,19 @@ import (
 
 // attentionDataflows lists every Table 5 attention dataflow for a shape/spec.
 func attentionDataflows(s workload.AttentionShape, spec *arch.Spec) []Dataflow {
-	return []Dataflow{
-		LayerwiseAttention(s, spec),
-		UniPipe(s, spec),
-		FLATMGran(s, spec),
-		FLATBGran(s, spec),
-		FLATHGran(s, spec),
-		FLATRGran(s, spec),
-		Chimera(s, spec),
-		TileFlowAttention(s, spec),
-	}
+	return instantiate(AttentionCatalog, s, spec)
 }
 
 func convDataflows(s workload.ConvChainShape, spec *arch.Spec) []Dataflow {
-	return []Dataflow{
-		LayerwiseConv(s, spec),
-		FusedLayer(s, spec),
-		ISOS(s, spec),
-		TileFlowConv(s, spec),
+	return instantiate(ConvCatalog, s, spec)
+}
+
+func instantiate[S any](c Catalog[S], s S, spec *arch.Spec) []Dataflow {
+	out := make([]Dataflow, len(c))
+	for i, t := range c {
+		out[i] = t.Build(s, spec)
 	}
+	return out
 }
 
 // TestAllTemplatesBuildAndEvaluate builds every named dataflow with its

@@ -65,50 +65,14 @@ func (c Config) convShapes() []workload.ConvChainShape {
 	return workload.ConvChainShapes
 }
 
-// AttentionDataflowNames is the Table 5 comparison set for Figs 10/11.
+// AttentionDataflowNames is the Table 5 comparison set for Figs 10/11: the
+// attention catalog without FLAT-MGran and FLAT-BGran.
 var AttentionDataflowNames = []string{
 	"Layerwise", "Uni-pipe", "FLAT-HGran", "FLAT-RGran", "Chimera", "TileFlow",
 }
 
-// attentionDataflow builds a Table 5 attention dataflow by name.
-func attentionDataflow(name string, s workload.AttentionShape, spec *arch.Spec) dataflows.Dataflow {
-	switch name {
-	case "Layerwise":
-		return dataflows.LayerwiseAttention(s, spec)
-	case "Uni-pipe":
-		return dataflows.UniPipe(s, spec)
-	case "FLAT-MGran":
-		return dataflows.FLATMGran(s, spec)
-	case "FLAT-BGran":
-		return dataflows.FLATBGran(s, spec)
-	case "FLAT-HGran":
-		return dataflows.FLATHGran(s, spec)
-	case "FLAT-RGran":
-		return dataflows.FLATRGran(s, spec)
-	case "Chimera":
-		return dataflows.Chimera(s, spec)
-	case "TileFlow":
-		return dataflows.TileFlowAttention(s, spec)
-	}
-	panic("experiments: unknown attention dataflow " + name)
-}
-
-// ConvDataflowNames is the Fig 12 comparison set.
-var ConvDataflowNames = []string{"Layerwise", "Fused-Layer", "ISOS", "TileFlow"}
-
-func convDataflow(name string, s workload.ConvChainShape, spec *arch.Spec) dataflows.Dataflow {
-	switch name {
-	case "Layerwise":
-		return dataflows.LayerwiseConv(s, spec)
-	case "Fused-Layer":
-		return dataflows.FusedLayer(s, spec)
-	case "ISOS":
-		return dataflows.ISOS(s, spec)
-	case "TileFlow":
-		return dataflows.TileFlowConv(s, spec)
-	}
-	panic("experiments: unknown conv dataflow " + name)
-}
+// ConvDataflowNames is the Fig 12 comparison set: the whole conv catalog.
+var ConvDataflowNames = dataflows.ConvCatalog.Names()
 
 // tune MCTS-tunes a dataflow's tiling (Sec 7.3: "To ensure a fair
 // comparison among different dataflows, we utilize TileFlow's mapper to

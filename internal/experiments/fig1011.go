@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dataflows"
 	"repro/internal/workload"
 )
 
@@ -59,7 +60,7 @@ func RunAttentionComparison(cfg Config, spec *arch.Spec) (*AttentionComparison, 
 	for _, shape := range shapes {
 		var layer *DataflowPoint
 		for _, name := range AttentionDataflowNames {
-			df := attentionDataflow(name, shape, spec)
+			df := dataflows.AttentionCatalog.New(name, shape, spec)
 			ev := cfg.tune(df, spec, core.Options{})
 			pt := DataflowPoint{Shape: shape.Name, Dataflow: name}
 			if ev == nil {
@@ -214,7 +215,7 @@ func Fig10dBreakdown(cfg Config) ([]BreakdownRow, error) {
 	shape, _ := workload.AttentionShapeByName("Bert-B")
 	var rows []BreakdownRow
 	for _, name := range AttentionDataflowNames {
-		df := attentionDataflow(name, shape, spec)
+		df := dataflows.AttentionCatalog.New(name, shape, spec)
 		ev := cfg.tune(df, spec, core.Options{})
 		if ev == nil {
 			continue

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dataflows"
 )
 
 // ConvComparison is the Fig 12 experiment: the Table 3 3×3 convolution
@@ -23,7 +24,7 @@ func RunConvComparison(cfg Config) (*ConvComparison, error) {
 	for _, shape := range cfg.convShapes() {
 		var layer *DataflowPoint
 		for _, name := range ConvDataflowNames {
-			df := convDataflow(name, shape, spec)
+			df := dataflows.ConvCatalog.New(name, shape, spec)
 			ev := cfg.tune(df, spec, core.Options{})
 			pt := DataflowPoint{Shape: shape.Name, Dataflow: name}
 			if ev == nil {

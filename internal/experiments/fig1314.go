@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dataflows"
 	"repro/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func Fig13(cfg Config) ([]EnergyBreakdownRow, error) {
 	}{{"200KB", 200 * 1024}, {"1MB", 1024 * 1024}} {
 		spec := arch.Edge().WithLevelCapacity("L1", l1.bytes)
 		for _, shape := range shapes {
-			df := attentionDataflow("FLAT-RGran", shape, spec)
+			df := dataflows.AttentionCatalog.New("FLAT-RGran", shape, spec)
 			ev := cfg.tune(df, spec, core.Options{})
 			if ev == nil {
 				continue
@@ -102,7 +103,7 @@ func Fig14(cfg Config) ([]BandwidthTrace, error) {
 			// dataflow stays fixed while the architecture changes, as
 			// in the paper's sensitivity study.
 			base := arch.Edge()
-			df := convDataflow(flow, shape, base)
+			df := dataflows.ConvCatalog.New(flow, shape, base)
 			ev := cfg.tune(df, base, core.Options{})
 			if ev == nil {
 				continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
+	"repro/internal/dataflows"
 	"repro/internal/mapper"
 	"repro/internal/workload"
 )
@@ -40,7 +41,7 @@ func Fig9a(cfg Config) (*Fig9aResult, error) {
 	shape, _ := workload.AttentionShapeByName("Bert-S")
 	res := &Fig9aResult{}
 	for _, name := range AttentionDataflowNames {
-		df := attentionDataflow(name, shape, spec)
+		df := dataflows.AttentionCatalog.New(name, shape, spec)
 		s := &mapper.TileSearch{Dataflow: df, Spec: spec, Rounds: cfg.rounds(), Seed: cfg.Seed + 11}
 		best, trace := s.Run()
 		if best == nil {

@@ -33,12 +33,12 @@ func Table6(cfg Config) ([]Table6Row, error) {
 	for _, pe := range sizes {
 		spec := arch.Edge().WithPEMesh(pe, pe)
 		row := Table6Row{PESize: pe}
-		if ev := cfg.tune(attentionDataflow("FLAT-RGran", shape, spec), spec, core.Options{}); ev != nil {
+		if ev := cfg.tune(dataflows.AttentionCatalog.New("FLAT-RGran", shape, spec), spec, core.Options{}); ev != nil {
 			row.BaselineMCyc = ev.Cycles / 1e6
 		} else {
 			row.BaselineOOM = true
 		}
-		if ev := cfg.tune(attentionDataflow("TileFlow", shape, spec), spec, core.Options{}); ev != nil {
+		if ev := cfg.tune(dataflows.AttentionCatalog.New("TileFlow", shape, spec), spec, core.Options{}); ev != nil {
 			row.TileFlowMCyc = ev.Cycles / 1e6
 		} else {
 			row.TileFlowOOM = true
@@ -97,7 +97,7 @@ func Table7(cfg Config) (*Table7Result, error) {
 	res := &Table7Result{}
 
 	eval := func(name string, factors map[string]int, opts core.Options) Table7Cell {
-		df := attentionDataflow(name, shape, spec)
+		df := dataflows.AttentionCatalog.New(name, shape, spec)
 		cell := Table7Cell{Dataflow: name}
 		root, err := df.Build(factors)
 		if err != nil {
@@ -115,7 +115,7 @@ func Table7(cfg Config) (*Table7Result, error) {
 		return cell
 	}
 	tuneCell := func(name string, opts core.Options) Table7Cell {
-		df := attentionDataflow(name, shape, spec)
+		df := dataflows.AttentionCatalog.New(name, shape, spec)
 		ev := cfg.tune(df, spec, opts)
 		cell := Table7Cell{Dataflow: name}
 		if ev == nil {
@@ -129,7 +129,7 @@ func Table7(cfg Config) (*Table7Result, error) {
 	}
 
 	for _, name := range Table7DataflowNames {
-		df := attentionDataflow(name, shape, spec)
+		df := dataflows.AttentionCatalog.New(name, shape, spec)
 		res.Fixed = append(res.Fixed, eval(name, df.DefaultFactors(), core.Options{SkipCapacityCheck: true}))
 		res.Explored = append(res.Explored, tuneCell(name, core.Options{SkipCapacityCheck: true}))
 		res.Limited = append(res.Limited, tuneCell(name, core.Options{}))

@@ -27,8 +27,8 @@
 // with a byte-identical trajectory, migration across nodes is invisible in
 // the job's result and trace.
 //
-// Fitness stays node-local: a worker's search memoizes against its own
-// node's cache, and a resumed search re-seeds that cache from the tuned
+// Fitness stays local to the search: a worker's search memoizes in its own
+// private cache, and a resumed search re-seeds that cache from the tuned
 // statistics its checkpoint carries, so no evaluation state crosses the
 // wire beyond the checkpoint itself.
 //

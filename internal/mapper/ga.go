@@ -46,8 +46,9 @@ type TreeSearch struct {
 	// Seed fixes the random stream.
 	Seed int64
 	// Cache memoizes fitness by encoding, so GA revisits (and other
-	// searches sharing the cache, such as the evaluation service) skip the
-	// MCTS re-tuning. Nil allocates a private cache for this run.
+	// searches sharing the cache, such as perfbench's replay) skip the MCTS
+	// re-tuning. Nil allocates a private cache for this run, as the CLI and
+	// the evaluation service use.
 	Cache memo.Cache
 
 	// Progress, when set, is called after every completed generation with
@@ -363,9 +364,9 @@ func (s *TreeSearch) evaluatePopulation(ctx context.Context, pop []*individual, 
 // encoding that determines an encoding's fitness: the architecture, the
 // workload graph, the evaluation options, the MCTS budget, and the search
 // seed (which fixes each encoding's tuning stream via encodingSeed).
-// Without it, two searches sharing one cache — as requests through the
-// evaluation service do — would collide whenever their workloads happen to
-// have equal op counts, poisoning each other's results.
+// Without it, two searches sharing one cache — as perfbench's replay
+// does — would collide whenever their workloads happen to have equal op
+// counts, poisoning each other's results.
 func (s *TreeSearch) fitnessKeyPrefix() string {
 	rounds := s.TileRounds
 	if rounds <= 0 {

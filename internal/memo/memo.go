@@ -3,9 +3,10 @@
 // single-flight wrapper that collapses concurrent identical computations so
 // a thundering herd of equal requests runs the underlying evaluation once.
 //
-// The mapper's GA (which revisits encodings across generations) and the
-// HTTP evaluation service both store their results through the same Cache
-// interface, so a design point evaluated anywhere is evaluated once.
+// The HTTP evaluation service stores its results in one Cache per node,
+// so a design point it evaluated is evaluated once. The mapper's GA
+// memoizes fitness by encoding through the same interface, in a private
+// cache per search.
 package memo
 
 import (

@@ -207,49 +207,27 @@ func PickDataflow(df, wl string, spec *arch.Spec) (dataflows.Dataflow, error) {
 	if !ok {
 		return nil, fmt.Errorf("workload must be attention:<name> or conv:<name>")
 	}
+	var d dataflows.Dataflow
 	switch kind {
 	case "attention":
 		shape, ok := workload.AttentionShapeByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown attention shape %q (Table 2 names)", name)
 		}
-		switch df {
-		case "Layerwise":
-			return dataflows.LayerwiseAttention(shape, spec), nil
-		case "Uni-pipe":
-			return dataflows.UniPipe(shape, spec), nil
-		case "FLAT-MGran":
-			return dataflows.FLATMGran(shape, spec), nil
-		case "FLAT-BGran":
-			return dataflows.FLATBGran(shape, spec), nil
-		case "FLAT-HGran":
-			return dataflows.FLATHGran(shape, spec), nil
-		case "FLAT-RGran":
-			return dataflows.FLATRGran(shape, spec), nil
-		case "Chimera":
-			return dataflows.Chimera(shape, spec), nil
-		case "TileFlow":
-			return dataflows.TileFlowAttention(shape, spec), nil
-		}
-		return nil, fmt.Errorf("unknown attention dataflow %q", df)
+		d = dataflows.AttentionCatalog.New(df, shape, spec)
 	case "conv":
 		shape, ok := workload.ConvChainShapeByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown conv chain %q (Table 3 names)", name)
 		}
-		switch df {
-		case "Layerwise":
-			return dataflows.LayerwiseConv(shape, spec), nil
-		case "Fused-Layer":
-			return dataflows.FusedLayer(shape, spec), nil
-		case "ISOS":
-			return dataflows.ISOS(shape, spec), nil
-		case "TileFlow":
-			return dataflows.TileFlowConv(shape, spec), nil
-		}
-		return nil, fmt.Errorf("unknown conv dataflow %q", df)
+		d = dataflows.ConvCatalog.New(df, shape, spec)
+	default:
+		return nil, fmt.Errorf("unknown workload kind %q", kind)
 	}
-	return nil, fmt.Errorf("unknown workload kind %q", kind)
+	if d == nil {
+		return nil, fmt.Errorf("unknown %s dataflow %q", kind, df)
+	}
+	return d, nil
 }
 
 // designPoint is a fully resolved EvaluateRequest.
@@ -271,11 +249,13 @@ type designPoint struct {
 	seed int64
 }
 
-// The request resolver. Every endpoint that names a design point picks its
-// architecture with pickSpec, its workload graph with graph, and its
-// evaluation options with options; each then keeps only its own final
-// step: evaluate builds, parses or tunes the tree, vet runs the static
-// analyzer, analyze narrows the factor space, search explores mappings.
+// The request resolver. Every endpoint that names a design point, and the
+// CLIs through ResolveTree, Vet, AnalyzeSpace and SearchRequest.Resolve,
+// picks its architecture with pickSpec, its workload graph with graph,
+// and its evaluation options with options; each then keeps only its own
+// final step: evaluate builds, parses or tunes the tree, vet runs the
+// static analyzer, analyze narrows the factor space, search explores
+// mappings.
 
 // pickSpec resolves a request's architecture: an inline arch_spec, else a
 // built-in name.
@@ -384,9 +364,10 @@ func (req *SearchRequest) options() core.Options {
 	}
 }
 
-// resolve resolves a search request's architecture and full workload
-// graph: a search explores mappings rather than naming one.
-func (req *SearchRequest) resolve() (*arch.Spec, *workload.Graph, error) {
+// Resolve resolves a search request's architecture and full workload
+// graph: a search explores mappings rather than naming one. The
+// tileflow-search CLI resolves its flags through it too.
+func (req *SearchRequest) Resolve() (*arch.Spec, *workload.Graph, error) {
 	spec, err := pickSpec(req.Arch, req.ArchSpec)
 	if err != nil {
 		return nil, nil, err

@@ -487,7 +487,7 @@ func TestFleetProtocolMounted(t *testing.T) {
 
 // TestFleetPeerRequestMix counts the peer requests reaching a coordinator
 // while one search job runs on one worker. A worker's search memoizes
-// against its own node's cache, so the only peer traffic is the lease
+// in its own private cache, so the only peer traffic is the lease
 // protocol: claim polls, heartbeats, checkpoints and the completion. No
 // fitness lookup or write crosses the wire, and the coordinator serves no
 // memo endpoint at all. However the worker batches its updates, every

@@ -32,15 +32,15 @@ type SearchProgress struct {
 
 // runSearchJob is the jobs.Runner for searchJobKind, on this node's own
 // worker pool and on a fleet worker alike. It runs the search through the
-// synchronous /v1/search execution path (runTreeSearch), reusing the
-// node's service cache and the shared worker width, checkpointing at every
+// synchronous /v1/search execution path (runTreeSearch), with its own
+// fitness cache and the shared worker width, checkpointing at every
 // generation boundary, and resuming from job.Checkpoint when present.
 func (s *Server) runSearchJob(ctx context.Context, job *jobs.Job, upd func(progress, checkpoint jobs.Payload)) (jobs.Payload, error) {
 	var req SearchRequest
 	if err := json.Unmarshal(job.Request, &req); err != nil {
 		return jobs.Payload{}, fmt.Errorf("bad search request: %w", err)
 	}
-	spec, g, err := req.resolve()
+	spec, g, err := req.Resolve()
 	if err != nil {
 		return jobs.Payload{}, err
 	}
@@ -127,7 +127,7 @@ func (s *Server) registerWarm(j *jobs.Job) {
 	if err := json.Unmarshal(j.Request, &req); err != nil {
 		return
 	}
-	spec, g, err := req.resolve()
+	spec, g, err := req.Resolve()
 	if err != nil {
 		return
 	}
@@ -212,7 +212,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if _, _, err := req.resolve(); err != nil {
+	if _, _, err := req.Resolve(); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -507,11 +507,13 @@ func TestSearchNotationEvaluates(t *testing.T) {
 }
 
 // TestSearchSharedCacheIsolation: two different search requests through
-// one server share the service cache; the second must not be poisoned by
-// the first's GA fitness entries. Bert-S and Bert-B have equal op counts,
+// one server; the second must not be poisoned by the first's GA fitness
+// entries. Each search keeps its fitness in a private cache, and the keys
+// carry a namespace besides, for callers such as perfbench's replay that
+// share one cache across searches. Bert-S and Bert-B have equal op counts,
 // so with the same seed the two searches visit identical encodings — a
-// fitness cache keyed by encoding alone would hand the second search the
-// first one's results wholesale.
+// shared fitness cache keyed by encoding alone would hand the second
+// search the first one's results wholesale.
 func TestSearchSharedCacheIsolation(t *testing.T) {
 	reqS := SearchRequest{
 		Arch: "edge", Workload: "attention:Bert-S",
@@ -568,8 +570,8 @@ func TestStatusFor(t *testing.T) {
 		{fmt.Errorf("template exploded"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
-		if got := statusFor(tc.err); got != tc.want {
-			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.want)
+		if got := StatusFor(tc.err); got != tc.want {
+			t.Errorf("StatusFor(%v) = %d, want %d", tc.err, got, tc.want)
 		}
 	}
 }

@@ -340,12 +340,13 @@ func unprocessable(err error) error {
 // — it is neither a timeout (504) nor a server fault (500).
 const statusClientClosedRequest = 499
 
-// statusFor maps pipeline errors to HTTP statuses: caller mistakes
+// StatusFor maps pipeline errors to HTTP statuses: caller mistakes
 // (including structurally invalid mappings) are 400, infeasible design
 // points (over capacity, over the PE budget, nothing valid in the search
 // budget) are 422, expired deadlines are 504, canceled clients are 499,
-// and anything unrecognized is a 500 server fault.
-func statusFor(err error) int {
+// and anything unrecognized is a 500 server fault. The CLIs map the same
+// statuses to their exit codes.
+func StatusFor(err error) int {
 	var he *httpError
 	if errors.As(err, &he) {
 		return he.status
@@ -363,14 +364,10 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// evalOutcome is the cache value for one evaluate key: everything needed
-// to rebuild a response except the per-request cached flag.
+// evalOutcome is the cache value for one evaluate key: the response
+// with its per-request cached flag unset.
 type evalOutcome struct {
-	workload     string
-	dfName       string
-	archName     string
-	tunedFactors map[string]int
-	result       *ResultJSON
+	resp EvaluateResponse
 
 	// encodeOnce fills cachedBytes, the pre-serialized cached:true
 	// response body, so the hot hit path writes stored bytes instead of
@@ -380,14 +377,9 @@ type evalOutcome struct {
 }
 
 func (o *evalOutcome) response(cached bool) *EvaluateResponse {
-	return &EvaluateResponse{
-		Workload:     o.workload,
-		Dataflow:     o.dfName,
-		Arch:         o.archName,
-		Cached:       cached,
-		TunedFactors: o.tunedFactors,
-		Result:       o.result,
-	}
+	r := o.resp
+	r.Cached = cached
+	return &r
 }
 
 // cachedJSON is the serialized cached:true response, built once per
@@ -417,31 +409,80 @@ func requestKey(req *EvaluateRequest) (string, bool) {
 	return "req:" + string(b), true
 }
 
-// run executes the analysis for a resolved design point: tuning first when
-// the request asked for it, then the tree-based evaluation.
-func (dp *designPoint) run(ctx context.Context) (*evalOutcome, error) {
-	out := &evalOutcome{workload: dp.g.Name, dfName: dp.dfName, archName: dp.spec.Name}
-	root := dp.root
-	if root == nil {
-		ev := mapper.TuneContext(ctx, dp.df, dp.spec, dp.opts, dp.tune, dp.seed)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if ev == nil {
-			return nil, unprocessable(fmt.Errorf("no valid mapping found for %s", dp.dfName))
-		}
-		out.tunedFactors = ev.Factors
-		var err error
-		if root, err = dp.df.Build(ev.Factors); err != nil {
-			return nil, err
-		}
+// Tree is a resolved design point's analysis tree, tuned first when the
+// request asked for tuning, with the graph, architecture and options it is
+// evaluated under and the header of the service's response for it.
+type Tree struct {
+	Root  *core.Node
+	Graph *workload.Graph
+	Spec  *arch.Spec
+	Opts  core.Options
+	// Response is the EvaluateResponse for the point, Result unset.
+	Response EvaluateResponse
+}
+
+// ResolveTree turns an EvaluateRequest into its analysis tree exactly as
+// /v1/evaluate does, tuning the template first when the request asks for
+// it. StatusFor classifies its errors as the service answers them.
+func ResolveTree(ctx context.Context, req *EvaluateRequest) (*Tree, error) {
+	dp, err := resolve(req)
+	if err != nil {
+		return nil, badRequest(err)
 	}
-	res, err := core.EvaluateContext(ctx, root, dp.g, dp.spec, dp.opts)
+	return dp.tree(ctx)
+}
+
+// Evaluate runs the tree-based analysis on the tree and returns the result
+// with the service's response for it.
+func (t *Tree) Evaluate(ctx context.Context) (*core.Result, *EvaluateResponse, error) {
+	res, err := core.EvaluateContext(ctx, t.Root, t.Graph, t.Spec, t.Opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	resp := t.Response
+	resp.Result = NewResultJSON(res, t.Spec)
+	return res, &resp, nil
+}
+
+// tree returns the design point's analysis tree, tuning the template's
+// factors first when the request asked for it.
+func (dp *designPoint) tree(ctx context.Context) (*Tree, error) {
+	t := &Tree{Root: dp.root, Graph: dp.g, Spec: dp.spec, Opts: dp.opts, Response: dp.header()}
+	if t.Root != nil {
+		return t, nil
+	}
+	ev := mapper.TuneContext(ctx, dp.df, dp.spec, dp.opts, dp.tune, dp.seed)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if ev == nil {
+		return nil, unprocessable(fmt.Errorf("no valid mapping found for %s", dp.dfName))
+	}
+	t.Response.TunedFactors = ev.Factors
+	var err error
+	if t.Root, err = dp.df.Build(ev.Factors); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// header is the response for the design point without its result.
+func (dp *designPoint) header() EvaluateResponse {
+	return EvaluateResponse{Workload: dp.g.Name, Dataflow: dp.dfName, Arch: dp.spec.Name}
+}
+
+// run executes the analysis for a resolved design point: its tree, then
+// the tree-based evaluation.
+func (dp *designPoint) run(ctx context.Context) (*evalOutcome, error) {
+	t, err := dp.tree(ctx)
 	if err != nil {
 		return nil, err
 	}
-	out.result = NewResultJSON(res, dp.spec)
-	return out, nil
+	_, resp, err := t.Evaluate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &evalOutcome{resp: *resp}, nil
 }
 
 // key is the canonical cache key of the design point.
@@ -551,7 +592,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, raw, err := s.evaluateOne(r.Context(), &req)
 	if err != nil {
-		s.writeErrorDiags(w, statusFor(err), err, rejectionDiagnostics(&req, err, statusFor(err)))
+		s.writeErrorDiags(w, StatusFor(err), err, rejectionDiagnostics(&req, err, StatusFor(err)))
 		return
 	}
 	if raw != nil {
@@ -764,12 +805,8 @@ func (s *Server) evaluateGroup(ctx context.Context, gk batchGroupKey, pts []*bat
 			items[pt.idx].Error = errs[j].Error()
 			continue
 		}
-		out := &evalOutcome{
-			workload: pt.dp.g.Name,
-			dfName:   pt.dp.dfName,
-			archName: pt.dp.spec.Name,
-			result:   NewResultJSON(results[j], pt.dp.spec),
-		}
+		out := &evalOutcome{resp: pt.dp.header()}
+		out.resp.Result = NewResultJSON(results[j], pt.dp.spec)
 		s.cache.Put(pt.key, out)
 		if pt.rk != "" {
 			s.reqKeys.Put(pt.rk, pt.key)
@@ -833,14 +870,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.searchOne(r.Context(), &req)
 	if err != nil {
-		s.writeError(w, statusFor(err), err)
+		s.writeError(w, StatusFor(err), err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) searchOne(ctx context.Context, req *SearchRequest) (*SearchResponse, error) {
-	spec, g, err := req.resolve()
+	spec, g, err := req.Resolve()
 	if err != nil {
 		return nil, badRequest(err)
 	}
@@ -864,19 +901,21 @@ func (s *Server) searchOne(ctx context.Context, req *SearchRequest) (*SearchResp
 }
 
 // runTreeSearch is the one search execution path behind /v1/search and
-// the job runner, local or fleet. It builds the mapper.TreeSearch over the
-// node's service cache, lets setup install a job's checkpoint resume, warm
-// start and progress hook (the synchronous path passes nil), runs it, and
-// renders the winner. A finished answer is stored under key, the request's
-// searchKey, so a later synchronous request for the same point is a hit; a
-// best-so-far answer cut short by ctx is marked TimedOut and not stored.
+// the job runner, local or fleet. It builds the mapper.TreeSearch with a
+// private fitness cache, so fitness entries do not crowd the service
+// cache, at the price that a rerun of the same seed re-tunes its
+// encodings (DESIGN §7). It lets setup install a job's checkpoint resume,
+// warm start and progress hook (the synchronous path passes nil), runs it,
+// and renders the winner. A finished answer is stored under key, the
+// request's searchKey, so a later synchronous request for the same point is
+// a hit; a best-so-far answer cut short by ctx is marked TimedOut and not
+// stored.
 func (s *Server) runTreeSearch(ctx context.Context, req *SearchRequest, spec *arch.Spec, g *workload.Graph, key string, setup func(*mapper.TreeSearch)) (*SearchResponse, error) {
 	ts := &mapper.TreeSearch{
 		G: g, Spec: spec, Opts: req.options(),
 		Population: req.Population, Generations: req.Generations,
 		TileRounds: req.TileRounds, TopK: req.TopK,
 		Parallel: s.pool.Workers(), Seed: req.Seed,
-		Cache: s.cache,
 	}
 	if setup != nil {
 		setup(ts)
@@ -1071,7 +1110,7 @@ func (s *Server) handleReport(name string, analyze func(*EvaluateRequest) (analy
 		}
 		report, err := analyze(&req)
 		if err != nil {
-			s.writeErrorDiags(w, statusFor(err), err, requestDiagnostics(err))
+			s.writeErrorDiags(w, StatusFor(err), err, requestDiagnostics(err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -525,7 +525,7 @@ func (ld *loader) archComponent(n *node, inst int, recs *[]levelRec) {
 			"width", "bandwidth_gbs", "read_bandwidth", "write_bandwidth")
 		if f := am.field("capacity"); f != nil {
 			if s, ok := ld.scalar(f, "capacity"); ok {
-				c, err := parseCapacity(s)
+				c, err := arch.ParseCapacity(s)
 				if err != nil {
 					ld.r.Reportf(CodeScalar, f.span, "", "capacity: %v", err)
 				} else {
@@ -591,30 +591,4 @@ func parseMultiplicity(s string) (string, int, error) {
 		return "", 0, fmt.Errorf("bad multiplicity range in %q", s)
 	}
 	return s[:open], b - a + 1, nil
-}
-
-// parseCapacity reads "384KB", "4MB", "2GB", a plain byte count, or
-// "inf"/0 for unbounded, mirroring arch.ParseSpec.
-func parseCapacity(src string) (int64, error) {
-	low := strings.ToLower(src)
-	if low == "inf" || low == "0" {
-		return 0, nil
-	}
-	mult := int64(1)
-	num := low
-	switch {
-	case strings.HasSuffix(low, "gb"):
-		mult, num = 1<<30, strings.TrimSuffix(low, "gb")
-	case strings.HasSuffix(low, "mb"):
-		mult, num = 1<<20, strings.TrimSuffix(low, "mb")
-	case strings.HasSuffix(low, "kb"):
-		mult, num = 1<<10, strings.TrimSuffix(low, "kb")
-	case strings.HasSuffix(low, "b"):
-		num = strings.TrimSuffix(low, "b")
-	}
-	v, err := strconv.ParseInt(num, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad capacity %q", src)
-	}
-	return v * mult, nil
 }

@@ -61,25 +61,12 @@ func renderArch(b *strings.Builder, spec *arch.Spec) {
 			fmt.Fprintf(b, "%s        class: DRAM\n", indent)
 		}
 		fmt.Fprintf(b, "%s        attributes:\n", indent)
-		if cap := formatCapacity(l.CapacityBytes); cap != "" {
-			fmt.Fprintf(b, "%s          capacity: %s\n", indent, cap)
+		// An unbounded level prints no capacity line.
+		if l.CapacityBytes != 0 {
+			fmt.Fprintf(b, "%s          capacity: %s\n", indent, arch.AppendCapacity(nil, l.CapacityBytes))
 		}
 		fmt.Fprintf(b, "%s          bandwidth_gbs: %s\n", indent, ftoa(l.BandwidthGBs))
 		indent += "    "
-	}
-}
-
-// formatCapacity mirrors arch.FormatSpec's rendering; "" means unbounded.
-func formatCapacity(bytes int64) string {
-	switch {
-	case bytes == 0:
-		return ""
-	case bytes%(1<<20) == 0:
-		return fmt.Sprintf("%dMB", bytes>>20)
-	case bytes%(1<<10) == 0:
-		return fmt.Sprintf("%dKB", bytes>>10)
-	default:
-		return fmt.Sprintf("%d", bytes)
 	}
 }
 
